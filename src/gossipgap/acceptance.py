@@ -368,12 +368,7 @@ def criterion_9(ctx: _Context) -> CriterionResult:
     """Primitivity, forward/backward index law, geometric tails."""
     t0 = time.perf_counter()
     proc = ring5_process(loss=True)
-    g = proc.config.graph
-    pats = []
-    for e, (i, j) in enumerate(g.edges):
-        pats.append(primitivity.pattern_of(push_sum_matrix(5, (i, j), 0.5)))
-        if proc.config.loss_prob[e] > 0:
-            pats.append(primitivity.pattern_of(push_sum_matrix(5, (i, j), 0.5, loss=True)))
+    pats = [primitivity.BoolPattern(b) for b in proc.pattern_family()]
     rep = primitivity.is_family_primitive(pats)
     replay_ok = (rep.family_primitive and
                  primitivity.replay_word(pats, rep.witness_word).all_true)

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import acceptance, consensus, primitivity, spectrum
 from .config import ConfigError, ExperimentConfig, load_config
-from .generators import push_sum_matrix
 from .report import ReportBundle
 
 EXIT_OK = 0
@@ -137,25 +136,9 @@ def cmd_gap(args, cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _family_patterns(cfg: ExperimentConfig, proc):
-    if proc.kind == "push_sum":
-        pats = []
-        c = proc.config
-        for e, (i, j) in enumerate(c.graph.edges):
-            pats.append(primitivity.pattern_of(
-                push_sum_matrix(proc.p, (i, j), c.share[e])))
-            if c.loss_prob[e] > 0:
-                pats.append(primitivity.pattern_of(
-                    push_sum_matrix(proc.p, (i, j), c.share[e], loss=True)))
-        return pats
-    if proc.kind in ("iid_family", "markov_family"):
-        return [primitivity.pattern_of(a) for a in proc._stack]
-    return [primitivity.pattern_of(proc.matrix)]
-
-
 def cmd_primitivity(args, cfg: ExperimentConfig) -> int:
     proc = cfg.build_process(args.seed)
-    pats = _family_patterns(cfg, proc)
+    pats = [primitivity.BoolPattern(b) for b in proc.pattern_family()]
     rep = primitivity.is_family_primitive(pats)
     count = cfg.horizon.n
     psi = primitivity.sample_forward_indices(proc.spawn((500, 0)), count)

@@ -30,7 +30,10 @@ which have defaults):
     ``wedge_n``.
 
 ``output``
-    ``prefix``: basename prefix for emitted files.
+    ``prefix``: basename prefix for emitted files (no path separators).
+
+Integer fields (``horizon.n``/``count`` and the estimator sizes) must be
+JSON integers, not booleans: at least 1, or at least 0 for ``burn_in``.
 
 Unknown keys anywhere are rejected, so typos fail fast instead of being
 silently ignored.
@@ -65,6 +68,14 @@ def _take(d: dict, where: str, required: tuple[str, ...],
     if missing:
         raise ConfigError(f"{where}: missing keys {missing}")
     return d
+
+
+def _check_int(where: str, name: str, v, minimum: int) -> None:
+    """Integer fields must be JSON integers (not booleans) ``>= minimum``."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"{where}: {name} must be an integer, got {v!r}")
+    if v < minimum:
+        raise ConfigError(f"{where}: {name} must be >= {minimum}, got {v}")
 
 
 @dataclass
@@ -193,8 +204,8 @@ class HorizonSpec:
         spec = cls(**d)
         if spec.checkpoints not in ("geometric", "linear"):
             raise ConfigError(f"horizon: unknown schedule {spec.checkpoints!r}")
-        if int(spec.n) < 1:
-            raise ConfigError("horizon: n must be >= 1")
+        _check_int("horizon", "n", spec.n, 1)
+        _check_int("horizon", "count", spec.count, 1)
         return spec
 
     def to_dict(self) -> dict:
@@ -215,7 +226,16 @@ class EstimatorSpec:
     def from_dict(cls, d: dict) -> "EstimatorSpec":
         _take(d, "estimators", (), ("k", "reorth_period", "replicates",
                                     "burn_in", "birkhoff_m", "trials", "wedge_n"))
-        return cls(**d)
+        spec = cls(**d)
+        for name in ("k", "reorth_period", "replicates", "trials", "wedge_n"):
+            _check_int("estimators", name, getattr(spec, name), 1)
+        if spec.burn_in is not None:
+            _check_int("estimators", "burn_in", spec.burn_in, 0)
+        if not isinstance(spec.birkhoff_m, (list, tuple)):
+            raise ConfigError("estimators: birkhoff_m must be a list of block lengths")
+        for m in spec.birkhoff_m:
+            _check_int("estimators", "birkhoff_m entry", m, 1)
+        return spec
 
     def to_dict(self) -> dict:
         return {"k": self.k, "reorth_period": self.reorth_period,
@@ -231,7 +251,14 @@ class OutputSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "OutputSpec":
         _take(d, "output", (), ("prefix",))
-        return cls(**d)
+        spec = cls(**d)
+        # Files are written as <out>/<prefix>_<name>: a separator in the
+        # prefix would place them outside the output directory.
+        if (not isinstance(spec.prefix, str) or not spec.prefix
+                or any(c in spec.prefix for c in "/\\\0")):
+            raise ConfigError(f"output: prefix must be a plain file-name prefix, "
+                              f"got {spec.prefix!r}")
+        return spec
 
     def to_dict(self) -> dict:
         return {"prefix": self.prefix}

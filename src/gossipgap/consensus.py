@@ -6,6 +6,17 @@ ratios ``x_n^i / w_n^i``.  Both vectors are stored as mantissas with one
 shared log-scale shift, applied jointly each step, so the ratios are exact
 while arbitrarily long products stay representable.
 
+``run`` applies push-sum emissions as events: each one is the identity
+with the sender's column edited, so ``A_n x`` is two row updates
+(``x[j] += a x[i]`` when the packet is delivered, then ``x[i] *= 1 - a``)
+on the events drawn in blocks by ``PushSumProcess.block_events``.  Other
+processes, and push-sum processes recording pattern history, are applied
+as dense matrices from ``next_matrix``.  Both paths share one per-step
+bookkeeping (the joint rescale, the envelope check and the checkpoint
+snapshots) and give the results of iterating :func:`step`: bit for bit
+when every share is 1/2 (``a x[i]`` is then exact), otherwise to rounding
+(a dense matrix-vector product may fuse the multiply-add).
+
 Recorded diagnostics per checkpoint: the min/max ratio envelope (over nodes
 with positive weight), the total-variation distance of the simplex
 normalizations of ``x_n`` and ``w_n`` (only meaningful for ``x >= 0``), the
@@ -22,12 +33,12 @@ fitted decay rates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogScaled, NonNegMatrix, as_array, tv_distance
-from .generators import MatrixProcess, is_column_stochastic
+from .core import LogScaled, NonNegMatrix, hilbert_distance, tv_distance
+from .generators import MatrixProcess, PushSumProcess, is_column_stochastic
 
 __all__ = [
     "ConsensusState",
@@ -163,12 +174,60 @@ def make_checkpoints(n: int, kind: str = "geometric", ratio: float = 1.15,
     raise ValueError(f"unknown checkpoint schedule {kind!r}")
 
 
+EVENT_BLOCK = 512      # push-sum events drawn per block_events call
+
+
+def _event_updates(proc: PushSumProcess, x: list, w: list, n: int):
+    """Apply ``n`` push-sum steps to the mantissa lists in place.
+
+    Each emission is the identity with column ``i`` edited, so ``A x`` is
+    two row updates: ``x[j] += a x[i]`` (delivered packets only), then
+    ``x[i] *= 1 - a``.  Yields after each step whether it was delivered.
+    """
+    cfg = proc.config
+    edges = [(i, j, a, 1.0 - a) for (i, j), a in zip(cfg.graph.edges, cfg.share)]
+    left = n
+    while left:
+        m = min(EVENT_BLOCK, left)
+        events, lost = proc.block_events(m)
+        for e, dropped in zip(events.tolist(), lost.tolist()):
+            i, j, a, keep = edges[e]
+            if not dropped:
+                x[j] += a * x[i]
+                w[j] += a * w[i]
+            x[i] *= keep
+            w[i] *= keep
+            yield not dropped
+        left -= m
+
+
+def _matrix_updates(proc: MatrixProcess, x: list, w: list, n: int):
+    """Apply ``n`` emissions of ``next_matrix`` to the mantissa lists in
+    place.  Yields after each step whether every emission so far was
+    column-stochastic."""
+    col_stoch = True
+    for _ in range(n):
+        A = proc.next_matrix()
+        if not A.row_allowable:
+            raise ValueError("update matrix must be row-allowable")
+        x[:] = (A.a @ x).tolist()
+        w[:] = (A.a @ w).tolist()
+        col_stoch = col_stoch and is_column_stochastic(A)
+        yield col_stoch
+
+
 def run(proc: MatrixProcess, x0, w0, n: int, checkpoints=None) -> Trajectory:
     """Iterate the consensus recursion for ``n`` steps of ``proc``.
 
-    Envelope monotonicity is monitored at every step (from the first step
-    at which all weights are positive, where the monotone-envelope argument
-    applies); violations beyond the floating slack are counted.
+    Push-sum processes (without pattern history) are applied event by event
+    from ``block_events``; every other process, or one recording history,
+    goes through ``next_matrix``.  Both feed the same per-step bookkeeping,
+    identical to :func:`step`: the joint rescale by ``max(w)`` and the
+    envelope check.  Envelope monotonicity is monitored at every step (from
+    the first step at which all weights are positive, where the
+    monotone-envelope argument applies); violations beyond the floating
+    slack are counted.  Checkpoints keep ``(x, w)`` snapshots, from which
+    the TV and Hilbert columns are computed after the loop.
     """
     state = ConsensusState.from_initial(x0, w0)
     n = int(n)
@@ -180,22 +239,32 @@ def run(proc: MatrixProcess, x0, w0, n: int, checkpoints=None) -> Trajectory:
         cps = np.unique(np.asarray(list(checkpoints), dtype=np.int64))
         if len(cps) == 0 or cps[0] < 1 or cps[-1] > n:
             raise ValueError("checkpoints must lie in [1, n]")
-    cp_set = set(int(c) for c in cps)
+    if proc.p != state.p:
+        raise ValueError(f"dimension mismatch: process p={proc.p}, state p={state.p}")
+    cp_set = set(cps.tolist())
 
-    x_nonneg = bool(np.all(state.x >= 0) and np.any(state.x > 0))
+    x, w = state.x.tolist(), state.w.tolist()
+    log_scale = 0.0
+    if isinstance(proc, PushSumProcess) and not proc.records_history:
+        updates = _event_updates(proc, x, w, n)
+    else:
+        updates = _matrix_updates(proc, x, w, n)
     col_stoch = True
     prev_env = None
     violations = 0
     violation_max = 0.0
-    rows_n, rows_mn, rows_mx, rows_tv, rows_h, rows_mid = [], [], [], [], [], []
+    rows_env, snap_x, snap_w = [], [], []
 
-    for t in range(1, n + 1):
-        A = proc.next_matrix()
-        if col_stoch and not is_column_stochastic(A):
-            col_stoch = False
-        state = step(state, A)
-        mn, mx = state.envelope()
-        all_pos = bool(np.all(state.w > 0))
+    for t, stoch in enumerate(updates, 1):
+        col_stoch = col_stoch and stoch
+        c = max(w)
+        if not c > 0:
+            raise ValueError("weight vector vanished; update matrix must keep w nonzero")
+        x[:] = [v / c for v in x]
+        w[:] = [v / c for v in w]
+        log_scale += math.log(c)
+        r = [xv / wv for xv, wv in zip(x, w) if wv > 0]
+        mn, mx = min(r), max(r)
         if prev_env is not None:
             scale = max(abs(prev_env[0]), abs(prev_env[1]))
             slack = ENVELOPE_SLACK * scale
@@ -203,35 +272,33 @@ def run(proc: MatrixProcess, x0, w0, n: int, checkpoints=None) -> Trajectory:
             if excess > slack:
                 violations += 1
                 violation_max = max(violation_max, excess - slack)
-        if all_pos:
+        if len(r) == len(w):
             prev_env = (mn, mx)
         if t in cp_set:
-            rows_n.append(t)
-            rows_mn.append(mn)
-            rows_mx.append(mx)
-            rows_mid.append(0.5 * (mn + mx))
-            if x_nonneg and state.x.sum() > 0:
-                rows_tv.append(tv_distance(state.x / state.x.sum(),
-                                           state.w / state.w.sum()))
-            else:
-                rows_tv.append(np.nan)
-            if np.all(state.x > 0) and np.all(state.w > 0):
-                d = np.log(state.x) - np.log(state.w)
-                rows_h.append(float(d.max() - d.min()))
-            else:
-                rows_h.append(np.nan)
+            rows_env.append((mn, mx))
+            snap_x.append(x[:])
+            snap_w.append(w[:])
+
+    env_min, env_max = np.array(rows_env).T
+    mid = 0.5 * (env_min + env_max)
+    X, W = np.array(snap_x), np.array(snap_w)
+    tv = np.full(len(cps), np.nan)
+    if np.all(state.x >= 0) and np.any(state.x > 0):
+        sx = X.sum(axis=1)
+        ok = sx > 0
+        tv[ok] = tv_distance(X[ok] / sx[ok, None],
+                             W[ok] / W[ok].sum(axis=1, keepdims=True))
+    hilbert = np.full(len(cps), np.nan)
+    pos = np.all(X > 0, axis=1) & np.all(W > 0, axis=1)
+    hilbert[pos] = hilbert_distance(X[pos], W[pos])
 
     if col_stoch:
-        limit = float(np.asarray(x0, dtype=float).sum()
-                      / np.asarray(w0, dtype=float).sum())
+        limit = float(state.x.sum() / state.w.sum())
     else:
-        limit = rows_mid[-1] if rows_mid else 0.5 * sum(state.envelope())
-    return Trajectory(np.array(rows_n, dtype=np.int64), np.array(rows_mn),
-                      np.array(rows_mx), np.array(rows_tv), np.array(rows_h),
-                      np.array(rows_mid), limit, col_stoch, violations,
-                      violation_max, state,
-                      np.asarray(x0, dtype=float).copy(),
-                      np.asarray(w0, dtype=float).copy())
+        limit = float(mid[-1])
+    final = ConsensusState(n, np.array(x), np.array(w), log_scale)
+    return Trajectory(cps, env_min, env_max, tv, hilbert, mid, limit, col_stoch,
+                      violations, violation_max, final, state.x, state.w)
 
 
 def envelope_series(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -204,25 +204,32 @@ def normalize_simplex(v) -> np.ndarray:
     return v / s
 
 
-def tv_distance(xi, eta) -> float:
+def _per_row(d: np.ndarray):
+    """A float for vector arguments, an array for stacked rows."""
+    return float(d) if d.ndim == 0 else d
+
+
+def tv_distance(xi, eta):
     """Total variation distance ``0.5 * sum_i |xi_i - eta_i]``.
 
     Both arguments must be probability vectors (sum 1 within ``PROB_TOL``).
+    Stacked ``(m, p)`` arguments give the ``m`` row-wise distances.
     """
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     if xi.shape != eta.shape:
         raise ValueError("dimension mismatch")
     for name, v in (("first", xi), ("second", eta)):
-        if abs(float(v.sum()) - 1.0) > PROB_TOL or np.any(v < 0):
+        if np.any(np.abs(v.sum(axis=-1) - 1.0) > PROB_TOL) or np.any(v < 0):
             raise ValueError(f"{name} argument is not a probability vector")
-    return 0.5 * float(np.abs(xi - eta).sum())
+    return _per_row(0.5 * np.abs(xi - eta).sum(axis=-1))
 
 
-def hilbert_distance(x, y) -> float:
+def hilbert_distance(x, y):
     """Hilbert projective distance between strictly positive vectors.
 
     ``h(x, y) = log max_{k,l} (x_k/y_k)/(x_l/y_l)``; zero iff ``y = c x``.
+    Stacked ``(m, p)`` arguments give the ``m`` row-wise distances.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -231,7 +238,7 @@ def hilbert_distance(x, y) -> float:
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("Hilbert metric requires strict positivity")
     d = np.log(x) - np.log(y)
-    return float(d.max() - d.min())
+    return _per_row(d.max(axis=-1) - d.min(axis=-1))
 
 
 def birkhoff_phi(A) -> float:

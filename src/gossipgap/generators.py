@@ -247,15 +247,29 @@ class MatrixProcess:
         consumption); subclasses override this with vectorized sampling.
         History recording is supported only through ``next_matrix``.
         """
-        if self._history is not None:
-            raise RuntimeError("dense_block does not record history")
+        self._refuse_with_history("dense_block")
         return np.stack([self.next_matrix().a for _ in range(int(m))])
+
+    def _refuse_with_history(self, name: str) -> None:
+        """Block emission paths that bypass the pattern-history buffer."""
+        if self._history is not None:
+            raise RuntimeError(f"{name} does not record history")
+
+    def pattern_family(self) -> np.ndarray:
+        """Zero/nonzero patterns of every matrix the process can emit, as
+        an ``(f, p, p)`` boolean stack (duplicates kept, in emission-law
+        order)."""
+        raise NotImplementedError
 
     # -- pattern history for backward-index sampling ------------------------
 
     def enable_history(self, cap: int = 100_000) -> None:
         """Record the boolean pattern of each emission in a ring buffer."""
         self._history = deque(maxlen=int(cap))
+
+    @property
+    def records_history(self) -> bool:
+        return self._history is not None
 
     def pattern_history(self) -> deque:
         if self._history is None:
@@ -292,9 +306,16 @@ class PushSumProcess(MatrixProcess):
         return e, bool(u[1] < self._loss_p[e])
 
     def block_events(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        u = self._rng.random((int(m), 2))
+        """Next ``m`` steps as ``(edge_index, lost)`` arrays.
+
+        Consumes the stream exactly like ``m`` calls of ``next_matrix``.
+        """
+        self._refuse_with_history("block_events")
+        m = int(m)
+        u = self._rng.random((m, 2))
         e = np.minimum(np.searchsorted(self._cum_q, u[:, 0], side="right"),
                        len(self._cum_q) - 1)
+        self.steps_emitted += m
         return e, u[:, 1] < self._loss_p[e]
 
     def _next_array(self) -> np.ndarray:
@@ -310,8 +331,6 @@ class PushSumProcess(MatrixProcess):
                                     strictly_positive=(self.p == 1))
 
     def dense_block(self, m: int) -> np.ndarray:
-        if self._history is not None:
-            raise RuntimeError("dense_block does not record history")
         m = int(m)
         e, lost = self.block_events(m)
         blk = np.broadcast_to(np.eye(self.p), (m, self.p, self.p)).copy()
@@ -319,8 +338,18 @@ class PushSumProcess(MatrixProcess):
         i, j = self._ei[e], self._ej[e]
         blk[s, i, i] = 1.0 - self._alpha[e]
         blk[s, j, i] = np.where(lost, 0.0, self._alpha[e])
-        self.steps_emitted += m
         return blk
+
+    def pattern_family(self) -> np.ndarray:
+        """Per edge: the delivered pattern, then the lost one (the identity)
+        when the edge can lose its packet."""
+        c = self.config
+        mats = []
+        for e, edge in enumerate(c.graph.edges):
+            mats.append(push_sum_matrix(self.p, edge, c.share[e]).a)
+            if c.loss_prob[e] > 0:
+                mats.append(push_sum_matrix(self.p, edge, c.share[e], loss=True).a)
+        return np.stack(mats) > 0
 
 
 class _FamilyProcess(MatrixProcess):
@@ -343,6 +372,9 @@ class _FamilyProcess(MatrixProcess):
     @property
     def family_size(self) -> int:
         return self._stack.shape[0]
+
+    def pattern_family(self) -> np.ndarray:
+        return self._stack > 0
 
 
 class IIDFamilyProcess(_FamilyProcess):
@@ -374,8 +406,7 @@ class IIDFamilyProcess(_FamilyProcess):
         return self._stack[idx].copy()
 
     def dense_block(self, m: int) -> np.ndarray:
-        if self._history is not None:
-            raise RuntimeError("dense_block does not record history")
+        self._refuse_with_history("dense_block")
         idx = self._indices(m)
         self.last_index = int(idx[-1]) if len(idx) else self.last_index
         self.steps_emitted += int(m)
@@ -446,8 +477,7 @@ class MarkovFamilyProcess(_FamilyProcess):
         return self._stack[s].copy()
 
     def dense_block(self, m: int) -> np.ndarray:
-        if self._history is not None:
-            raise RuntimeError("dense_block does not record history")
+        self._refuse_with_history("dense_block")
         u = self._rng.random(int(m))
         idx = np.empty(int(m), dtype=np.intp)
         for t in range(int(m)):
@@ -476,8 +506,10 @@ class ConstantProcess(MatrixProcess):
     def _next_array(self) -> np.ndarray:
         return self.matrix.copy()
 
+    def pattern_family(self) -> np.ndarray:
+        return self.matrix[None] > 0
+
     def dense_block(self, m: int) -> np.ndarray:
-        if self._history is not None:
-            raise RuntimeError("dense_block does not record history")
+        self._refuse_with_history("dense_block")
         self.steps_emitted += int(m)
         return np.broadcast_to(self.matrix, (int(m), self.p, self.p))

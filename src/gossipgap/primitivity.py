@@ -135,11 +135,17 @@ def is_family_primitive(patterns: list[BoolPattern],
 
     visited: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
     queue: list[bytes] = []
+    # A generator that repeats an earlier pattern, or is the identity,
+    # only ever maps a state to one already visited: extend by the others.
+    identity = np.eye(p, dtype=bool).tobytes()
+    extend: list[tuple[int, np.ndarray]] = []
     for gi, g in enumerate(patterns):
         k = g.key()
         if k not in visited:
             visited[k] = (g.bits, (gi,))
             queue.append(k)
+            if k != identity:
+                extend.append((gi, g.bits))
         if g.all_true:
             return PrimitivityReport(True, visited[k][1], len(visited), False)
 
@@ -147,8 +153,8 @@ def is_family_primitive(patterns: list[BoolPattern],
     while head < len(queue):
         bits, word = visited[queue[head]]
         head += 1
-        for gi, g in enumerate(patterns):
-            nb = _bool_matmul(bits, g.bits)
+        for gi, gbits in extend:
+            nb = _bool_matmul(bits, gbits)
             k = nb.tobytes()
             if k in visited:
                 continue
@@ -249,7 +255,7 @@ def sample_backward_indices(proc: MatrixProcess, count: int,
                 k += 1
             out[s] = k
         return out
-    if proc._history is None:
+    if not proc.records_history:
         proc.enable_history(cap)
     end = proc.steps_emitted
     for s in range(count):

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from gossipgap.consensus import (ConsensusState, envelope_series, fit_rate,
-                                 make_checkpoints, rate_window, run, step,
-                                 tv_series, weighted_ratio)
+from gossipgap.acceptance import _envelope_configs
+from gossipgap.consensus import (ENVELOPE_SLACK, EVENT_BLOCK, ConsensusState,
+                                 envelope_series, fit_rate, make_checkpoints,
+                                 rate_window, run, step, tv_series,
+                                 weighted_ratio)
+from gossipgap.core import hilbert_distance, tv_distance
 from gossipgap.generators import (ConstantProcess, PushSumConfig,
-                                  PushSumProcess, push_sum_matrix, ring,
-                                  ring_with_chords)
+                                  PushSumProcess, is_column_stochastic,
+                                  push_sum_matrix, ring, ring_with_chords)
 from gossipgap.spectrum import estimate_spectrum_qr
 
 A2 = np.array([[0.5, 0.25], [0.5, 0.75]])
@@ -155,6 +158,103 @@ def test_run_checkpoint_validation():
         run(noloss5(1), np.ones(5), np.ones(5), 100, checkpoints=[0, 5])
     with pytest.raises(ValueError, match="schedule"):
         run(noloss5(1), np.ones(5), np.ones(5), 100, checkpoints="cubic")
+    proc = lossy5(2)
+    with pytest.raises(ValueError, match="checkpoints"):
+        run(proc, np.ones(5), np.ones(5), 100, checkpoints=[5, 101])
+    assert proc.steps_emitted == 0     # rejected before any event is drawn
+
+
+def test_run_dimension_mismatch():
+    with pytest.raises(ValueError, match="mismatch"):
+        run(lossy5(2), np.ones(4), np.ones(4), 10)
+
+
+# -- event path against the dense recursion -------------------------------------
+
+
+def dense_reference(proc, x0, w0, n):
+    """Every-step checkpoints of ``step(state, proc.next_matrix())``."""
+    state = ConsensusState.from_initial(x0, w0)
+    x_nonneg = bool(np.all(state.x >= 0) and np.any(state.x > 0))
+    col_stoch, prev, violations, violation_max = True, None, 0, 0.0
+    rows = []
+    for t in range(1, n + 1):
+        A = proc.next_matrix()
+        col_stoch = col_stoch and is_column_stochastic(A)
+        state = step(state, A)
+        mn, mx = state.envelope()
+        if prev is not None:
+            excess = max(prev[0] - mn, mx - prev[1])
+            slack = ENVELOPE_SLACK * max(abs(prev[0]), abs(prev[1]))
+            if excess > slack:
+                violations += 1
+                violation_max = max(violation_max, excess - slack)
+        if np.all(state.w > 0):
+            prev = (mn, mx)
+        x, w = state.x, state.w
+        tv = (tv_distance(x / x.sum(), w / w.sum())
+              if x_nonneg and x.sum() > 0 else np.nan)
+        h = (hilbert_distance(x, w) if np.all(x > 0) and np.all(w > 0)
+             else np.nan)
+        rows.append((t, mn, mx, tv, h, 0.5 * (mn + mx)))
+    cols = dict(zip(("ns", "env_min", "env_max", "tv", "hilbert", "mid"),
+                    np.array(rows).T))
+    limit = (float(np.sum(x0) / np.sum(w0)) if col_stoch else cols["mid"][-1])
+    return cols, limit, col_stoch, violations, violation_max, state
+
+
+def check_against_dense(k, n, rtol):
+    (proc, x0, w0), (twin, _, _) = _envelope_configs()[k], _envelope_configs()[k]
+    traj = run(proc, x0, w0, n, checkpoints=np.arange(1, n + 1))
+    cols, limit, col_stoch, violations, violation_max, state = \
+        dense_reference(twin, x0, w0, n)
+    assert traj.column_stochastic == col_stoch
+    assert traj.envelope_violations == violations
+    assert proc.steps_emitted == twin.steps_emitted == n
+    assert traj.final_state.n == state.n
+    if rtol == 0:
+        for name, ref in cols.items():
+            np.testing.assert_array_equal(getattr(traj, name), ref, err_msg=name)
+        assert traj.limit == limit
+        assert traj.envelope_violation_max == violation_max
+        np.testing.assert_array_equal(traj.final_state.x, state.x)
+        np.testing.assert_array_equal(traj.final_state.w, state.w)
+        assert traj.final_state.log_scale == state.log_scale
+        return
+    for name, ref in cols.items():
+        # tv and hilbert are differences of nearly equal O(1) numbers, so
+        # near convergence their relative error is rounding noise
+        atol = 1e-14 if name in ("tv", "hilbert") else 0.0
+        np.testing.assert_allclose(getattr(traj, name), ref, rtol=rtol,
+                                   atol=atol, err_msg=name)
+    assert traj.limit == pytest.approx(limit, rel=rtol)
+    np.testing.assert_allclose(traj.final_state.x, state.x, rtol=rtol)
+    np.testing.assert_allclose(traj.final_state.w, state.w, rtol=rtol)
+    assert traj.final_state.log_scale == pytest.approx(state.log_scale, rel=rtol)
+
+
+# ring5 lossy and lossless, p4, p2 (share 1/2: exact products), then the
+# constant, i.i.d. and Markov family configs (dense path on both sides)
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 6, 7])
+def test_run_bitwise_equal_to_dense_recursion(k):
+    check_against_dense(k, 3 * EVENT_BLOCK + 17, rtol=0)
+
+
+def test_run_share_03_matches_dense_recursion():
+    # ring3 at share 0.3: a*x[i] rounds, and the dense product may fuse it
+    check_against_dense(4, 3 * EVENT_BLOCK + 17, rtol=1e-12)
+
+
+def test_run_with_history_keeps_every_pattern():
+    x0 = np.array([0.3, 1.1, 0.2, 0.9, 0.5])
+    events = run(lossy5(8), x0, np.ones(5), 700)
+    proc = lossy5(8)
+    proc.enable_history(1000)
+    dense = run(proc, x0, np.ones(5), 700)
+    assert len(proc.pattern_history()) == 700
+    for name in ("ns", "env_min", "env_max", "tv", "hilbert", "mid"):
+        np.testing.assert_array_equal(getattr(dense, name), getattr(events, name))
+    np.testing.assert_array_equal(dense.final_state.x, events.final_state.x)
 
 
 def test_tv_series_nan_for_signed_values():

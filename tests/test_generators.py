@@ -152,6 +152,33 @@ def test_dense_block_matches_sequential():
         assert p_blk.steps_emitted == 137
 
 
+def test_block_events_counts_steps_and_refuses_history():
+    proc = PushSumProcess(lossy_cfg(), seed=5)
+    proc.block_events(300)
+    assert proc.steps_emitted == 300
+    proc.enable_history(10)
+    for emit in (proc.block_events, proc.dense_block):
+        with pytest.raises(RuntimeError, match="does not record history"):
+            emit(4)
+    assert proc.steps_emitted == 300
+
+
+def test_pattern_family_per_kind():
+    g = ring_with_chords(5)
+    loss = tuple(0.3 if k % 2 else 0.0 for k in range(len(g.edges)))
+    pats = PushSumProcess(PushSumConfig.uniform(g, 0.4, loss), seed=1).pattern_family()
+    assert pats.shape == (len(g.edges) + sum(r > 0 for r in loss), 5, 5)
+    # per edge: the delivered pattern, then the lost one when loss is possible
+    np.testing.assert_array_equal(pats[0], push_sum_matrix(5, g.edges[0], 0.4).a > 0)
+    np.testing.assert_array_equal(pats[1], push_sum_matrix(5, g.edges[1], 0.4).a > 0)
+    np.testing.assert_array_equal(pats[2], np.eye(5, dtype=bool))
+    fam = [np.eye(2), np.array([[1.0, 1.0], [1.0, 0.0]])]
+    np.testing.assert_array_equal(
+        IIDFamilyProcess(fam, [0.5, 0.5], seed=1).pattern_family(), np.stack(fam) > 0)
+    np.testing.assert_array_equal(
+        ConstantProcess(fam[1]).pattern_family(), (fam[1] > 0)[None])
+
+
 def test_spawn_streams_differ_and_reproduce():
     base = PushSumProcess(lossy_cfg(), seed=42)
     a = base.spawn(1).dense_block(100)

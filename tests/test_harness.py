@@ -203,6 +203,40 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["simulate", "--config", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("estimators", "k", "two"),
+    ("estimators", "k", True),
+    ("estimators", "replicates", 0),
+    ("estimators", "burn_in", -1),
+    ("estimators", "birkhoff_m", [8, 2.5]),
+    ("horizon", "n", "100"),
+])
+def test_cli_bad_integer_field_is_config_error(tmp_path, capsys, section, key, value):
+    cfg = json.loads(json.dumps(PUSH_SUM_CFG))
+    cfg[section][key] = value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    with pytest.raises(ConfigError, match=key):
+        load_config(p)
+    assert main(["spectrum", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("prefix", ["../x/run", "sub/run", "a\\b", ""])
+def test_cli_prefix_with_path_is_config_error(tmp_path, capsys, prefix):
+    cfg = json.loads(json.dumps(PUSH_SUM_CFG))
+    cfg["output"]["prefix"] = prefix
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    (tmp_path / "x").mkdir()
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "prefix" in err
+    assert not out.exists() and not any((tmp_path / "x").iterdir())
+
+
 def test_cli_numerical_error_exit_code(tmp_path):
     cfg = json.loads(json.dumps(PUSH_SUM_CFG))
     cfg["estimators"]["k"] = 17  # k > p triggers a numerical-domain failure

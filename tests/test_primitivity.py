@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gossipgap.acceptance import ring5_process
 from gossipgap.generators import (ConstantProcess, MarkovFamilyProcess,
                                   PushSumConfig, PushSumProcess,
                                   push_sum_matrix, ring, ring_with_chords)
@@ -64,6 +65,26 @@ def test_family_push_sum_strongly_connected():
     rep = is_family_primitive(pats)
     assert rep.family_primitive
     assert replay_word(pats, rep.witness_word).all_true
+
+
+def test_family_push_sum_ring5_lossy_report():
+    # 14 generators, 7 of them identity patterns from lost packets; the BFS
+    # extends only by the 7 distinct non-identity ones
+    pats = [BoolPattern(b) for b in ring5_process(True).pattern_family()]
+    assert len(pats) == 14
+    rep = is_family_primitive(pats)
+    assert rep.family_primitive and not rep.capped
+    assert rep.witness_word == (0, 4, 10, 8, 6, 4, 2, 0)
+    assert rep.states_explored == 1810
+    assert replay_word(pats, rep.witness_word).all_true
+
+
+def test_family_duplicate_generators_do_not_change_report():
+    base = is_family_primitive([SWAP, FIB])
+    dup = is_family_primitive([SWAP, SWAP, pattern_of(np.eye(2)), FIB])
+    assert dup.family_primitive and base.family_primitive
+    # same word, with each generator under its first index in the longer list
+    assert tuple((0, 3)[i] for i in base.witness_word) == dup.witness_word
 
 
 def test_family_primitivity_magnitude_invariant():
