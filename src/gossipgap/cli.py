@@ -6,7 +6,8 @@ Subcommands: ``simulate`` (one consensus trajectory with fitted rates),
 (family decision plus forward/backward index statistics) and ``acceptance``
 (the full acceptance suite).
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure,
+Exit codes: 0 success, 1 configuration error or unusable output location
+(any ``OSError`` while creating or writing the bundle), 2 numerical failure,
 3 acceptance failure.
 """
 
@@ -38,9 +39,23 @@ def _thread_count(args) -> int:
     return max(1, int(env)) if env else 1
 
 
-def _bundle(args, cfg: ExperimentConfig) -> ReportBundle:
-    outdir = Path(args.out) if args.out else Path.cwd()
-    return ReportBundle(outdir, cfg.output.prefix, cfg.to_dict())
+class OutputError(Exception):
+    """The output bundle could not be created or written."""
+
+
+def _write_bundle(out, prefix: str, config_echo: dict, tables: dict,
+                  summary: dict | None = None) -> None:
+    """Write ``tables`` (name -> (header, rows)), the summary and the
+    manifest into ``out`` (default: the working directory)."""
+    try:
+        bundle = ReportBundle(Path(out) if out else Path.cwd(), prefix, config_echo)
+        for name, (header, rows) in tables.items():
+            bundle.add_table(name, header, rows)
+        if summary is not None:
+            bundle.add_summary(summary)
+        bundle.write_manifest()
+    except OSError as e:
+        raise OutputError(e) from e
 
 
 def _try_rate(ns, values) -> float:
@@ -56,8 +71,6 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> int:
     x0, w0 = cfg.build_initial(proc.p)
     traj = consensus.run(proc, x0, w0, cfg.horizon.n,
                          checkpoints=cfg.horizon.checkpoints)
-    bundle = _bundle(args, cfg)
-    bundle.add_table("trajectory", traj.TABLE_HEADER, traj.rows())
     summary = {
         "limit_estimate": traj.limit,
         "column_stochastic": traj.column_stochastic,
@@ -66,8 +79,8 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> int:
         "rate_tv": _try_rate(traj.ns, traj.tv),
         "final_n": int(traj.ns[-1]),
     }
-    bundle.add_summary(summary)
-    bundle.write_manifest()
+    _write_bundle(args.out, cfg.output.prefix, cfg.to_dict(),
+                  {"trajectory": (traj.TABLE_HEADER, traj.rows())}, summary)
     if args.verbose:
         print(f"limit={traj.limit:.12g} rate={summary['rate_max_ratio_error']:.6g}")
     return EXIT_OK
@@ -86,16 +99,14 @@ def cmd_spectrum(args, cfg: ExperimentConfig) -> int:
         wedge = spectrum.estimate_sum_top2_wedge(proc, x0, w0, e.wedge_n)
     except ValueError:
         wedge = math.nan
-    bundle = _bundle(args, cfg)
-    bundle.add_table("spectrum", ("i", "lambda", "stderr"),
-                     [(i + 1, est.lambdas[i], est.stderr[i]) for i in range(e.k)])
-    bundle.add_summary({
+    _write_bundle(args.out, cfg.output.prefix, cfg.to_dict(), {"spectrum": (
+        ("i", "lambda", "stderr"),
+        [(i + 1, est.lambdas[i], est.stderr[i]) for i in range(e.k)])}, {
         "gap": est.gap, "gap_stderr": est.gap_stderr,
         "det_identity_lhs": lhs, "det_identity_rhs": rhs,
         "wedge_sum_top2": wedge, "n_steps": est.n_steps,
         "replicates": est.replicates,
     })
-    bundle.write_manifest()
     if args.verbose:
         print(f"lambdas={est.lambdas} gap={est.gap:.6g}")
     return EXIT_OK
@@ -123,14 +134,11 @@ def cmd_gap(args, cfg: ExperimentConfig) -> int:
     else:
         points = [_gap_point(p) for p in payloads]
     points.sort(key=lambda r: r[0])
-    bundle = _bundle(args, cfg)
-    bundle.add_table("gap", ("m", "birkhoff_gap", "stderr", "tau_one_fraction"),
-                     points)
-    bundle.add_summary({
+    _write_bundle(args.out, cfg.output.prefix, cfg.to_dict(), {"gap": (
+        ("m", "birkhoff_gap", "stderr", "tau_one_fraction"), points)}, {
         "qr_gap": est.gap, "qr_gap_stderr": est.gap_stderr,
         "birkhoff_final": points[-1][1] if points else math.nan,
     })
-    bundle.write_manifest()
     if args.verbose:
         print(f"qr gap={est.gap:.6g}; birkhoff sweep={[p[1] for p in points]}")
     return EXIT_OK
@@ -149,10 +157,9 @@ def cmd_primitivity(args, cfg: ExperimentConfig) -> int:
         slope, intercept, corr = primitivity.survival_loglinear_fit(psi)
     except ValueError:
         slope = intercept = corr = math.nan
-    bundle = _bundle(args, cfg)
-    bundle.add_table("indices", ("sample", "forward_psi", "backward_rho"),
-                     [(s + 1, int(psi[s]), int(rho[s])) for s in range(count)])
-    bundle.add_summary({
+    _write_bundle(args.out, cfg.output.prefix, cfg.to_dict(), {"indices": (
+        ("sample", "forward_psi", "backward_rho"),
+        [(s + 1, int(psi[s]), int(rho[s])) for s in range(count)])}, {
         "family_primitive": rep.family_primitive,
         "witness_word": ("-".join(map(str, rep.witness_word))
                          if rep.witness_word else None),
@@ -162,7 +169,6 @@ def cmd_primitivity(args, cfg: ExperimentConfig) -> int:
         "psi_mean": float(psi.mean()), "rho_mean": float(rho.mean()),
         "survival_slope": slope, "survival_corr": corr,
     })
-    bundle.write_manifest()
     if args.verbose:
         print(f"primitive={rep.family_primitive} KS={ks:.4f} (crit {ks_crit:.4f})")
     return EXIT_OK
@@ -171,12 +177,9 @@ def cmd_primitivity(args, cfg: ExperimentConfig) -> int:
 def cmd_acceptance(args, cfg=None) -> int:
     results = acceptance.run_all(verbose=True)
     if args.out:
-        bundle = ReportBundle(Path(args.out), "acceptance", {})
-        bundle.add_table("criteria",
-                         ("id", "name", "passed", "runtime_s", "details"),
-                         [(r.cid, r.name, r.passed, r.runtime_s, r.details)
-                          for r in results])
-        bundle.write_manifest()
+        _write_bundle(args.out, "acceptance", {}, {"criteria": (
+            ("id", "name", "passed", "runtime_s", "details"),
+            [(r.cid, r.name, r.passed, r.runtime_s, r.details) for r in results])})
     n_fail = sum(not r.passed for r in results)
     print(f"{len(results) - n_fail}/{len(results)} criteria passed")
     return EXIT_OK if n_fail == 0 else EXIT_ACCEPTANCE
@@ -217,6 +220,9 @@ def main(argv=None) -> int:
         return args.fn(args, cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OutputError as e:
+        print(f"output error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, RuntimeError, FloatingPointError, np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)

@@ -33,7 +33,8 @@ which have defaults):
     ``prefix``: basename prefix for emitted files (no path separators).
 
 Integer fields (``horizon.n``/``count`` and the estimator sizes) must be
-JSON integers, not booleans: at least 1, or at least 0 for ``burn_in``.
+JSON integers, not booleans: at least 1, or at least 0 for ``burn_in``,
+``process.seed`` and ``initial.sub_seed``.
 
 Unknown keys anywhere are rejected, so typos fail fast instead of being
 silently ignored.
@@ -109,9 +110,11 @@ class ProcessSpec:
         else:
             raise ConfigError(f"process: unknown kind {kind!r}")
         try:
-            return cls(**{k: v for k, v in d.items()})
+            spec = cls(**{k: v for k, v in d.items()})
         except TypeError as e:
             raise ConfigError(f"process: {e}") from e
+        _check_int("process", "seed", spec.seed, 0)
+        return spec
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "seed": self.seed}
@@ -167,7 +170,9 @@ class InitialSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "InitialSpec":
         _take(d, "initial", (), ("x0", "w0", "sub_seed"))
-        return cls(**d)
+        spec = cls(**d)
+        _check_int("initial", "sub_seed", spec.sub_seed, 0)
+        return spec
 
     def to_dict(self) -> dict:
         return {"x0": self.x0, "w0": self.w0, "sub_seed": self.sub_seed}

@@ -40,6 +40,7 @@ __all__ = [
     "birkhoff_phi",
     "birkhoff_tau",
     "log_birkhoff_tau",
+    "log_tau_from_phi",
     "wedge_magnitude",
     "log_abs_det",
 ]
@@ -272,19 +273,27 @@ def birkhoff_tau(A) -> float:
     return math.tanh(phi / 4.0)
 
 
-def log_birkhoff_tau(A) -> float:
-    """``log tau(A)``, computed stably even when ``tau`` rounds to 1.
+def log_tau_from_phi(phi: float) -> float:
+    """``log tanh(phi/4)``, stable at both ends of the range.
 
-    Uses ``log tanh(t) = log1p(-exp(-2t)) - log1p(exp(-2t))`` so that large
-    but finite projective diameters still yield a strictly negative result.
+    Tiny ``phi`` uses ``log tanh(x) = log x - x^2/3 + O(x^4)``, because
+    ``exp(-phi/2)`` rounds to 1 there; otherwise
+    ``log tanh(x) = log1p(-exp(-2x)) - log1p(exp(-2x))``, so large but
+    finite diameters still give a strictly negative result where ``tanh``
+    rounds to 1.  ``phi = 0`` gives ``-inf`` and ``phi = inf`` gives 0.
     """
-    phi = birkhoff_phi(A)
-    if math.isinf(phi):
-        return 0.0
     if phi == 0.0:
         return -math.inf
-    q = math.exp(-phi / 2.0)
+    x = phi / 4.0
+    if x < 1e-4:
+        return math.log(x) - x * x / 3.0
+    q = math.exp(-2.0 * x)
     return math.log1p(-q) - math.log1p(q)
+
+
+def log_birkhoff_tau(A) -> float:
+    """``log tau(A)``, computed stably even when ``tau`` rounds to 1."""
+    return log_tau_from_phi(birkhoff_phi(A))
 
 
 def wedge_magnitude(x, y) -> float:

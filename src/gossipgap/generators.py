@@ -25,10 +25,19 @@ is started from its stationary distribution so the emitted sequence is
 strictly stationary.  Whether a user-supplied chain also satisfies the
 moment/mixing conditions required by the asymptotic theory is the user's
 responsibility.
+
+``dense_block`` is the vectorized form of ``m`` ``next_matrix`` calls and
+consumes the stream identically.  For a Markov family it draws the ``m``
+uniforms at once, tabulates the next state from every state with one
+``searchsorted`` per transition row, and walks the chain by indexing that
+table.  ``spawn`` makes a shallow copy with its own stream: the
+configuration arrays are read-only and shared, so replicate processes cost
+no re-validation.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -203,6 +212,10 @@ class MatrixProcess:
         self.seed = int(seed)
         self.stream = tuple(int(s) for s in stream)
         self._history: deque | None = None
+        # configuration arrays are shared with every spawned child
+        for v in vars(self).values():
+            if isinstance(v, np.ndarray):
+                v.setflags(write=False)
         self.reset()
 
     # -- stream management -------------------------------------------------
@@ -216,12 +229,18 @@ class MatrixProcess:
             self._history.clear()
 
     def spawn(self, stream) -> "MatrixProcess":
-        """Same configuration, independent stream ``(seed, *stream)``."""
-        stream = (int(stream),) if np.ndim(stream) == 0 else tuple(int(s) for s in stream)
-        return self._clone(stream)
+        """Same configuration, independent stream ``(seed, *stream)``.
 
-    def _clone(self, stream: tuple[int, ...]) -> "MatrixProcess":
-        raise NotImplementedError
+        The child is a shallow copy: it shares the (read-only)
+        configuration arrays, gets its own generator and cursor, and
+        records no pattern history.
+        """
+        child = copy.copy(self)
+        child.stream = ((int(stream),) if np.ndim(stream) == 0
+                        else tuple(int(s) for s in stream))
+        child._history = None
+        child.reset()
+        return child
 
     # -- emission ----------------------------------------------------------
 
@@ -294,9 +313,6 @@ class PushSumProcess(MatrixProcess):
         self._loss_p = np.array(config.loss_prob, dtype=float)
         self._cum_q = np.cumsum(np.array(config.edge_prob, dtype=float))
         super().__init__(config.graph.p, seed, stream)
-
-    def _clone(self, stream):
-        return PushSumProcess(self.config, self.seed, stream)
 
     def next_event(self) -> tuple[int, bool]:
         """Sample ``(edge_index, lost)`` for one step (advances the stream)."""
@@ -383,7 +399,7 @@ class IIDFamilyProcess(_FamilyProcess):
     kind = "iid_family"
 
     def __init__(self, matrices, probs, seed: int, stream: tuple[int, ...] = (0,)):
-        probs = np.asarray(probs, dtype=float)
+        probs = np.array(probs, dtype=float)
         if probs.ndim != 1 or len(probs) != len(matrices):
             raise ValueError("one probability per family member required")
         if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > _PROB_TOL:
@@ -391,9 +407,6 @@ class IIDFamilyProcess(_FamilyProcess):
         self.probs = probs
         self._cum = np.cumsum(probs)
         super().__init__(matrices, as_array(matrices[0]).shape[0], seed, stream)
-
-    def _clone(self, stream):
-        return IIDFamilyProcess(list(self._stack), self.probs, self.seed, stream)
 
     def _indices(self, m: int) -> np.ndarray:
         u = self._rng.random(int(m))
@@ -425,7 +438,7 @@ class MarkovFamilyProcess(_FamilyProcess):
 
     def __init__(self, matrices, transition, seed: int,
                  stream: tuple[int, ...] = (0,), initial_dist=None):
-        P = np.asarray(transition, dtype=float)
+        P = np.array(transition, dtype=float)
         f = len(matrices)
         if P.shape != (f, f):
             raise ValueError("transition matrix must be square with one row per member")
@@ -439,7 +452,7 @@ class MarkovFamilyProcess(_FamilyProcess):
         self._cum_rows = np.cumsum(P, axis=1)
         if initial_dist is None:
             initial_dist = self._stationary(P)
-        self.initial_dist = np.asarray(initial_dist, dtype=float)
+        self.initial_dist = np.array(initial_dist, dtype=float)
         if abs(float(self.initial_dist.sum()) - 1.0) > 1e-9 or np.any(self.initial_dist < -1e-15):
             raise ValueError("initial distribution must be a probability vector")
         self._cum_init = np.cumsum(np.clip(self.initial_dist, 0.0, None))
@@ -453,10 +466,6 @@ class MarkovFamilyProcess(_FamilyProcess):
         b[-1] = 1.0
         pi, *_ = np.linalg.lstsq(a, b, rcond=None)
         return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
-
-    def _clone(self, stream):
-        return MarkovFamilyProcess(list(self._stack), self.transition, self.seed,
-                                   stream, self.initial_dist)
 
     def reset(self):
         super().reset()
@@ -478,13 +487,24 @@ class MarkovFamilyProcess(_FamilyProcess):
 
     def dense_block(self, m: int) -> np.ndarray:
         self._refuse_with_history("dense_block")
-        u = self._rng.random(int(m))
-        idx = np.empty(int(m), dtype=np.intp)
-        for t in range(int(m)):
-            idx[t] = self._advance_state(float(u[t]))
-        if len(idx):
-            self.last_index = int(idx[-1])
-        self.steps_emitted += int(m)
+        m = int(m)
+        u = self._rng.random(m)
+        idx = []
+        if m:
+            s = self._state
+            if s is None:
+                s = self._advance_state(float(u[0]))
+                idx.append(s)
+                u = u[1:]
+            # nxt[t][r]: the state after draw t when the chain sits in r
+            nxt = np.minimum(np.stack([np.searchsorted(row, u, side="right")
+                                       for row in self._cum_rows], axis=1),
+                             self.family_size - 1).tolist()
+            for row in nxt:
+                s = row[s]
+                idx.append(s)
+            self._state = self.last_index = s
+        self.steps_emitted += m
         return self._stack[idx]
 
 
@@ -499,9 +519,6 @@ class ConstantProcess(MatrixProcess):
             raise ValueError("matrix must be finite and nonnegative")
         self.matrix = a.copy()
         super().__init__(a.shape[0], seed, stream)
-
-    def _clone(self, stream):
-        return ConstantProcess(self.matrix, self.seed, stream)
 
     def _next_array(self) -> np.ndarray:
         return self.matrix.copy()

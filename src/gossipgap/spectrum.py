@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LogScaled, birkhoff_phi, log_abs_det, wedge_magnitude
+from .core import (LogScaled, birkhoff_phi, log_abs_det, log_tau_from_phi,
+                   wedge_magnitude)
 from .generators import MatrixProcess
 
 __all__ = [
@@ -50,6 +51,8 @@ _DET_STREAM = 6
 _RESIDUAL_STREAM = 7
 
 _BLOCK = 512
+_BIRKHOFF_SEGMENT = 16                 # steps between re-factorizations
+_BIRKHOFF_BUFFER_BYTES = 4 << 20       # cap on the per-call emission buffer
 
 
 @dataclass
@@ -247,18 +250,6 @@ def estimate_gap_wedge(proc: MatrixProcess, x, w, n: int,
     return GapEstimate("wedge_minus_top", value, stderr, diagnostics)
 
 
-def _log_tau_from_phi(phi: float) -> float:
-    # log tanh(phi/4), stable at both ends: tiny phi (tau ~ phi/4, where
-    # exp(-phi/2) rounds to 1) and huge phi (where tanh rounds to 1)
-    if phi == 0.0:
-        return -math.inf
-    x = phi / 4.0
-    if x < 1e-4:
-        return math.log(x) - x * x / 3.0
-    q = math.exp(-2.0 * x)
-    return math.log1p(-q) - math.log1p(q)
-
-
 def _phi_from_factors(U: np.ndarray, lognorm: np.ndarray, Vh: np.ndarray) -> float:
     """Projective row spread of ``M = U diag(exp(lognorm)) Vh`` (positive M).
 
@@ -288,6 +279,15 @@ def _phi_from_factors(U: np.ndarray, lognorm: np.ndarray, Vh: np.ndarray) -> flo
     return float((dmax + dmax.T).max())
 
 
+def _birkhoff_draw_len(trials: int, p: int) -> int:
+    """Steps drawn per trial per ``dense_block`` call: the largest multiple
+    of the segment length, up to four segments, whose ``(steps, trials, p,
+    p)`` buffer fits in ``_BIRKHOFF_BUFFER_BYTES``; never below one segment."""
+    fit = _BIRKHOFF_BUFFER_BYTES // (trials * p * p * 8)
+    return max(_BIRKHOFF_SEGMENT,
+               min(4 * _BIRKHOFF_SEGMENT, fit - fit % _BIRKHOFF_SEGMENT))
+
+
 def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstimate:
     """Gap lower-bound estimate ``-(1/m) mean log tau(M_m)`` over trials.
 
@@ -306,6 +306,12 @@ def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstima
     (``m * gap`` beyond ~700 nats) is censored and counted in
     ``tau_zero_fraction``; the estimate is nan if every positive trial is
     censored.
+
+    Each trial draws its ``m`` emissions through ``dense_block`` in runs of
+    up to 64 steps (four 16-step segments, fewer when the step-major
+    ``(steps, trials, p, p)`` buffer would exceed about 4 MiB, never fewer
+    than one segment).  The draw length changes no result: every trial's
+    stream and every segment's arithmetic are those of one draw per segment.
     """
     if proc.p < 2:
         raise ValueError("gap estimation needs p >= 2")
@@ -319,15 +325,18 @@ def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstima
     Vh = U.copy()
     lognorm = np.zeros((T, p))
     pat = U.copy()                      # 0/1 pattern of the running product
-    seg_len = 16
+    draw_len = _birkhoff_draw_len(T, p)
+    buf = np.empty((min(draw_len, m), T, p, p))    # step-major: buf[s] is (T, p, p)
     done = 0
     while done < m:
-        seg = min(seg_len, m - done)
-        blk = [pr.dense_block(seg) for pr in procs]
-        stacked = blk[0][None] if T == 1 else np.stack(blk)
+        start = done % draw_len
+        if start == 0:
+            drawn = min(draw_len, m - done)
+            for t, pr in enumerate(procs):
+                buf[:drawn, t] = pr.dense_block(drawn)
+        seg = min(_BIRKHOFF_SEGMENT, m - done)
         C = np.ascontiguousarray(np.broadcast_to(np.eye(p), (T, p, p)))
-        for s in range(seg):
-            A = stacked[:, s]
+        for A in buf[start:start + seg]:
             C = A @ C
             pat = np.minimum((A > 0).astype(float) @ pat, 1.0)
         B = (C @ U) * np.exp(lognorm)[:, None, :]
@@ -348,7 +357,7 @@ def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstima
         if phi == 0.0:
             n_tau_zero += 1
             continue
-        vals.append(-_log_tau_from_phi(phi) / m)
+        vals.append(-log_tau_from_phi(phi) / m)
     diagnostics = {"m": m, "trials": T,
                    "tau_one_fraction": n_tau_one / T,
                    "tau_zero_fraction": n_tau_zero / T}

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from gossipgap.core import (LogScaled, NonNegMatrix, birkhoff_phi,
                             birkhoff_tau, extreme_entries, hilbert_distance,
                             is_allowable, is_row_allowable, log_abs_det,
-                            log_birkhoff_tau, normalize_simplex, tv_distance,
-                            wedge_magnitude)
+                            log_birkhoff_tau, log_tau_from_phi,
+                            normalize_simplex, tv_distance, wedge_magnitude)
 
 
 def positive_vectors(max_dim=6):
@@ -196,6 +196,22 @@ def test_log_birkhoff_tau_stable_for_large_phi():
     assert birkhoff_tau(a) == 1.0 or birkhoff_tau(a) < 1.0  # float may round
     lt = log_birkhoff_tau(a)
     assert -1e-10 < lt < 0.0
+
+
+@pytest.mark.parametrize("phi,rtol", [(1e-9, 1e-15), (1e-3, 1e-14), (1.0, 1e-14),
+                                      (50.0, 1e-5)])
+def test_log_tau_from_phi_matches_log_tanh(phi, rtol):
+    # at phi = 50, 1 - tanh(12.5) ~ 3e-11 keeps only ~5 digits in tanh itself
+    assert log_tau_from_phi(phi) == pytest.approx(math.log(math.tanh(phi / 4)), rel=rtol)
+
+
+def test_log_tau_from_phi_ends():
+    assert log_tau_from_phi(0.0) == -math.inf
+    assert log_tau_from_phi(math.inf) == 0.0
+    for phi in (100.0, 400.0, 1000.0, 1400.0):   # tanh(phi/4) rounds to 1 here
+        assert math.tanh(phi / 4) == 1.0
+        assert log_tau_from_phi(phi) < 0.0
+    assert log_tau_from_phi(1000.0) == pytest.approx(-2 * math.exp(-500.0))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gossipgap import acceptance
 from gossipgap.core import is_row_allowable
 from gossipgap.generators import (ConstantProcess, Digraph, IIDFamilyProcess,
                                   MarkovFamilyProcess, PushSumConfig,
@@ -186,6 +187,62 @@ def test_spawn_streams_differ_and_reproduce():
     a2 = base.spawn(1).dense_block(100)
     assert np.array_equal(a, a2)
     assert not np.array_equal(a, b)
+
+
+def _markov_fam3():
+    return acceptance._envelope_configs()[7][0]
+
+
+def _markov_one_state():
+    return MarkovFamilyProcess([np.array([[1.0, 2.0], [3.0, 4.0]])],
+                               np.array([[1.0]]), seed=3)
+
+
+def _chain_cursor(proc):
+    return proc._state, proc.last_index, proc.steps_emitted
+
+
+@pytest.mark.parametrize("build", [_markov_fam3, _markov_one_state],
+                         ids=["fam3", "one-state"])
+@pytest.mark.parametrize("schedule", [
+    (0, 16, "next", 1, 511, "next", "next", 16, 0, 1),
+    ("next", 511, 0, 1, "next", 16, 16, 1),
+    (1, 1, 16, "next", 511),
+], ids=["unset-16", "next-first", "unset-1"])
+def test_markov_dense_block_splits_match_next_matrix(build, schedule):
+    # any split of the stream into blocks and single emissions reproduces
+    # the single-step stream bit for bit, cursor included
+    mixed, ref = build(), build()
+    for op in schedule:
+        n = 1 if op == "next" else op
+        got = mixed.next_matrix().a[None] if op == "next" else mixed.dense_block(n)
+        want = [ref.next_matrix().a for _ in range(n)]
+        assert got.shape == (n, ref.p, ref.p)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert _chain_cursor(mixed) == _chain_cursor(ref)
+
+
+_FAM2 = [np.eye(2), np.array([[1.0, 1.0], [1.0, 0.0]])]
+
+
+@pytest.mark.parametrize("build", [
+    lambda stream: PushSumProcess(lossy_cfg(), 9, stream),
+    lambda stream: IIDFamilyProcess(_FAM2, [0.4, 0.6], 9, stream),
+    lambda stream: MarkovFamilyProcess(_FAM2, [[0.3, 0.7], [0.6, 0.4]], 9, stream),
+    lambda stream: ConstantProcess(np.ones((2, 2)), 9, stream),
+], ids=["push_sum", "iid", "markov", "constant"])
+def test_spawn_is_a_fresh_stream_without_history(build):
+    parent = build((0,))
+    parent.enable_history(8)
+    for _ in range(3):
+        parent.next_matrix()
+    rng_state = parent._rng.bit_generator.state
+    child = parent.spawn((4, 2))
+    assert not child.records_history and child.steps_emitted == 0
+    assert np.array_equal(child.dense_block(40), build((4, 2)).dense_block(40))
+    assert parent._rng.bit_generator.state == rng_state
+    assert parent.stream == (0,) and parent.steps_emitted == 3
+    assert len(parent.pattern_history()) == 3
 
 
 # -- statistics of the sampler ---------------------------------------------------

@@ -223,6 +223,32 @@ def test_cli_bad_integer_field_is_config_error(tmp_path, capsys, section, key, v
     assert "config error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("process", "seed", "abc"),
+    ("process", "seed", -1),
+    ("initial", "sub_seed", "x"),
+    ("initial", "sub_seed", 1.5),
+])
+def test_cli_bad_seed_is_config_error(tmp_path, capsys, section, key, value):
+    cfg = json.loads(json.dumps(PUSH_SUM_CFG))
+    cfg[section][key] = value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and "Traceback" not in err
+
+
+def test_cli_unusable_output_is_exit_1(cfg_path, tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("keep", encoding="utf-8")
+    for out in (afile, afile / "sub"):
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+    assert afile.read_text(encoding="utf-8") == "keep"
+
+
 @pytest.mark.parametrize("prefix", ["../x/run", "sub/run", "a\\b", ""])
 def test_cli_prefix_with_path_is_config_error(tmp_path, capsys, prefix):
     cfg = json.loads(json.dumps(PUSH_SUM_CFG))

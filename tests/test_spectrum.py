@@ -1,10 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from gossipgap.generators import (ConstantProcess, Digraph, PushSumConfig,
-                                  PushSumProcess, ring, ring_with_chords)
+from gossipgap import acceptance, spectrum
+from gossipgap.core import log_tau_from_phi
+from gossipgap.generators import (ConstantProcess, Digraph, IIDFamilyProcess,
+                                  PushSumConfig, PushSumProcess, ring,
+                                  ring_with_chords)
 from gossipgap.spectrum import (GapEstimate, check_det_identity,
                                 estimate_gap_birkhoff, estimate_gap_wedge,
                                 estimate_spectrum_qr, estimate_sum_top2_wedge,
@@ -216,6 +220,77 @@ def test_birkhoff_saturation_flag():
     assert math.isnan(g.value)
     assert g.diagnostics["flag"] == "reduce m"
     assert g.diagnostics["tau_zero_fraction"] == 1.0
+
+
+def _birkhoff_per_segment(proc, m, trials):
+    """Reference Birkhoff estimate: one ``dense_block(16)`` per trial per
+    16-step segment, stacked trial-major, then the estimator's reduction.
+    Returns ``(value, stderr, tau_one_fraction, tau_zero_fraction)``."""
+    T, p = trials, proc.p
+    procs = [proc.spawn((spectrum._BIRKHOFF_STREAM, m, t)) for t in range(T)]
+    U = np.ascontiguousarray(np.broadcast_to(np.eye(p), (T, p, p)))
+    Vh, pat, lognorm = U.copy(), U.copy(), np.zeros((T, p))
+    done = 0
+    while done < m:
+        seg = min(16, m - done)
+        stacked = np.stack([pr.dense_block(seg) for pr in procs])
+        C = np.ascontiguousarray(np.broadcast_to(np.eye(p), (T, p, p)))
+        for s in range(seg):
+            A = stacked[:, s]
+            C = A @ C
+            pat = np.minimum((A > 0).astype(float) @ pat, 1.0)
+        U, sv, wh = np.linalg.svd((C @ U) * np.exp(lognorm)[:, None, :])
+        with np.errstate(divide="ignore"):
+            lognorm = np.log(sv) - np.log(sv[:, :1])
+        Vh = wh @ Vh
+        done += seg
+    phis = [spectrum._phi_from_factors(U[t], lognorm[t], Vh[t])
+            for t in range(T) if pat[t].all()]
+    vals = np.array([-log_tau_from_phi(phi) / m for phi in phis if phi != 0.0])
+    n_zero = len(phis) - len(vals)
+    if len(vals) == 0:
+        value = math.nan if n_zero else 0.0
+        stderr = value
+    else:
+        value = float(vals.mean())
+        stderr = (float(vals.std(ddof=1)) / math.sqrt(len(vals))
+                  if len(vals) > 1 else 0.0)
+    return value, stderr, (T - len(phis)) / T, n_zero / T
+
+
+_FAM3_IID = IIDFamilyProcess(
+    [np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 3.0]]),
+     np.array([[1.0, 0.0, 1.0], [1.0, 2.0, 0.0], [0.0, 1.0, 1.0]]),
+     np.eye(3) + 0.5], [0.4, 0.4, 0.2], seed=31)
+
+
+@pytest.mark.parametrize("draw", [64, 48, 32, 16])
+@pytest.mark.parametrize("proc", [
+    lossy5(), _FAM3_IID, acceptance._envelope_configs()[7][0], ConstantProcess(A2),
+], ids=["push_sum", "iid", "markov", "constant"])
+def test_birkhoff_matches_per_segment_reference(proc, draw, monkeypatch):
+    # multi-segment draws into the step-major buffer change no bit of the
+    # result, whatever draw length the buffer cap allows
+    monkeypatch.setattr(spectrum, "_BIRKHOFF_BUFFER_BYTES",
+                        (draw + 15) * 6 * proc.p ** 2 * 8)
+    assert spectrum._birkhoff_draw_len(6, proc.p) == draw
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for m in (1, 15, 16, 17, 64, 65, 150):
+            g = estimate_gap_birkhoff(proc, m, 6)
+            got = (g.value, g.stderr, g.diagnostics["tau_one_fraction"],
+                   g.diagnostics["tau_zero_fraction"])
+            np.testing.assert_array_equal(got, _birkhoff_per_segment(proc, m, 6))
+
+
+def test_birkhoff_draw_length():
+    draw_len = spectrum._birkhoff_draw_len
+    assert draw_len(128, 5) == 64                 # 1.6 MB: four segments
+    assert draw_len(128, 16) == 16                # 16.8 MB at 64 steps: one
+    assert draw_len(4096, 64) == 16               # never below one segment
+    cap = spectrum._BIRKHOFF_BUFFER_BYTES
+    assert all(draw_len(t, p) * t * p * p * 8 <= cap
+               for t in (1, 64, 256) for p in (2, 5, 12) if draw_len(t, p) > 16)
 
 
 def test_gap_estimate_clamps_negative():
