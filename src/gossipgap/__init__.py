@@ -7,16 +7,16 @@ value/weight ratios, via three independent routes: re-orthonormalized frame
 products, wedge-product growth, and Birkhoff contraction asymptotics.
 """
 
-from .core import (LogScaled, NonNegMatrix, birkhoff_phi, birkhoff_tau,
-                   extreme_entries, hilbert_distance, is_allowable,
-                   is_row_allowable, log_abs_det, normalize_simplex,
-                   tv_distance, wedge_magnitude)
+from .core import (birkhoff_phi, birkhoff_tau, extreme_entries,
+                   hilbert_distance, is_allowable, is_row_allowable,
+                   log_abs_det, normalize_simplex, tv_distance,
+                   wedge_magnitude)
 from .generators import (ConstantProcess, Digraph, IIDFamilyProcess,
                          MarkovFamilyProcess, MatrixProcess, PushSumConfig,
                          PushSumProcess, column_sums, complete_digraph,
                          is_column_stochastic, is_strongly_connected,
                          push_sum_matrix, ring, ring_with_chords)
-from .primitivity import (BoolPattern, PrimitivityReport, bool_product,
+from .primitivity import (PrimitivityReport, bool_product,
                           is_family_primitive, ks_critical_distance,
                           ks_distance, pattern_of, replay_word,
                           sample_backward_index, sample_backward_indices,
@@ -26,9 +26,8 @@ from .spectrum import (GapEstimate, RankOneResidual, SpectrumEstimate,
                        check_det_identity, estimate_gap_birkhoff,
                        estimate_gap_wedge, estimate_spectrum_qr,
                        estimate_sum_top2_wedge, rank1_residual)
-from .consensus import (ConsensusState, Trajectory, envelope_series, fit_rate,
-                        make_checkpoints, rate_window, run, step, tv_series,
-                        weighted_ratio)
+from .consensus import (ConsensusState, Trajectory, fit_rate, make_checkpoints,
+                        rate_window, run, step, weighted_ratio)
 from .config import ConfigError, ExperimentConfig, load_config
 
 __version__ = "0.1.0"

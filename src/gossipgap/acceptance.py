@@ -98,7 +98,7 @@ def _fitted_rates(proc, pairs, horizon: int, use_tv: bool = False,
     return np.array(rates)
 
 
-def _random_pairs(count, p, rng, nonneg=True):
+def _random_pairs(count, p, rng):
     out = []
     for _ in range(count):
         x0 = rng.uniform(0.05, 1.0, p)
@@ -228,8 +228,8 @@ def criterion_6(ctx: _Context) -> CriterionResult:
 
 def _envelope_configs():
     rng = np.random.default_rng(17)
-    fam3 = [push_sum_matrix(3, (0, 1), 0.5).a, push_sum_matrix(3, (1, 2), 0.5).a,
-            push_sum_matrix(3, (2, 0), 0.5).a, push_sum_matrix(3, (0, 2), 0.3, loss=True).a]
+    fam3 = [push_sum_matrix(3, (0, 1), 0.5), push_sum_matrix(3, (1, 2), 0.5),
+            push_sum_matrix(3, (2, 0), 0.5), push_sum_matrix(3, (0, 2), 0.3, loss=True)]
     trans = np.array([[0.1, 0.4, 0.3, 0.2], [0.3, 0.1, 0.4, 0.2],
                       [0.25, 0.25, 0.25, 0.25], [0.4, 0.2, 0.2, 0.2]])
     configs = [
@@ -353,7 +353,7 @@ def criterion_8(ctx: _Context) -> CriterionResult:
         lhs = primitivity.pattern_of(a @ b)
         rhs = primitivity.bool_product(primitivity.pattern_of(a),
                                        primitivity.pattern_of(b))
-        if lhs != rhs:
+        if not np.array_equal(lhs, rhs):
             bad += 1
     fails["pattern_homomorphism"] = bad
 
@@ -368,10 +368,10 @@ def criterion_9(ctx: _Context) -> CriterionResult:
     """Primitivity, forward/backward index law, geometric tails."""
     t0 = time.perf_counter()
     proc = ring5_process(loss=True)
-    pats = [primitivity.BoolPattern(b) for b in proc.pattern_family()]
+    pats = proc.pattern_family()
     rep = primitivity.is_family_primitive(pats)
     replay_ok = (rep.family_primitive and
-                 primitivity.replay_word(pats, rep.witness_word).all_true)
+                 bool(primitivity.replay_word(pats, rep.witness_word).all()))
     psi = primitivity.sample_forward_indices(proc.spawn((500, 0)), 10_000)
     rho = primitivity.sample_backward_indices(proc.spawn((500, 1)), 10_000)
     ks = primitivity.ks_distance(psi, rho)

@@ -14,8 +14,8 @@ Exit codes: 0 success, 1 configuration error or unusable output location
 from __future__ import annotations
 
 import argparse
+import json
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -32,23 +32,31 @@ EXIT_NUMERICAL = 2
 EXIT_ACCEPTANCE = 3
 
 
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("GOSSIPGAP_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 class OutputError(Exception):
     """The output bundle could not be created or written."""
 
 
-def _write_bundle(out, prefix: str, config_echo: dict, tables: dict,
+def _write_bundle(args, prefix: str, config_echo: dict, tables: dict,
                   summary: dict | None = None) -> None:
     """Write ``tables`` (name -> (header, rows)), the summary and the
-    manifest into ``out`` (default: the working directory)."""
+    manifest into ``args.out`` (default: the working directory).
+
+    A bundle of the same prefix left there by another subcommand is never
+    overwritten: its summary and manifest would be silently replaced.
+    Rerunning the same subcommand overwrites its own bundle.
+    """
+    outdir = Path(args.out) if args.out else Path.cwd()
+    manifest = outdir / f"{prefix}_manifest.json"
     try:
-        bundle = ReportBundle(Path(out) if out else Path.cwd(), prefix, config_echo)
+        if manifest.exists():
+            try:
+                owner = json.loads(manifest.read_text(encoding="utf-8")).get("command")
+            except (ValueError, AttributeError):
+                owner = None
+            if owner != args.command:
+                raise OutputError(f"{manifest} belongs to another subcommand's "
+                                  "bundle; use another --out or output.prefix")
+        bundle = ReportBundle(outdir, prefix, config_echo, args.command)
         for name, (header, rows) in tables.items():
             bundle.add_table(name, header, rows)
         if summary is not None:
@@ -79,7 +87,7 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> int:
         "rate_tv": _try_rate(traj.ns, traj.tv),
         "final_n": int(traj.ns[-1]),
     }
-    _write_bundle(args.out, cfg.output.prefix, cfg.to_dict(),
+    _write_bundle(args, cfg.output.prefix, cfg.to_dict(),
                   {"trajectory": (traj.TABLE_HEADER, traj.rows())}, summary)
     if args.verbose:
         print(f"limit={traj.limit:.12g} rate={summary['rate_max_ratio_error']:.6g}")
@@ -89,6 +97,9 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> int:
 def cmd_spectrum(args, cfg: ExperimentConfig) -> int:
     proc = cfg.build_process(args.seed)
     e = cfg.estimators
+    if e.k > proc.p:
+        raise ConfigError(f"estimators.k = {e.k} exceeds the process dimension "
+                          f"p = {proc.p}")
     est = spectrum.estimate_spectrum_qr(proc, e.k, cfg.horizon.n,
                                         e.reorth_period, e.replicates, e.burn_in)
     lhs, rhs = spectrum.check_det_identity(
@@ -99,7 +110,7 @@ def cmd_spectrum(args, cfg: ExperimentConfig) -> int:
         wedge = spectrum.estimate_sum_top2_wedge(proc, x0, w0, e.wedge_n)
     except ValueError:
         wedge = math.nan
-    _write_bundle(args.out, cfg.output.prefix, cfg.to_dict(), {"spectrum": (
+    _write_bundle(args, cfg.output.prefix, cfg.to_dict(), {"spectrum": (
         ("i", "lambda", "stderr"),
         [(i + 1, est.lambdas[i], est.stderr[i]) for i in range(e.k)])}, {
         "gap": est.gap, "gap_stderr": est.gap_stderr,
@@ -127,14 +138,13 @@ def cmd_gap(args, cfg: ExperimentConfig) -> int:
                                         e.reorth_period, e.replicates, e.burn_in)
     payloads = [(cfg.to_dict(), args.seed, int(m), e.trials)
                 for m in e.birkhoff_m]
-    threads = _thread_count(args)
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    if args.threads > 1:
+        with ProcessPoolExecutor(max_workers=args.threads) as pool:
             points = list(pool.map(_gap_point, payloads))
     else:
         points = [_gap_point(p) for p in payloads]
     points.sort(key=lambda r: r[0])
-    _write_bundle(args.out, cfg.output.prefix, cfg.to_dict(), {"gap": (
+    _write_bundle(args, cfg.output.prefix, cfg.to_dict(), {"gap": (
         ("m", "birkhoff_gap", "stderr", "tau_one_fraction"), points)}, {
         "qr_gap": est.gap, "qr_gap_stderr": est.gap_stderr,
         "birkhoff_final": points[-1][1] if points else math.nan,
@@ -146,8 +156,7 @@ def cmd_gap(args, cfg: ExperimentConfig) -> int:
 
 def cmd_primitivity(args, cfg: ExperimentConfig) -> int:
     proc = cfg.build_process(args.seed)
-    pats = [primitivity.BoolPattern(b) for b in proc.pattern_family()]
-    rep = primitivity.is_family_primitive(pats)
+    rep = primitivity.is_family_primitive(proc.pattern_family())
     count = cfg.horizon.n
     psi = primitivity.sample_forward_indices(proc.spawn((500, 0)), count)
     rho = primitivity.sample_backward_indices(proc.spawn((500, 1)), count)
@@ -157,7 +166,7 @@ def cmd_primitivity(args, cfg: ExperimentConfig) -> int:
         slope, intercept, corr = primitivity.survival_loglinear_fit(psi)
     except ValueError:
         slope = intercept = corr = math.nan
-    _write_bundle(args.out, cfg.output.prefix, cfg.to_dict(), {"indices": (
+    _write_bundle(args, cfg.output.prefix, cfg.to_dict(), {"indices": (
         ("sample", "forward_psi", "backward_rho"),
         [(s + 1, int(psi[s]), int(rho[s])) for s in range(count)])}, {
         "family_primitive": rep.family_primitive,
@@ -177,7 +186,7 @@ def cmd_primitivity(args, cfg: ExperimentConfig) -> int:
 def cmd_acceptance(args, cfg=None) -> int:
     results = acceptance.run_all(verbose=True)
     if args.out:
-        _write_bundle(args.out, "acceptance", {}, {"criteria": (
+        _write_bundle(args, "acceptance", {}, {"criteria": (
             ("id", "name", "passed", "runtime_s", "details"),
             [(r.cid, r.name, r.passed, r.runtime_s, r.details) for r in results])})
     n_fail = sum(not r.passed for r in results)
@@ -203,8 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config base seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker pool size (or GOSSIPGAP_THREADS)")
+        if name in ("gap", "spectrum"):
+            p.add_argument("--threads", type=int, default=1, help=(
+                "worker processes for the Birkhoff sweep" if name == "gap" else
+                "ignored; accepted so spectrum and gap share one command line"))
         p.add_argument("--verbose", action="store_true")
     return ap
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogScaled, NonNegMatrix, hilbert_distance, tv_distance
+from .core import hilbert_distance, is_row_allowable, tv_distance
 from .generators import MatrixProcess, PushSumProcess, is_column_stochastic
 
 __all__ = [
@@ -45,8 +45,6 @@ __all__ = [
     "Trajectory",
     "step",
     "run",
-    "envelope_series",
-    "tv_series",
     "weighted_ratio",
     "fit_rate",
     "rate_window",
@@ -94,24 +92,24 @@ class ConsensusState:
         r = self.ratios()
         return float(np.nanmin(r)), float(np.nanmax(r))
 
-    def total_value(self) -> LogScaled:
-        return LogScaled.from_value(float(self.x.sum())).shifted(self.log_scale)
-
-    def total_weight(self) -> LogScaled:
-        return LogScaled.from_value(float(self.w.sum())).shifted(self.log_scale)
-
 
 def step(state: ConsensusState, A) -> ConsensusState:
-    """One update ``(x, w) -> (A x, A w)`` with joint rescaling."""
-    if isinstance(A, NonNegMatrix):
-        mat = A
-    else:
-        mat = NonNegMatrix(A)
-    if mat.p != state.p:
-        raise ValueError(f"dimension mismatch: matrix p={mat.p}, state p={state.p}")
-    if not mat.row_allowable:
+    """One update ``(x, w) -> (A x, A w)`` with joint rescaling.
+
+    ``A`` must be a square, finite, nonnegative, row-allowable matrix of
+    the state's dimension.
+    """
+    a = np.asarray(A, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    if np.any(a < 0):
+        raise ValueError("matrix entries must be nonnegative")
+    if a.shape[0] != state.p:
+        raise ValueError(f"dimension mismatch: matrix p={a.shape[0]}, state p={state.p}")
+    if not is_row_allowable(a):
         raise ValueError("update matrix must be row-allowable")
-    a = mat.a
     y = a @ state.x
     v = a @ state.w
     c = float(v.max())
@@ -208,10 +206,10 @@ def _matrix_updates(proc: MatrixProcess, x: list, w: list, n: int):
     col_stoch = True
     for _ in range(n):
         A = proc.next_matrix()
-        if not A.row_allowable:
+        if not is_row_allowable(A):
             raise ValueError("update matrix must be row-allowable")
-        x[:] = (A.a @ x).tolist()
-        w[:] = (A.a @ w).tolist()
+        x[:] = (A @ x).tolist()
+        w[:] = (A @ w).tolist()
         col_stoch = col_stoch and is_column_stochastic(A)
         yield col_stoch
 
@@ -299,16 +297,6 @@ def run(proc: MatrixProcess, x0, w0, n: int, checkpoints=None) -> Trajectory:
     final = ConsensusState(n, np.array(x), np.array(w), log_scale)
     return Trajectory(cps, env_min, env_max, tv, hilbert, mid, limit, col_stoch,
                       violations, violation_max, final, state.x, state.w)
-
-
-def envelope_series(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-checkpoint ``(n, min_ratio, max_ratio)``."""
-    return traj.ns, traj.env_min, traj.env_max
-
-
-def tv_series(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Per-checkpoint total-variation distance (nan where undefined)."""
-    return traj.ns, traj.tv
 
 
 def weighted_ratio(state: ConsensusState, q) -> float:

@@ -2,7 +2,10 @@
 
 Conventions used throughout the package:
 
-* matrices and vectors are dense ``float64`` numpy arrays;
+* matrices and vectors are plain dense ``float64`` numpy arrays and
+  zero/nonzero patterns are ``bool`` arrays of the same shape; structural
+  properties such as allowability are computed from the entries on
+  demand, never cached;
 * a matrix is *row-allowable* if it has no zero row, *allowable* if it has
   neither a zero row nor a zero column;
 * the Hilbert projective distance of strictly positive vectors is
@@ -23,13 +26,10 @@ whose nonzero columns are proportional still gets ``phi = 0``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "NonNegMatrix",
-    "LogScaled",
     "PROB_TOL",
     "is_allowable",
     "is_row_allowable",
@@ -50,136 +50,16 @@ __all__ = [
 PROB_TOL = 1e-12
 
 
-def as_array(A) -> np.ndarray:
-    """Return the underlying float array of a matrix-like object."""
-    if isinstance(A, NonNegMatrix):
-        return A.a
-    return np.asarray(A, dtype=float)
-
-
-class NonNegMatrix:
-    """Dense square matrix of nonnegative reals with cached structure flags.
-
-    The flags (``row_allowable``, ``allowable``, ``strictly_positive``) are
-    computed lazily from the entries and cached; instances are treated as
-    immutable after construction.
-    """
-
-    __slots__ = ("a", "_row_allowable", "_allowable", "_strictly_positive")
-
-    def __init__(self, entries, *, validate: bool = True):
-        a = np.asarray(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if validate:
-            if not np.all(np.isfinite(a)):
-                raise ValueError("matrix entries must be finite")
-            if np.any(a < 0):
-                raise ValueError("matrix entries must be nonnegative")
-        self.a = a
-        self._row_allowable = None
-        self._allowable = None
-        self._strictly_positive = None
-
-    @classmethod
-    def trusted(cls, a: np.ndarray, *, row_allowable=None, allowable=None,
-                strictly_positive=None) -> "NonNegMatrix":
-        """Wrap an array known to be valid, optionally pre-seeding flags."""
-        m = cls(a, validate=False)
-        m._row_allowable = row_allowable
-        m._allowable = allowable
-        m._strictly_positive = strictly_positive
-        return m
-
-    @property
-    def p(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def row_allowable(self) -> bool:
-        if self._row_allowable is None:
-            self._row_allowable = bool((self.a > 0).any(axis=1).all())
-        return self._row_allowable
-
-    @property
-    def allowable(self) -> bool:
-        if self._allowable is None:
-            pos = self.a > 0
-            self._allowable = bool(pos.any(axis=1).all() and pos.any(axis=0).all())
-        return self._allowable
-
-    @property
-    def strictly_positive(self) -> bool:
-        if self._strictly_positive is None:
-            self._strictly_positive = bool((self.a > 0).all())
-        return self._strictly_positive
-
-    def __repr__(self) -> str:
-        return f"NonNegMatrix(p={self.p})"
-
-
-@dataclass(frozen=True)
-class LogScaled:
-    """A real number stored as ``mantissa * exp(log_scale)``.
-
-    For nonzero values the mantissa is normalized into ``[1, e)`` in absolute
-    value, so arbitrarily long products stay representable.  Zero is stored
-    as ``(0.0, 0.0)``.
-    """
-
-    mantissa: float
-    log_scale: float
-
-    @classmethod
-    def from_value(cls, v: float) -> "LogScaled":
-        v = float(v)
-        if v == 0.0:
-            return cls(0.0, 0.0)
-        e = math.floor(math.log(abs(v)))
-        m = v / math.exp(e)
-        # guard against boundary rounding of floor(log|v|)
-        while abs(m) >= math.e:
-            m /= math.e
-            e += 1
-        while abs(m) < 1.0:
-            m *= math.e
-            e -= 1
-        return cls(m, float(e))
-
-    @property
-    def value(self) -> float:
-        return self.mantissa * math.exp(self.log_scale)
-
-    @property
-    def log_abs(self) -> float:
-        if self.mantissa == 0.0:
-            return -math.inf
-        return math.log(abs(self.mantissa)) + self.log_scale
-
-    def times(self, factor: float) -> "LogScaled":
-        """Multiply by a plain float, renormalizing the mantissa."""
-        if factor == 0.0 or self.mantissa == 0.0:
-            return LogScaled(0.0, 0.0)
-        scaled = LogScaled.from_value(self.mantissa * factor)
-        return LogScaled(scaled.mantissa, scaled.log_scale + self.log_scale)
-
-    def shifted(self, delta: float) -> "LogScaled":
-        """Multiply by ``exp(delta)`` (a pure log-scale shift)."""
-        if self.mantissa == 0.0:
-            return LogScaled(0.0, 0.0)
-        return LogScaled(self.mantissa, self.log_scale + float(delta))
-
-
 def is_allowable(A) -> bool:
     """True iff every row and every column of ``A`` has a positive entry."""
-    a = as_array(A)
+    a = np.asarray(A, dtype=float)
     pos = a > 0
     return bool(pos.any(axis=1).all() and pos.any(axis=0).all())
 
 
 def is_row_allowable(A) -> bool:
     """True iff every row of ``A`` has a positive entry."""
-    return bool((as_array(A) > 0).any(axis=1).all())
+    return bool((np.asarray(A, dtype=float) > 0).any(axis=1).all())
 
 
 def extreme_entries(A) -> tuple[float, float]:
@@ -187,7 +67,7 @@ def extreme_entries(A) -> tuple[float, float]:
 
     Raises ``ValueError`` if the matrix has no positive entry.
     """
-    a = as_array(A)
+    a = np.asarray(A, dtype=float)
     pos = a[a > 0]
     if pos.size == 0:
         raise ValueError("no positive entry")
@@ -249,7 +129,7 @@ def birkhoff_phi(A) -> float:
     the scan (they do not affect the image of the positive cone); any
     remaining zero entry makes the diameter infinite.
     """
-    a = as_array(A)
+    a = np.asarray(A, dtype=float)
     pos = a > 0
     if not pos.any(axis=1).all():
         raise ValueError("projective diameter requires a row-allowable matrix")
@@ -308,7 +188,7 @@ def wedge_magnitude(x, y) -> float:
 
 def log_abs_det(A) -> float:
     """Natural log of ``|det A|``; ``-inf`` for singular matrices."""
-    sign, ld = np.linalg.slogdet(as_array(A))
+    sign, ld = np.linalg.slogdet(np.asarray(A, dtype=float))
     if sign == 0:
         return -math.inf
     return float(ld)

@@ -2,10 +2,13 @@
 
 Every process emits a stationary sequence ``A_1, A_2, ...`` of nonnegative
 ``p x p`` matrices, deterministically reproducible from ``(kind, parameters,
-seed, stream)``.  Randomness comes from a PCG64 generator keyed by
-``SeedSequence((seed, *stream))``; estimators derive independent replicate
-streams by spawning with distinct stream tuples, so replicates never share
-draws and results do not depend on scheduling.
+seed, stream)``.  Each emission is a plain ``float64`` array of shape
+``(p, p)`` owned by the caller, and ``pattern_family`` returns the
+zero/nonzero patterns as an ``(f, p, p)`` ``bool`` array.  Randomness comes
+from a PCG64 generator keyed by ``SeedSequence((seed, *stream))``;
+estimators derive independent replicate streams by spawning with distinct
+stream tuples, so replicates never share draws and results do not depend
+on scheduling.
 
 Node indices are 0-based.  A directed edge ``(i, j)`` means node ``i`` may
 send to node ``j``; the corresponding one-transaction update matrix is the
@@ -42,8 +45,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .core import NonNegMatrix, as_array
 
 __all__ = [
     "Digraph",
@@ -131,7 +132,7 @@ def is_strongly_connected(g: Digraph) -> bool:
 
 
 def push_sum_matrix(p: int, edge: tuple[int, int], alpha: float,
-                    loss: bool = False) -> NonNegMatrix:
+                    loss: bool = False) -> np.ndarray:
     """One-transaction update matrix for a send along ``edge = (i, j)``.
 
     Identity with column ``i`` replaced: ``A[i,i] = 1-alpha`` and
@@ -148,13 +149,12 @@ def push_sum_matrix(p: int, edge: tuple[int, int], alpha: float,
     a = np.eye(p)
     a[i, i] = 1.0 - alpha
     a[j, i] = 0.0 if loss else alpha
-    return NonNegMatrix.trusted(a, row_allowable=True, allowable=True,
-                                strictly_positive=(p == 1))
+    return a
 
 
 def column_sums(A) -> np.ndarray:
     """Per-column sums, used to classify (column-)stochasticity."""
-    return as_array(A).sum(axis=0)
+    return np.asarray(A, dtype=float).sum(axis=0)
 
 
 def is_column_stochastic(A, tol: float = _PROB_TOL) -> bool:
@@ -247,17 +247,14 @@ class MatrixProcess:
     def _next_array(self) -> np.ndarray:
         raise NotImplementedError
 
-    def next_matrix(self) -> NonNegMatrix:
-        """Emit ``A_n`` and advance the internal cursor."""
+    def next_matrix(self) -> np.ndarray:
+        """Emit ``A_n`` as a fresh ``(p, p)`` float array and advance the
+        internal cursor."""
         a = self._next_array()
         self.steps_emitted += 1
-        m = self._wrap(a)
         if self._history is not None:
-            self._history.append(m.a > 0)
-        return m
-
-    def _wrap(self, a: np.ndarray) -> NonNegMatrix:
-        return NonNegMatrix.trusted(a)
+            self._history.append(a > 0)
+        return a
 
     def dense_block(self, m: int) -> np.ndarray:
         """Next ``m`` emissions stacked as an ``(m, p, p)`` array.
@@ -267,7 +264,7 @@ class MatrixProcess:
         History recording is supported only through ``next_matrix``.
         """
         self._refuse_with_history("dense_block")
-        return np.stack([self.next_matrix().a for _ in range(int(m))])
+        return np.stack([self.next_matrix() for _ in range(int(m))])
 
     def _refuse_with_history(self, name: str) -> None:
         """Block emission paths that bypass the pattern-history buffer."""
@@ -342,10 +339,6 @@ class PushSumProcess(MatrixProcess):
         a[j, i] = 0.0 if lost else self._alpha[e]
         return a
 
-    def _wrap(self, a):
-        return NonNegMatrix.trusted(a, row_allowable=True, allowable=True,
-                                    strictly_positive=(self.p == 1))
-
     def dense_block(self, m: int) -> np.ndarray:
         m = int(m)
         e, lost = self.block_events(m)
@@ -362,24 +355,24 @@ class PushSumProcess(MatrixProcess):
         c = self.config
         mats = []
         for e, edge in enumerate(c.graph.edges):
-            mats.append(push_sum_matrix(self.p, edge, c.share[e]).a)
+            mats.append(push_sum_matrix(self.p, edge, c.share[e]))
             if c.loss_prob[e] > 0:
-                mats.append(push_sum_matrix(self.p, edge, c.share[e], loss=True).a)
+                mats.append(push_sum_matrix(self.p, edge, c.share[e], loss=True))
         return np.stack(mats) > 0
 
 
 class _FamilyProcess(MatrixProcess):
     """Common storage for finite-family processes (shared matrix stack)."""
 
-    def __init__(self, matrices, p: int, seed: int, stream):
-        stack = np.stack([as_array(m) for m in matrices])
+    def __init__(self, matrices, seed: int, stream):
+        stack = np.stack([np.asarray(m, dtype=float) for m in matrices])
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError("family members must be square matrices of equal size")
         if np.any(stack < 0) or not np.all(np.isfinite(stack)):
             raise ValueError("family members must be finite and nonnegative")
         self._stack = stack
         self.last_index: int | None = None
-        super().__init__(p, seed, stream)
+        super().__init__(stack.shape[1], seed, stream)
 
     def reset(self):
         super().reset()
@@ -406,7 +399,7 @@ class IIDFamilyProcess(_FamilyProcess):
             raise ValueError("probabilities must be nonnegative and sum to 1")
         self.probs = probs
         self._cum = np.cumsum(probs)
-        super().__init__(matrices, as_array(matrices[0]).shape[0], seed, stream)
+        super().__init__(matrices, seed, stream)
 
     def _indices(self, m: int) -> np.ndarray:
         u = self._rng.random(int(m))
@@ -456,7 +449,7 @@ class MarkovFamilyProcess(_FamilyProcess):
         if abs(float(self.initial_dist.sum()) - 1.0) > 1e-9 or np.any(self.initial_dist < -1e-15):
             raise ValueError("initial distribution must be a probability vector")
         self._cum_init = np.cumsum(np.clip(self.initial_dist, 0.0, None))
-        super().__init__(matrices, as_array(matrices[0]).shape[0], seed, stream)
+        super().__init__(matrices, seed, stream)
 
     @staticmethod
     def _stationary(P: np.ndarray) -> np.ndarray:
@@ -514,7 +507,7 @@ class ConstantProcess(MatrixProcess):
     kind = "constant"
 
     def __init__(self, matrix, seed: int = 0, stream: tuple[int, ...] = (0,)):
-        a = as_array(matrix)
+        a = np.asarray(matrix, dtype=float)
         if np.any(a < 0) or not np.all(np.isfinite(a)):
             raise ValueError("matrix must be finite and nonnegative")
         self.matrix = a.copy()

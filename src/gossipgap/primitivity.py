@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_array
+from .core import is_allowable
 from .generators import MatrixProcess
 
 __all__ = [
-    "BoolPattern",
     "PrimitivityReport",
     "pattern_of",
     "bool_product",
@@ -44,59 +43,18 @@ __all__ = [
 DEFAULT_INDEX_CAP = 100_000
 
 
-class BoolPattern:
-    """Zero/nonzero pattern of a square nonnegative matrix."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits):
-        b = np.asarray(bits, dtype=bool)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ValueError(f"expected a square pattern, got shape {b.shape}")
-        self.bits = b
-
-    @property
-    def p(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def all_true(self) -> bool:
-        return bool(self.bits.all())
-
-    @property
-    def allowable(self) -> bool:
-        return bool(self.bits.any(axis=1).all() and self.bits.any(axis=0).all())
-
-    def key(self) -> bytes:
-        return self.bits.tobytes()
-
-    def __eq__(self, other):
-        return isinstance(other, BoolPattern) and np.array_equal(self.bits, other.bits)
-
-    def __hash__(self):
-        return hash((self.p, self.key()))
-
-    def __repr__(self):
-        return f"BoolPattern(p={self.p}, ones={int(self.bits.sum())})"
+def pattern_of(A) -> np.ndarray:
+    """``gamma(A)``: the bool array whose ``(i, j)`` entry is ``A[i, j] > 0``."""
+    return np.asarray(A, dtype=float) > 0
 
 
-def pattern_of(A) -> BoolPattern:
-    """``gamma(A)``: bit ``(i, j)`` is true iff ``A[i, j] > 0``."""
-    return BoolPattern(as_array(A) > 0)
+def bool_product(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Boolean product of two bool patterns (numpy's ``@`` on bool arrays
+    is the or-of-ands); equals ``gamma(AB)`` for nonnegative ``A, B``."""
+    return P @ Q
 
 
-def _bool_matmul(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    return (P.astype(np.int64) @ Q.astype(np.int64)) > 0
-
-
-def bool_product(P: BoolPattern, Q: BoolPattern) -> BoolPattern:
-    """Boolean matrix product; equals ``gamma(AB)`` for nonnegative ``A, B``."""
-    if P.p != Q.p:
-        raise ValueError("dimension mismatch")
-    return BoolPattern(_bool_matmul(P.bits, Q.bits))
-
-
-def replay_word(patterns: list[BoolPattern], word) -> BoolPattern:
+def replay_word(patterns, word) -> np.ndarray:
     """Left-to-right product ``patterns[word[0]] ... patterns[word[-1]]``."""
     if len(word) == 0:
         raise ValueError("empty word")
@@ -114,9 +72,12 @@ class PrimitivityReport:
     capped: bool
 
 
-def is_family_primitive(patterns: list[BoolPattern],
-                        state_cap: int = 1_000_000) -> PrimitivityReport:
+def is_family_primitive(patterns, state_cap: int = 1_000_000) -> PrimitivityReport:
     """Decide primitivity of a finite pattern family by semigroup BFS.
+
+    ``patterns`` is the ``(f, p, p)`` bool stack of
+    ``MatrixProcess.pattern_family()`` or any sequence of ``(p, p)`` bool
+    arrays; every member must be allowable.
 
     Explores the set of distinct boolean products reachable from the
     generators (extending words on the right), so the first hit of the
@@ -126,27 +87,29 @@ def is_family_primitive(patterns: list[BoolPattern],
     """
     if len(patterns) == 0:
         raise ValueError("empty family")
-    p = patterns[0].p
-    for g in patterns:
-        if g.p != p:
-            raise ValueError("family members must share one dimension")
-        if not g.allowable:
+    pats = [np.asarray(g, dtype=bool) for g in patterns]
+    shape = pats[0].shape
+    for g in pats:
+        if g.ndim != 2 or g.shape != shape or shape[0] != shape[1]:
+            raise ValueError("family members must be square patterns of one "
+                             f"size, got shape {g.shape}")
+        if not is_allowable(g):
             raise ValueError("family members must be allowable patterns")
 
     visited: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
     queue: list[bytes] = []
     # A generator that repeats an earlier pattern, or is the identity,
     # only ever maps a state to one already visited: extend by the others.
-    identity = np.eye(p, dtype=bool).tobytes()
+    identity = np.eye(shape[0], dtype=bool).tobytes()
     extend: list[tuple[int, np.ndarray]] = []
-    for gi, g in enumerate(patterns):
-        k = g.key()
+    for gi, g in enumerate(pats):
+        k = g.tobytes()
         if k not in visited:
-            visited[k] = (g.bits, (gi,))
+            visited[k] = (g, (gi,))
             queue.append(k)
             if k != identity:
-                extend.append((gi, g.bits))
-        if g.all_true:
+                extend.append((gi, g))
+        if g.all():
             return PrimitivityReport(True, visited[k][1], len(visited), False)
 
     head = 0
@@ -154,7 +117,7 @@ def is_family_primitive(patterns: list[BoolPattern],
         bits, word = visited[queue[head]]
         head += 1
         for gi, gbits in extend:
-            nb = _bool_matmul(bits, gbits)
+            nb = bool_product(bits, gbits)
             k = nb.tobytes()
             if k in visited:
                 continue
@@ -183,12 +146,12 @@ def sample_forward_index(proc: MatrixProcess, start: int | None = None,
         raise ValueError(f"process already emitted step {start}; next is {t_next}")
     while proc.steps_emitted + 1 < start:
         proc.next_matrix()
-    cur = proc.next_matrix().a > 0
+    cur = proc.next_matrix() > 0
     k = 1
     while not cur.all():
         if k >= cap:
             raise RuntimeError(f"pattern not positive within cap={cap} steps")
-        cur = _bool_matmul(proc.next_matrix().a > 0, cur)
+        cur = bool_product(proc.next_matrix() > 0, cur)
         k += 1
     return k
 
@@ -215,7 +178,7 @@ def sample_backward_index(proc: MatrixProcess, end: int,
             raise RuntimeError(f"pattern not positive within cap={cap} steps")
         if k >= len(hist) or end - k < 1:
             raise RuntimeError("pattern history exhausted before positivity")
-        cur = _bool_matmul(cur, hist[-1 - k])
+        cur = bool_product(cur, hist[-1 - k])
         k += 1
     return k
 
@@ -246,12 +209,12 @@ def sample_backward_indices(proc: MatrixProcess, count: int,
     out = np.empty(count, dtype=np.int64)
     if proc.kind in ("push_sum", "iid_family", "constant"):
         for s in range(count):
-            cur = proc.next_matrix().a > 0
+            cur = proc.next_matrix() > 0
             k = 1
             while not cur.all():
                 if k >= cap:
                     raise RuntimeError(f"pattern not positive within cap={cap} steps")
-                cur = _bool_matmul(cur, proc.next_matrix().a > 0)
+                cur = bool_product(cur, proc.next_matrix() > 0)
                 k += 1
             out[s] = k
         return out

@@ -7,8 +7,8 @@ same platform/numpy build (digest equality is the determinism check;
 bit-exactness across platforms additionally requires identical BLAS/libm
 rounding).  Missing values are empty fields.  Every bundle carries a
 ``<prefix>_manifest.json`` listing each emitted file with its SHA-256
-digest; timestamps live only in the manifest so the tables stay
-reproducible.
+digest and the subcommand that wrote it; timestamps live only in the
+manifest so the tables stay reproducible.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ class ReportBundle:
     outdir: Path
     prefix: str
     config_echo: dict
+    command: str | None = None
     files: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -87,6 +88,7 @@ class ReportBundle:
     def write_manifest(self) -> Path:
         manifest = {
             "tool": TOOL_VERSION,
+            "command": self.command,
             "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "config": self.config_echo,
             "outputs": [{"path": p.name, "sha256": sha256_of(p)}

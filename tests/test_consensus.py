@@ -5,9 +5,8 @@ import pytest
 
 from gossipgap.acceptance import _envelope_configs
 from gossipgap.consensus import (ENVELOPE_SLACK, EVENT_BLOCK, ConsensusState,
-                                 envelope_series, fit_rate, make_checkpoints,
-                                 rate_window, run, step, tv_series,
-                                 weighted_ratio)
+                                 fit_rate, make_checkpoints, rate_window, run,
+                                 step, weighted_ratio)
 from gossipgap.core import hilbert_distance, tv_distance
 from gossipgap.generators import (ConstantProcess, PushSumConfig,
                                   PushSumProcess, is_column_stochastic,
@@ -59,12 +58,17 @@ def test_proportional_initial_vectors_frozen_ratios():
 
 def test_step_validation():
     s = ConsensusState.from_initial([1.0, 0.0], [1.0, 1.0])
-    with pytest.raises(ValueError, match="mismatch"):
-        step(s, np.eye(3))
-    with pytest.raises(ValueError, match="row-allowable"):
-        step(s, np.array([[0.0, 0.0], [1.0, 1.0]]))
-    with pytest.raises(ValueError, match="nonnegative"):
-        step(s, np.array([[1.0, -0.5], [0.0, 1.0]]))
+    for bad, msg in ((np.eye(3), "mismatch"),
+                     ([[0.0, 0.0], [1.0, 1.0]], "row-allowable"),
+                     ([[1.0, -0.5], [0.0, 1.0]], "nonnegative"),
+                     ([[np.inf, 1.0], [0.0, 1.0]], "finite"),
+                     ([[np.nan, 1.0], [0.0, 1.0]], "finite"),
+                     (np.ones((2, 3)), "square"),
+                     (np.ones(2), "square")):
+        with pytest.raises(ValueError, match=msg):
+            step(s, bad)
+    # a zero column is allowed: only rows must be nonzero
+    assert step(s, [[1.0, 0.0], [1.0, 0.0]]).n == 1
 
 
 def test_initial_state_validation():
@@ -122,7 +126,7 @@ def test_run_envelope_monotone_and_bracketing():
     rng = np.random.default_rng(2)
     traj = run(lossy5(9), rng.uniform(0, 1, 5), np.ones(5), 10_000)
     assert traj.envelope_violations == 0
-    ns, mn, mx = envelope_series(traj)
+    mn, mx = traj.env_min, traj.env_max
     slack = 1e-12 * np.maximum(np.abs(mn), np.abs(mx))
     assert np.all(np.diff(mn) >= -slack[:-1])
     assert np.all(np.diff(mx) <= slack[:-1])
@@ -147,7 +151,7 @@ def test_run_column_stochastic_mass_conserved():
     grand = []
     for _ in range(300):
         state = step(state, proc.next_matrix())
-        masses.append(state.total_value().log_abs)
+        masses.append(math.log(state.x.sum()) + state.log_scale)
         grand.append(weighted_ratio(state, np.ones(5)))
     np.testing.assert_allclose(masses, math.log(x0.sum()), rtol=1e-12)
     np.testing.assert_allclose(grand, x0.sum() / 5.0, rtol=1e-12)
@@ -257,11 +261,10 @@ def test_run_with_history_keeps_every_pattern():
     np.testing.assert_array_equal(dense.final_state.x, events.final_state.x)
 
 
-def test_tv_series_nan_for_signed_values():
+def test_tv_column_nan_for_signed_values():
     x0 = np.array([1.0, -1.0, 0.5, 0.2, 0.1])
     traj = run(lossy5(3), x0, np.ones(5), 200)
-    ns, tv = tv_series(traj)
-    assert np.all(np.isnan(tv))
+    assert np.all(np.isnan(traj.tv))
     # envelope still tracked for signed values
     assert np.all(np.isfinite(traj.env_min))
 

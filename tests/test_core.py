@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipgap.core import (LogScaled, NonNegMatrix, birkhoff_phi,
-                            birkhoff_tau, extreme_entries, hilbert_distance,
-                            is_allowable, is_row_allowable, log_abs_det,
-                            log_birkhoff_tau, log_tau_from_phi,
+from gossipgap.core import (birkhoff_phi, birkhoff_tau, extreme_entries,
+                            hilbert_distance, is_allowable, is_row_allowable,
+                            log_abs_det, log_birkhoff_tau, log_tau_from_phi,
                             normalize_simplex, tv_distance, wedge_magnitude)
 
 
@@ -41,6 +40,13 @@ def test_loss_matrix_allowable():
     # one-edge transaction with the packet lost: diagonal stays positive
     a = np.array([[0.5, 0.0], [0.0, 1.0]])
     assert is_allowable(a)
+
+
+def test_nonneg_matrix_flags():
+    m = np.array([[1.0, 0.0], [1.0, 1.0]])
+    assert is_row_allowable(m) and is_allowable(m) and not (m > 0).all()
+    pos = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert (pos > 0).all() and is_allowable(pos) and is_row_allowable(pos)
 
 
 def test_extreme_entries():
@@ -270,44 +276,3 @@ def test_log_abs_det():
         a = push_sum_matrix(4, (1, 3), 0.5, loss=loss)
         assert log_abs_det(a) == pytest.approx(math.log(0.5), abs=1e-15)
 
-
-# -- wrappers -----------------------------------------------------------------
-
-
-def test_nonneg_matrix_flags():
-    m = NonNegMatrix([[1.0, 0.0], [1.0, 1.0]])
-    assert m.row_allowable and m.allowable and not m.strictly_positive
-    pos = NonNegMatrix([[1.0, 2.0], [3.0, 4.0]])
-    assert pos.strictly_positive and pos.allowable and pos.row_allowable
-
-
-def test_nonneg_matrix_validation():
-    with pytest.raises(ValueError, match="nonnegative"):
-        NonNegMatrix([[1.0, -0.1], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="square"):
-        NonNegMatrix(np.ones((2, 3)))
-    with pytest.raises(ValueError, match="finite"):
-        NonNegMatrix([[np.inf, 1.0], [0.0, 1.0]])
-
-
-@settings(max_examples=300)
-@given(st.floats(-1e12, 1e12, allow_nan=False).filter(lambda v: v == 0 or abs(v) > 1e-12))
-def test_log_scaled_roundtrip(v):
-    ls = LogScaled.from_value(v)
-    if v == 0:
-        assert ls.mantissa == 0.0 and ls.log_abs == -math.inf
-    else:
-        assert 1.0 <= abs(ls.mantissa) < math.e
-        assert ls.value == pytest.approx(v, rel=1e-12)
-        assert ls.log_abs == pytest.approx(math.log(abs(v)), rel=1e-12)
-
-
-def test_log_scaled_times_and_shift():
-    ls = LogScaled.from_value(3.0)
-    for _ in range(2000):
-        ls = ls.times(10.0)
-    assert ls.log_abs == pytest.approx(math.log(3.0) + 2000 * math.log(10.0), rel=1e-12)
-    assert 1.0 <= abs(ls.mantissa) < math.e
-    shifted = LogScaled.from_value(2.0).shifted(5.0)
-    assert shifted.log_abs == pytest.approx(math.log(2.0) + 5.0)
-    assert LogScaled.from_value(0.0).times(7.0).mantissa == 0.0

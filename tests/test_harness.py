@@ -78,7 +78,7 @@ def test_config_builds_each_kind():
         cfg = ExperimentConfig.from_dict({"process": proc_spec})
         proc = cfg.build_process()
         assert proc.kind == kind
-        assert proc.next_matrix().p == 2
+        assert proc.next_matrix().shape == (2, 2)
 
 
 def test_config_initial_vectors():
@@ -263,12 +263,72 @@ def test_cli_prefix_with_path_is_config_error(tmp_path, capsys, prefix):
     assert not out.exists() and not any((tmp_path / "x").iterdir())
 
 
-def test_cli_numerical_error_exit_code(tmp_path):
-    cfg = json.loads(json.dumps(PUSH_SUM_CFG))
-    cfg["estimators"]["k"] = 17  # k > p triggers a numerical-domain failure
+def test_cli_numerical_error_exit_code(tmp_path, capsys):
+    # a family member with a zero row stalls the recursion at its first draw
+    cfg = {"process": {"kind": "iid_family", "seed": 1,
+                       "matrices": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 1.0]]],
+                       "probs": [0.5, 0.5]},
+           "horizon": {"n": 200, "checkpoints": "geometric"}}
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg), encoding="utf-8")
-    assert main(["spectrum", "--config", str(p), "--out", str(tmp_path)]) == 2
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: update matrix must be row-allowable" in err
+    assert "Traceback" not in err
+
+
+def test_cli_k_above_p_is_config_error(tmp_path, capsys):
+    cfg = json.loads(json.dumps(PUSH_SUM_CFG))
+    cfg["estimators"]["k"] = 5      # p = 4
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "estimators.k" in err and "Traceback" not in err
+    assert not out.exists()
+    cfg["estimators"]["k"] = 4      # k = p is allowed
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["spectrum", "--config", str(p), "--out", str(out)]) == 0
+
+
+def test_cli_bundle_of_another_subcommand_is_kept(cfg_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg_path), "--out", str(out)]) == 0
+    manifest = out / "demo_manifest.json"
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert json.loads(manifest.read_text(encoding="utf-8"))["command"] == "spectrum"
+    assert main(["gap", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and "another subcommand" in err
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+    assert verify_manifest(manifest)
+    # a manifest that names no subcommand counts as another one's
+    data = json.loads(manifest.read_text(encoding="utf-8"))
+    del data["command"]
+    manifest.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["spectrum", "--config", str(cfg_path), "--out", str(out)]) == 1
+
+
+def test_cli_same_subcommand_overwrites_its_bundle(cfg_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                 "--seed", "999"]) == 0
+    manifest = out / "demo_manifest.json"
+    assert json.loads(manifest.read_text(encoding="utf-8"))["command"] == "simulate"
+    assert verify_manifest(manifest)
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "primitivity", "acceptance"])
+def test_cli_threads_only_on_estimators(cfg_path, cmd, capsys):
+    argv = [cmd, "--threads", "8"]
+    if cmd != "acceptance":
+        argv += ["--config", str(cfg_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code != 0
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_manifest_detects_tampering(cfg_path, tmp_path):
@@ -285,16 +345,6 @@ def test_manifest_detects_missing_file(cfg_path, tmp_path):
     main(["simulate", "--config", str(cfg_path), "--out", str(out)])
     (out / "demo_summary.csv").unlink()
     assert not verify_manifest(out / "demo_manifest.json")
-
-
-def test_threads_env_override(monkeypatch):
-    from argparse import Namespace
-    from gossipgap.cli import _thread_count
-    monkeypatch.setenv("GOSSIPGAP_THREADS", "3")
-    assert _thread_count(Namespace(threads=None)) == 3
-    assert _thread_count(Namespace(threads=2)) == 2
-    monkeypatch.delenv("GOSSIPGAP_THREADS")
-    assert _thread_count(Namespace(threads=None)) == 1
 
 
 def test_cli_acceptance_exit_codes(monkeypatch, tmp_path, capsys):

@@ -7,7 +7,7 @@ from gossipgap.acceptance import ring5_process
 from gossipgap.generators import (ConstantProcess, MarkovFamilyProcess,
                                   PushSumConfig, PushSumProcess,
                                   push_sum_matrix, ring, ring_with_chords)
-from gossipgap.primitivity import (BoolPattern, bool_product, is_family_primitive,
+from gossipgap.primitivity import (bool_product, is_family_primitive,
                                    ks_critical_distance, ks_distance,
                                    pattern_of, replay_word,
                                    sample_backward_index,
@@ -16,24 +16,26 @@ from gossipgap.primitivity import (BoolPattern, bool_product, is_family_primitiv
                                    sample_forward_indices,
                                    survival_loglinear_fit)
 
-FIB = BoolPattern([[True, True], [True, False]])
-SWAP = BoolPattern([[False, True], [True, False]])
+FIB = np.array([[True, True], [True, False]])
+SWAP = np.array([[False, True], [True, False]])
 
 
 def test_pattern_of():
-    assert pattern_of([[0.5, 0.0], [0.2, 1.0]]) == BoolPattern([[1, 0], [1, 1]])
-    assert not pattern_of(np.zeros((2, 2))).bits.any()
-    assert pattern_of(np.ones((3, 3))).all_true
+    pat = pattern_of([[0.5, 0.0], [0.2, 1.0]])
+    assert pat.dtype == bool
+    np.testing.assert_array_equal(pat, [[True, False], [True, True]])
+    assert not pattern_of(np.zeros((2, 2))).any()
+    assert pattern_of(np.ones((3, 3))).all()
 
 
 def test_bool_product_identity():
     ident = pattern_of(np.eye(2))
-    assert bool_product(FIB, ident) == FIB
-    assert bool_product(ident, FIB) == FIB
+    np.testing.assert_array_equal(bool_product(FIB, ident), FIB)
+    np.testing.assert_array_equal(bool_product(ident, FIB), FIB)
 
 
 def test_fibonacci_square_all_true():
-    assert bool_product(FIB, FIB).all_true
+    assert bool_product(FIB, FIB).all()
 
 
 @settings(max_examples=200, deadline=None)
@@ -42,14 +44,15 @@ def test_pattern_homomorphism(p, seed):
     rng = np.random.default_rng(seed)
     a = rng.random((p, p)) * (rng.random((p, p)) < 0.5)
     b = rng.random((p, p)) * (rng.random((p, p)) < 0.5)
-    assert pattern_of(a @ b) == bool_product(pattern_of(a), pattern_of(b))
+    np.testing.assert_array_equal(pattern_of(a @ b),
+                                  bool_product(pattern_of(a), pattern_of(b)))
 
 
 def test_family_primitive_fibonacci():
     rep = is_family_primitive([FIB])
     assert rep.family_primitive and not rep.capped
     assert len(rep.witness_word) == 2
-    assert replay_word([FIB], rep.witness_word).all_true
+    assert replay_word([FIB], rep.witness_word).all()
 
 
 def test_family_swap_not_primitive():
@@ -64,19 +67,19 @@ def test_family_push_sum_strongly_connected():
     pats = [pattern_of(push_sum_matrix(5, e, 0.5)) for e in g.edges]
     rep = is_family_primitive(pats)
     assert rep.family_primitive
-    assert replay_word(pats, rep.witness_word).all_true
+    assert replay_word(pats, rep.witness_word).all()
 
 
 def test_family_push_sum_ring5_lossy_report():
     # 14 generators, 7 of them identity patterns from lost packets; the BFS
     # extends only by the 7 distinct non-identity ones
-    pats = [BoolPattern(b) for b in ring5_process(True).pattern_family()]
+    pats = ring5_process(True).pattern_family()
     assert len(pats) == 14
     rep = is_family_primitive(pats)
     assert rep.family_primitive and not rep.capped
     assert rep.witness_word == (0, 4, 10, 8, 6, 4, 2, 0)
     assert rep.states_explored == 1810
-    assert replay_word(pats, rep.witness_word).all_true
+    assert replay_word(pats, rep.witness_word).all()
 
 
 def test_family_duplicate_generators_do_not_change_report():
@@ -91,7 +94,7 @@ def test_family_primitivity_magnitude_invariant():
     # decision depends only on patterns, not on the positive magnitudes
     g = ring(4)
     rng = np.random.default_rng(3)
-    base = [push_sum_matrix(4, e, 0.5).a for e in g.edges]
+    base = [push_sum_matrix(4, e, 0.5) for e in g.edges]
     ref = is_family_primitive([pattern_of(a) for a in base])
     jittered = [a * np.exp(rng.uniform(-2, 2, a.shape)) for a in base]
     rep = is_family_primitive([pattern_of(a) for a in jittered])
@@ -102,6 +105,26 @@ def test_family_primitivity_magnitude_invariant():
 def test_family_empty_rejected():
     with pytest.raises(ValueError, match="empty"):
         is_family_primitive([])
+
+
+def test_family_stack_matches_member_list():
+    stack = ring5_process(True).pattern_family()
+    assert stack.shape == (14, 5, 5) and stack.dtype == bool
+    assert is_family_primitive(stack) == is_family_primitive(list(stack))
+    swap_stack = np.stack([SWAP, SWAP])
+    assert is_family_primitive(swap_stack) == is_family_primitive([SWAP, SWAP])
+
+
+def test_family_rejects_bad_members():
+    for bad in ([np.ones((2, 3), dtype=bool)],
+                [np.ones(2, dtype=bool)],
+                [FIB, np.ones((3, 3), dtype=bool)]):
+        with pytest.raises(ValueError, match="square"):
+            is_family_primitive(bad)
+    for bad in ([np.array([[True, False], [False, False]])],   # zero row
+                [FIB, np.array([[True, False], [True, False]])]):  # zero column
+        with pytest.raises(ValueError, match="allowable"):
+            is_family_primitive(bad)
 
 
 def test_family_state_cap():
@@ -120,12 +143,12 @@ def test_forward_index_constant_positive():
 
 
 def test_forward_index_fibonacci():
-    proc = ConstantProcess(FIB.bits.astype(float), seed=0)
+    proc = ConstantProcess(FIB.astype(float), seed=0)
     assert sample_forward_index(proc) == 2
 
 
 def test_forward_index_cap_error():
-    proc = ConstantProcess(SWAP.bits.astype(float), seed=0)
+    proc = ConstantProcess(SWAP.astype(float), seed=0)
     with pytest.raises(RuntimeError, match="cap"):
         sample_forward_index(proc, cap=50)
 
@@ -137,13 +160,13 @@ def test_backward_index_constant():
 
 
 def test_backward_index_fibonacci():
-    proc = ConstantProcess(FIB.bits.astype(float), seed=0)
+    proc = ConstantProcess(FIB.astype(float), seed=0)
     proc.enable_history(100)
     assert sample_backward_index(proc, end=10) == 2
 
 
 def test_backward_index_history_exhausted():
-    proc = ConstantProcess(SWAP.bits.astype(float), seed=0)
+    proc = ConstantProcess(SWAP.astype(float), seed=0)
     proc.enable_history(8)
     with pytest.raises(RuntimeError, match="history|cap"):
         sample_backward_index(proc, end=30)
@@ -177,9 +200,9 @@ def test_forward_backward_same_distribution_small():
 
 
 def test_backward_ring_buffer_markov():
-    fam = [push_sum_matrix(3, (0, 1), 0.5).a,
-           push_sum_matrix(3, (1, 2), 0.5).a,
-           push_sum_matrix(3, (2, 0), 0.5).a]
+    fam = [push_sum_matrix(3, (0, 1), 0.5),
+           push_sum_matrix(3, (1, 2), 0.5),
+           push_sum_matrix(3, (2, 0), 0.5)]
     P = np.array([[0.2, 0.5, 0.3], [0.4, 0.2, 0.4], [0.5, 0.3, 0.2]])
     proc = MarkovFamilyProcess(fam, P, seed=3)
     samples = sample_backward_indices(proc, 50, spacing=40)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gossipgap import acceptance, spectrum
-from gossipgap.core import log_tau_from_phi
+from gossipgap.core import log_tau_from_phi, wedge_magnitude
 from gossipgap.generators import (ConstantProcess, Digraph, IIDFamilyProcess,
                                   PushSumConfig, PushSumProcess, ring,
                                   ring_with_chords)
@@ -117,6 +117,20 @@ def test_wedge_identity_zero():
     proc = ConstantProcess(np.eye(3), seed=0)
     s = estimate_sum_top2_wedge(proc, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), 1_000)
     assert s == pytest.approx(0.0, abs=1e-12)
+
+
+def test_wedge_long_products_stay_finite():
+    # on 2x2 matrices the wedge scales by det A each step, so the exact
+    # answer is log|det A| + log|x ^ w| / n; over 50,000 steps the wedge
+    # magnitude sits about 69k nats below (det 1/4) or above (det 4) the
+    # float range, and x, w are generic so every product rounds
+    x, w = np.array([1.0, 0.2]), np.array([0.3, 1.0])
+    n = 50_000
+    for scale, det in ((1.0, 0.25), (4.0, 4.0)):
+        proc = ConstantProcess(scale * acceptance.CONSTANT_2x2, seed=0)
+        s = estimate_sum_top2_wedge(proc, x, w, n)
+        exact = math.log(det) + math.log(wedge_magnitude(x, w)) / n
+        assert s == pytest.approx(exact, abs=1e-12)
 
 
 def test_wedge_collinear_rejected():
