@@ -9,6 +9,7 @@ from gossipgap.core import (birkhoff_phi, birkhoff_tau, extreme_entries,
                             hilbert_distance, is_allowable, is_row_allowable,
                             log_abs_det, log_birkhoff_tau, log_tau_from_phi,
                             normalize_simplex, tv_distance, wedge_magnitude)
+from gossipgap.consensus import ConsensusState, step
 
 
 def positive_vectors(max_dim=6):
@@ -47,6 +48,18 @@ def test_nonneg_matrix_flags():
     assert is_row_allowable(m) and is_allowable(m) and not (m > 0).all()
     pos = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert (pos > 0).all() and is_allowable(pos) and is_row_allowable(pos)
+
+
+def test_nonneg_matrix_validation():
+    # a matrix passed between layers is a plain array; step is where it is
+    # checked for being square, finite and nonnegative
+    s = ConsensusState.from_initial([1.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        step(s, [[1.0, -0.1], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="square"):
+        step(s, np.ones((2, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        step(s, [[np.inf, 1.0], [0.0, 1.0]])
 
 
 def test_extreme_entries():
