@@ -6,14 +6,16 @@ Subcommands: ``simulate`` (one consensus trajectory with fitted rates),
 (family decision plus forward/backward index statistics) and ``acceptance``
 (the full acceptance suite).
 
-Exit codes: 0 success, 1 configuration error or unusable output location
-(any ``OSError`` while creating or writing the bundle), 2 numerical failure,
-3 acceptance failure.
+Exit codes: 0 success, 1 command-line or configuration error or unusable
+output location (any ``OSError`` while creating or writing the bundle, or
+a bundle of the same prefix that another subcommand wrote), 2 numerical
+failure, 3 acceptance failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -36,27 +38,31 @@ class OutputError(Exception):
     """The output bundle could not be created or written."""
 
 
+def _check_owner(args, prefix: str) -> None:
+    """Refuse a ``--out`` whose ``<prefix>_manifest.json`` another
+    subcommand wrote: its summary and manifest would be silently replaced.
+    Rerunning the same subcommand overwrites its own bundle."""
+    manifest = Path(args.out or Path.cwd()) / f"{prefix}_manifest.json"
+    try:
+        owner = (json.loads(manifest.read_text(encoding="utf-8")).get("command")
+                 if manifest.exists() else args.command)
+    except (ValueError, AttributeError):
+        owner = None
+    except OSError as e:
+        raise OutputError(e) from e
+    if owner != args.command:
+        raise OutputError(f"{manifest} belongs to another subcommand's "
+                          "bundle; use another --out or output.prefix")
+
+
 def _write_bundle(args, prefix: str, config_echo: dict, tables: dict,
                   summary: dict | None = None) -> None:
     """Write ``tables`` (name -> (header, rows)), the summary and the
-    manifest into ``args.out`` (default: the working directory).
-
-    A bundle of the same prefix left there by another subcommand is never
-    overwritten: its summary and manifest would be silently replaced.
-    Rerunning the same subcommand overwrites its own bundle.
-    """
-    outdir = Path(args.out) if args.out else Path.cwd()
-    manifest = outdir / f"{prefix}_manifest.json"
+    manifest into ``args.out`` (default: the working directory)."""
+    _check_owner(args, prefix)      # again: the directory may have changed
     try:
-        if manifest.exists():
-            try:
-                owner = json.loads(manifest.read_text(encoding="utf-8")).get("command")
-            except (ValueError, AttributeError):
-                owner = None
-            if owner != args.command:
-                raise OutputError(f"{manifest} belongs to another subcommand's "
-                                  "bundle; use another --out or output.prefix")
-        bundle = ReportBundle(outdir, prefix, config_echo, args.command)
+        bundle = ReportBundle(Path(args.out or Path.cwd()), prefix, config_echo,
+                              args.command)
         for name, (header, rows) in tables.items():
             bundle.add_table(name, header, rows)
         if summary is not None:
@@ -194,8 +200,15 @@ def cmd_acceptance(args, cfg=None) -> int:
     return EXIT_OK if n_fail == 0 else EXIT_ACCEPTANCE
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):       # usage errors exit 1; 2 means numerical
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache        # one parser per process: building one costs ~1 ms
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="gossipgap",
         description="ratio-consensus simulation and spectral-gap estimation")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -228,6 +241,8 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     try:
+        if cfg is not None:
+            _check_owner(args, cfg.output.prefix)      # before any estimation
         return args.fn(args, cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

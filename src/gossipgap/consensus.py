@@ -344,7 +344,7 @@ def rate_window(ns, values, upper_rel: float = 1e-2,
     """
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
-    ref = np.nanmax(values)
+    ref = np.nanmax(values) if np.isfinite(values).any() else np.nan
     if not np.isfinite(ref) or ref <= 0:
         raise ValueError("series has no positive values")
     keep = np.isfinite(values) & (values >= lower_rel * ref) & (values <= upper_rel * ref)

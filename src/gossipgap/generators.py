@@ -29,13 +29,17 @@ strictly stationary.  Whether a user-supplied chain also satisfies the
 moment/mixing conditions required by the asymptotic theory is the user's
 responsibility.
 
-``dense_block`` is the vectorized form of ``m`` ``next_matrix`` calls and
-consumes the stream identically.  For a Markov family it draws the ``m``
-uniforms at once, tabulates the next state from every state with one
-``searchsorted`` per transition row, and walks the chain by indexing that
-table.  ``spawn`` makes a shallow copy with its own stream: the
-configuration arrays are read-only and shared, so replicate processes cost
-no re-validation.
+Each kind has one vectorised sampler that draws the step descriptors of
+the next ``m`` steps: ``(edge, lost)`` arrays for push-sum, member indices
+for the families (a Markov family tabulates the next state from every
+state with one ``searchsorted`` per transition row and walks the chain by
+indexing that table), and a constant index for the constant kind, which
+consumes no draws.  The three emission paths, ``next_matrix``,
+``dense_block`` and ``block_events``, are served from one look-ahead
+buffer of drawn but not yet emitted descriptors, so any interleaving of
+them consumes the stream exactly like single steps.  ``spawn`` makes a
+shallow copy with its own stream: the configuration arrays are read-only
+and shared, so replicate processes cost no re-validation.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-12
+_LOOKAHEAD = 64     # steps next_matrix draws when its look-ahead is empty
 
 
 @dataclass(frozen=True)
@@ -146,7 +151,12 @@ def push_sum_matrix(p: int, edge: tuple[int, int], alpha: float,
         raise ValueError("sender and receiver must differ")
     if not 0.0 < alpha < 1.0:
         raise ValueError("share must lie strictly inside (0, 1)")
-    a = np.eye(p)
+    return _edit_column(np.eye(p), i, j, alpha, loss)
+
+
+def _edit_column(a: np.ndarray, i: int, j: int, alpha: float,
+                 loss: bool) -> np.ndarray:
+    """Turn the identity ``a`` in place into the send along ``(i, j)``."""
     a[i, i] = 1.0 - alpha
     a[j, i] = 0.0 if loss else alpha
     return a
@@ -199,10 +209,15 @@ class PushSumConfig:
 class MatrixProcess:
     """Seeded generator of a stationary sequence of nonnegative matrices.
 
-    Subclasses implement ``_next_array`` (one emission) and may override
-    ``dense_block`` with a vectorized version; both must consume the
-    underlying random stream identically.  ``spawn`` derives an independent
-    but reproducible stream for replicate work.
+    Each kind implements one vectorised sampler, ``_draw(m)``, giving the
+    step descriptors of the next ``m`` steps as a tuple of length-``m``
+    arrays, and two builders from descriptors: ``_block`` (an ``(m, p, p)``
+    block) and ``_matrix`` (one emission).  ``next_matrix``, ``dense_block``
+    and ``block_events`` all serve the descriptors of one look-ahead
+    buffer, pending ones first; ``next_matrix`` refills it with
+    ``_LOOKAHEAD`` steps when it is empty.  ``steps_emitted`` counts
+    emissions served, not drawn.  ``spawn`` derives an independent but
+    reproducible stream for replicate work.
     """
 
     kind = "abstract"
@@ -225,6 +240,9 @@ class MatrixProcess:
         key = (self.seed,) + self.stream
         self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
         self.steps_emitted = 0
+        # look-ahead descriptors, served from index _at on; rebound, never
+        # edited in place, because a spawned copy starts out sharing them
+        self._ahead, self._at = self._draw(0), 0
         if self._history is not None:
             self._history.clear()
 
@@ -244,13 +262,41 @@ class MatrixProcess:
 
     # -- emission ----------------------------------------------------------
 
-    def _next_array(self) -> np.ndarray:
+    def _draw(self, m: int) -> tuple[np.ndarray, ...]:
         raise NotImplementedError
+
+    def _block(self, *desc: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _matrix(self, *desc) -> np.ndarray:
+        raise NotImplementedError
+
+    def _take(self, m: int) -> tuple[np.ndarray, ...]:
+        """Descriptors of the next ``m`` steps, pending look-ahead first,
+        counted as served."""
+        if m < 0:
+            raise ValueError("step count must be nonnegative")
+        ahead, at = self._ahead, self._at
+        pending = len(ahead[0]) - at
+        if m <= pending:
+            desc = tuple(d[at:at + m] for d in ahead)
+            self._at = at + m
+        else:
+            fresh = self._draw(m - pending)
+            desc = (tuple(np.concatenate((d[at:], f)) for d, f in zip(ahead, fresh))
+                    if pending else fresh)
+            self._ahead, self._at = fresh, len(fresh[0])
+        self.steps_emitted += m
+        return desc
 
     def next_matrix(self) -> np.ndarray:
         """Emit ``A_n`` as a fresh ``(p, p)`` float array and advance the
         internal cursor."""
-        a = self._next_array()
+        at = self._at
+        if at == len(self._ahead[0]):
+            self._ahead, at = self._draw(_LOOKAHEAD), 0
+        a = self._matrix(*[d[at] for d in self._ahead])
+        self._at = at + 1
         self.steps_emitted += 1
         if self._history is not None:
             self._history.append(a > 0)
@@ -260,11 +306,11 @@ class MatrixProcess:
         """Next ``m`` emissions stacked as an ``(m, p, p)`` array.
 
         Equivalent to ``m`` calls of ``next_matrix`` (same stream
-        consumption); subclasses override this with vectorized sampling.
-        History recording is supported only through ``next_matrix``.
+        consumption).  History recording is supported only through
+        ``next_matrix``.
         """
         self._refuse_with_history("dense_block")
-        return np.stack([self.next_matrix() for _ in range(int(m))])
+        return self._block(*self._take(int(m)))
 
     def _refuse_with_history(self, name: str) -> None:
         """Block emission paths that bypass the pattern-history buffer."""
@@ -309,14 +355,14 @@ class PushSumProcess(MatrixProcess):
         self._alpha = np.array(config.share, dtype=float)
         self._loss_p = np.array(config.loss_prob, dtype=float)
         self._cum_q = np.cumsum(np.array(config.edge_prob, dtype=float))
+        self._eye = np.eye(config.graph.p)
         super().__init__(config.graph.p, seed, stream)
 
-    def next_event(self) -> tuple[int, bool]:
-        """Sample ``(edge_index, lost)`` for one step (advances the stream)."""
-        u = self._rng.random(2)
-        e = int(min(np.searchsorted(self._cum_q, u[0], side="right"),
-                    len(self._cum_q) - 1))
-        return e, bool(u[1] < self._loss_p[e])
+    def _draw(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        u = self._rng.random((m, 2))
+        e = np.minimum(np.searchsorted(self._cum_q, u[:, 0], side="right"),
+                       len(self._cum_q) - 1)
+        return e, u[:, 1] < self._loss_p[e]
 
     def block_events(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Next ``m`` steps as ``(edge_index, lost)`` arrays.
@@ -324,30 +370,20 @@ class PushSumProcess(MatrixProcess):
         Consumes the stream exactly like ``m`` calls of ``next_matrix``.
         """
         self._refuse_with_history("block_events")
-        m = int(m)
-        u = self._rng.random((m, 2))
-        e = np.minimum(np.searchsorted(self._cum_q, u[:, 0], side="right"),
-                       len(self._cum_q) - 1)
-        self.steps_emitted += m
-        return e, u[:, 1] < self._loss_p[e]
+        return self._take(int(m))
 
-    def _next_array(self) -> np.ndarray:
-        e, lost = self.next_event()
-        a = np.eye(self.p)
-        i, j = self._ei[e], self._ej[e]
-        a[i, i] = 1.0 - self._alpha[e]
-        a[j, i] = 0.0 if lost else self._alpha[e]
-        return a
-
-    def dense_block(self, m: int) -> np.ndarray:
-        m = int(m)
-        e, lost = self.block_events(m)
-        blk = np.broadcast_to(np.eye(self.p), (m, self.p, self.p)).copy()
+    def _block(self, e: np.ndarray, lost: np.ndarray) -> np.ndarray:
+        m = len(e)
+        blk = np.broadcast_to(self._eye, (m, self.p, self.p)).copy()
         s = np.arange(m)
         i, j = self._ei[e], self._ej[e]
         blk[s, i, i] = 1.0 - self._alpha[e]
         blk[s, j, i] = np.where(lost, 0.0, self._alpha[e])
         return blk
+
+    def _matrix(self, e, lost) -> np.ndarray:
+        return _edit_column(self._eye.copy(), self._ei[e], self._ej[e],
+                            self._alpha[e], lost)
 
     def pattern_family(self) -> np.ndarray:
         """Per edge: the delivered pattern, then the lost one (the identity)
@@ -362,7 +398,8 @@ class PushSumProcess(MatrixProcess):
 
 
 class _FamilyProcess(MatrixProcess):
-    """Common storage for finite-family processes (shared matrix stack)."""
+    """Common storage for finite-family processes (shared matrix stack);
+    a step descriptor is the index of the emitted member."""
 
     def __init__(self, matrices, seed: int, stream):
         stack = np.stack([np.asarray(m, dtype=float) for m in matrices])
@@ -371,16 +408,22 @@ class _FamilyProcess(MatrixProcess):
         if np.any(stack < 0) or not np.all(np.isfinite(stack)):
             raise ValueError("family members must be finite and nonnegative")
         self._stack = stack
-        self.last_index: int | None = None
         super().__init__(stack.shape[1], seed, stream)
-
-    def reset(self):
-        super().reset()
-        self.last_index = None
 
     @property
     def family_size(self) -> int:
         return self._stack.shape[0]
+
+    @property
+    def last_index(self) -> int | None:
+        """Member index of the last emission served (None before the first)."""
+        return int(self._ahead[0][self._at - 1]) if self._at else None
+
+    def _block(self, idx: np.ndarray) -> np.ndarray:
+        return self._stack[idx]
+
+    def _matrix(self, idx) -> np.ndarray:
+        return self._stack[idx].copy()
 
     def pattern_family(self) -> np.ndarray:
         return self._stack > 0
@@ -401,22 +444,10 @@ class IIDFamilyProcess(_FamilyProcess):
         self._cum = np.cumsum(probs)
         super().__init__(matrices, seed, stream)
 
-    def _indices(self, m: int) -> np.ndarray:
-        u = self._rng.random(int(m))
-        return np.minimum(np.searchsorted(self._cum, u, side="right"),
-                          self.family_size - 1)
-
-    def _next_array(self) -> np.ndarray:
-        idx = int(self._indices(1)[0])
-        self.last_index = idx
-        return self._stack[idx].copy()
-
-    def dense_block(self, m: int) -> np.ndarray:
-        self._refuse_with_history("dense_block")
-        idx = self._indices(m)
-        self.last_index = int(idx[-1]) if len(idx) else self.last_index
-        self.steps_emitted += int(m)
-        return self._stack[idx]
+    def _draw(self, m: int) -> tuple[np.ndarray]:
+        u = self._rng.random(m)
+        return (np.minimum(np.searchsorted(self._cum, u, side="right"),
+                           self.family_size - 1),)
 
 
 class MarkovFamilyProcess(_FamilyProcess):
@@ -442,13 +473,14 @@ class MarkovFamilyProcess(_FamilyProcess):
         if f > 1 and not is_strongly_connected(pattern):
             raise ValueError("index chain must be irreducible")
         self.transition = P
-        self._cum_rows = np.cumsum(P, axis=1)
         if initial_dist is None:
             initial_dist = self._stationary(P)
         self.initial_dist = np.array(initial_dist, dtype=float)
         if abs(float(self.initial_dist.sum()) - 1.0) > 1e-9 or np.any(self.initial_dist < -1e-15):
             raise ValueError("initial distribution must be a probability vector")
-        self._cum_init = np.cumsum(np.clip(self.initial_dist, 0.0, None))
+        # row r < f: the transition law from state r; last row: the initial law
+        self._cum_rows = np.cumsum(np.vstack(
+            [P, np.clip(self.initial_dist, 0.0, None)]), axis=1)
         super().__init__(matrices, seed, stream)
 
     @staticmethod
@@ -461,65 +493,32 @@ class MarkovFamilyProcess(_FamilyProcess):
         return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
 
     def reset(self):
+        self._state = -1       # chain state after the last draw; -1: unplaced
         super().reset()
-        self._state: int | None = None
 
-    def _advance_state(self, u: float) -> int:
-        if self._state is None:
-            cum = self._cum_init
-        else:
-            cum = self._cum_rows[self._state]
-        s = int(min(np.searchsorted(cum, u, side="right"), self.family_size - 1))
-        self._state = s
-        return s
-
-    def _next_array(self) -> np.ndarray:
-        s = self._advance_state(float(self._rng.random()))
-        self.last_index = s
-        return self._stack[s].copy()
-
-    def dense_block(self, m: int) -> np.ndarray:
-        self._refuse_with_history("dense_block")
-        m = int(m)
+    def _draw(self, m: int) -> tuple[np.ndarray]:
+        # nxt[t][r]: the state after draw t when the chain sits in r, where
+        # r = -1 picks the last column, the draw from the initial law
         u = self._rng.random(m)
-        idx = []
-        if m:
-            s = self._state
-            if s is None:
-                s = self._advance_state(float(u[0]))
-                idx.append(s)
-                u = u[1:]
-            # nxt[t][r]: the state after draw t when the chain sits in r
-            nxt = np.minimum(np.stack([np.searchsorted(row, u, side="right")
-                                       for row in self._cum_rows], axis=1),
-                             self.family_size - 1).tolist()
-            for row in nxt:
-                s = row[s]
-                idx.append(s)
-            self._state = self.last_index = s
-        self.steps_emitted += m
-        return self._stack[idx]
+        nxt = np.minimum(np.stack([np.searchsorted(row, u, side="right")
+                                   for row in self._cum_rows], axis=1),
+                         self.family_size - 1).tolist()
+        s, idx = self._state, []
+        for row in nxt:
+            s = row[s]
+            idx.append(s)
+        self._state = s
+        return (np.array(idx, dtype=np.intp),)
 
 
-class ConstantProcess(MatrixProcess):
-    """Deterministic stream repeating one fixed matrix (consumes no draws)."""
+class ConstantProcess(_FamilyProcess):
+    """Deterministic stream repeating one fixed matrix: a family of one
+    member whose sampler consumes no draws."""
 
     kind = "constant"
 
     def __init__(self, matrix, seed: int = 0, stream: tuple[int, ...] = (0,)):
-        a = np.asarray(matrix, dtype=float)
-        if np.any(a < 0) or not np.all(np.isfinite(a)):
-            raise ValueError("matrix must be finite and nonnegative")
-        self.matrix = a.copy()
-        super().__init__(a.shape[0], seed, stream)
+        super().__init__([matrix], seed, stream)
 
-    def _next_array(self) -> np.ndarray:
-        return self.matrix.copy()
-
-    def pattern_family(self) -> np.ndarray:
-        return self.matrix[None] > 0
-
-    def dense_block(self, m: int) -> np.ndarray:
-        self._refuse_with_history("dense_block")
-        self.steps_emitted += int(m)
-        return np.broadcast_to(self.matrix, (int(m), self.p, self.p))
+    def _draw(self, m: int) -> tuple[np.ndarray]:
+        return (np.zeros(m, dtype=np.intp),)

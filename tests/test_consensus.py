@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,14 +208,16 @@ def dense_reference(proc, x0, w0, n):
     return cols, limit, col_stoch, violations, violation_max, state
 
 
-def check_against_dense(k, n, rtol):
+def check_against_dense(k, n, rtol, lead=0):
     (proc, x0, w0), (twin, _, _) = _envelope_configs()[k], _envelope_configs()[k]
+    for _ in range(lead):       # leaves look-ahead pending in both
+        np.testing.assert_array_equal(proc.next_matrix(), twin.next_matrix())
     traj = run(proc, x0, w0, n, checkpoints=np.arange(1, n + 1))
     cols, limit, col_stoch, violations, violation_max, state = \
         dense_reference(twin, x0, w0, n)
     assert traj.column_stochastic == col_stoch
     assert traj.envelope_violations == violations
-    assert proc.steps_emitted == twin.steps_emitted == n
+    assert proc.steps_emitted == twin.steps_emitted == lead + n
     assert traj.final_state.n == state.n
     if rtol == 0:
         for name, ref in cols.items():
@@ -242,6 +245,13 @@ def check_against_dense(k, n, rtol):
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 6, 7])
 def test_run_bitwise_equal_to_dense_recursion(k):
     check_against_dense(k, 3 * EVENT_BLOCK + 17, rtol=0)
+
+
+# ring5 lossy (event path), constant and Markov family (dense path)
+@pytest.mark.parametrize("k", [0, 5, 7])
+@pytest.mark.parametrize("lead", [1, 63, 65])
+def test_run_after_single_steps_equal_to_dense_recursion(k, lead):
+    check_against_dense(k, EVENT_BLOCK + 70, rtol=0, lead=lead)
 
 
 def test_run_share_03_matches_dense_recursion():
@@ -339,6 +349,14 @@ def test_rate_window_trims_transient_and_floor():
     assert w_vals.max() <= 1e-2 * vals.max()
     assert w_vals.min() >= 1e-12 * vals.max()
     assert fit_rate(w_ns, w_vals, window=1.0) == pytest.approx(-0.05, rel=1e-6)
+
+
+def test_rate_window_all_nan_raises_without_warning():
+    ns = np.arange(1, 11, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no positive values"):
+            rate_window(ns, np.full(10, np.nan))
 
 
 def test_make_checkpoints():

@@ -199,7 +199,9 @@ def _markov_one_state():
 
 
 def _chain_cursor(proc):
-    return proc._state, proc.last_index, proc.steps_emitted
+    # the served chain state is the member index of the last emission;
+    # _state runs ahead with the look-ahead draws
+    return proc.last_index, proc.steps_emitted
 
 
 @pytest.mark.parametrize("build", [_markov_fam3, _markov_one_state],
@@ -224,13 +226,15 @@ def test_markov_dense_block_splits_match_next_matrix(build, schedule):
 
 _FAM2 = [np.eye(2), np.array([[1.0, 1.0], [1.0, 0.0]])]
 
-
-@pytest.mark.parametrize("build", [
+_EACH_KIND = pytest.mark.parametrize("build", [
     lambda stream: PushSumProcess(lossy_cfg(), 9, stream),
     lambda stream: IIDFamilyProcess(_FAM2, [0.4, 0.6], 9, stream),
     lambda stream: MarkovFamilyProcess(_FAM2, [[0.3, 0.7], [0.6, 0.4]], 9, stream),
     lambda stream: ConstantProcess(np.ones((2, 2)), 9, stream),
 ], ids=["push_sum", "iid", "markov", "constant"])
+
+
+@_EACH_KIND
 def test_spawn_is_a_fresh_stream_without_history(build):
     parent = build((0,))
     parent.enable_history(8)
@@ -243,6 +247,71 @@ def test_spawn_is_a_fresh_stream_without_history(build):
     assert parent._rng.bit_generator.state == rng_state
     assert parent.stream == (0,) and parent.steps_emitted == 3
     assert len(parent.pattern_history()) == 3
+
+
+def _event_matrices(proc, e, lost):
+    c = proc.config
+    return np.array([push_sum_matrix(proc.p, c.graph.edges[k], c.share[k], lo)
+                     for k, lo in zip(e, lost)]).reshape(-1, proc.p, proc.p)
+
+
+@_EACH_KIND
+@pytest.mark.parametrize("seed", range(4))
+def test_emission_paths_interleave_like_single_steps(build, seed):
+    # random schedules of next_matrix runs, dense_block and block_events,
+    # with sizes straddling the look-ahead length, reproduce one
+    # next_matrix stream and one dense_block of the total length
+    rng = np.random.default_rng(seed)
+    mixed, ref = build((0,)), build((0,))
+    paths = ["next", "block"] + (["events"] if mixed.kind == "push_sum" else [])
+    got, total = [], 0
+    for op in range(10):
+        path, m = rng.choice(paths), int(rng.choice([0, 1, 63, 64, 65, 511]))
+        if path == "next":
+            out = np.array([mixed.next_matrix() for _ in range(m)])
+            out = out.reshape(-1, ref.p, ref.p)
+        elif path == "block":
+            out = mixed.dense_block(m)
+        else:
+            out = _event_matrices(mixed, *mixed.block_events(m))
+        want = [ref.next_matrix() for _ in range(m)]
+        assert out.shape == (m, ref.p, ref.p)
+        assert all(np.array_equal(g, w) for g, w in zip(out, want))
+        total += m
+        assert mixed.steps_emitted == ref.steps_emitted == total
+        assert getattr(mixed, "last_index", None) == getattr(ref, "last_index", None)
+        got.append(out)
+        if op == 4:     # a spawn with look-ahead pending is a fresh stream
+            child = mixed.spawn((4, 2))
+            assert child.steps_emitted == 0
+            np.testing.assert_array_equal(
+                np.array([child.next_matrix() for _ in range(70)]),
+                build((4, 2)).dense_block(70))
+    np.testing.assert_array_equal(np.concatenate(got), build((0,)).dense_block(total))
+
+
+@_EACH_KIND
+def test_writing_into_emissions_changes_no_later_emission(build):
+    proc, ref = build((0,)), build((0,))
+    for _ in range(3):
+        proc.next_matrix()[:] = -1.0
+        proc.dense_block(70)[:] = -1.0
+        if proc.kind == "push_sum":
+            e, lost = proc.block_events(70)
+            e[:], lost[:] = 0, True
+        ref.dense_block(141 if proc.kind == "push_sum" else 71)
+        np.testing.assert_array_equal(proc.next_matrix(), ref.next_matrix())
+        assert getattr(proc, "last_index", None) == getattr(ref, "last_index", None)
+
+
+@_EACH_KIND
+def test_negative_step_count_is_refused(build):
+    proc = build((0,))
+    proc.next_matrix()
+    with pytest.raises(ValueError, match="nonnegative"):
+        proc.dense_block(-1)
+    assert proc.steps_emitted == 1
+    np.testing.assert_array_equal(proc.dense_block(2), build((0,)).dense_block(3)[1:])
 
 
 # -- statistics of the sampler ---------------------------------------------------

@@ -310,6 +310,33 @@ def test_cli_bundle_of_another_subcommand_is_kept(cfg_path, tmp_path, capsys):
     assert main(["spectrum", "--config", str(cfg_path), "--out", str(out)]) == 1
 
 
+def test_cli_foreign_bundle_refused_before_estimation(cfg_path, tmp_path, capsys,
+                                                     monkeypatch):
+    from gossipgap import cli as cli_mod
+
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+    def no_estimation(*args, **kwargs):
+        raise AssertionError("estimation ran before the bundle check")
+
+    monkeypatch.setattr(cli_mod.spectrum, "estimate_spectrum_qr", no_estimation)
+    assert main(["gap", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and "another subcommand" in err
+
+
+def test_cli_non_square_constant_is_config_error(tmp_path, capsys):
+    cfg = {"process": {"kind": "constant", "seed": 1,
+                       "matrix": [[1, 0.5, 0.2], [0, 0.5, 0.1]]},
+           "horizon": {"n": 50, "checkpoints": "geometric"}}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "square" in err and "Traceback" not in err
+
+
 def test_cli_same_subcommand_overwrites_its_bundle(cfg_path, tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -327,8 +354,9 @@ def test_cli_threads_only_on_estimators(cfg_path, cmd, capsys):
         argv += ["--config", str(cfg_path)]
     with pytest.raises(SystemExit) as exc:
         main(argv)
-    assert exc.value.code != 0
-    assert "--threads" in capsys.readouterr().err
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "--threads" in err
 
 
 def test_manifest_detects_tampering(cfg_path, tmp_path):
