@@ -240,9 +240,9 @@ class MatrixProcess:
         key = (self.seed,) + self.stream
         self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
         self.steps_emitted = 0
-        # look-ahead descriptors, served from index _at on; rebound, never
-        # edited in place, because a spawned copy starts out sharing them
-        self._ahead, self._at = self._draw(0), 0
+        # look-ahead descriptors, served from index _at on (none drawn yet);
+        # rebound, never edited in place: a spawned copy starts out sharing them
+        self._ahead, self._at = ((),), 0
         if self._history is not None:
             self._history.clear()
 
@@ -276,6 +276,8 @@ class MatrixProcess:
         counted as served."""
         if m < 0:
             raise ValueError("step count must be nonnegative")
+        if m == 0:          # draws nothing and keeps the last served step
+            return self._draw(0)
         ahead, at = self._ahead, self._at
         pending = len(ahead[0]) - at
         if m <= pending:
@@ -478,9 +480,8 @@ class MarkovFamilyProcess(_FamilyProcess):
         self.initial_dist = np.array(initial_dist, dtype=float)
         if abs(float(self.initial_dist.sum()) - 1.0) > 1e-9 or np.any(self.initial_dist < -1e-15):
             raise ValueError("initial distribution must be a probability vector")
-        # row r < f: the transition law from state r; last row: the initial law
-        self._cum_rows = np.cumsum(np.vstack(
-            [P, np.clip(self.initial_dist, 0.0, None)]), axis=1)
+        self._cum_rows = np.cumsum(P, axis=1)
+        self._cum_init = np.cumsum(np.clip(self.initial_dist, 0.0, None))
         super().__init__(matrices, seed, stream)
 
     @staticmethod
@@ -493,17 +494,21 @@ class MarkovFamilyProcess(_FamilyProcess):
         return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
 
     def reset(self):
-        self._state = -1       # chain state after the last draw; -1: unplaced
         super().reset()
+        self._state: int | None = None     # chain state after the last draw
 
     def _draw(self, m: int) -> tuple[np.ndarray]:
-        # nxt[t][r]: the state after draw t when the chain sits in r, where
-        # r = -1 picks the last column, the draw from the initial law
         u = self._rng.random(m)
+        s, idx = self._state, []
+        if s is None and m:     # the first draw places the chain by its initial law
+            s = int(min(np.searchsorted(self._cum_init, u[0], side="right"),
+                        self.family_size - 1))
+            idx.append(s)
+            u = u[1:]
+        # nxt[t][r]: the state after draw t when the chain sits in r
         nxt = np.minimum(np.stack([np.searchsorted(row, u, side="right")
                                    for row in self._cum_rows], axis=1),
                          self.family_size - 1).tolist()
-        s, idx = self._state, []
         for row in nxt:
             s = row[s]
             idx.append(s)
