@@ -100,12 +100,21 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _check_qr_horizon(cfg: ExperimentConfig) -> None:
+    """Refuse a horizon the qr estimator would reject, before estimation."""
+    n, period = cfg.horizon.n, cfg.estimators.reorth_period
+    if n < 10 * period:
+        raise ConfigError(f"horizon.n = {n} is below 10 * "
+                          f"estimators.reorth_period = {10 * period}")
+
+
 def cmd_spectrum(args, cfg: ExperimentConfig) -> int:
     proc = cfg.build_process(args.seed)
     e = cfg.estimators
     if e.k > proc.p:
         raise ConfigError(f"estimators.k = {e.k} exceeds the process dimension "
                           f"p = {proc.p}")
+    _check_qr_horizon(cfg)
     est = spectrum.estimate_spectrum_qr(proc, e.k, cfg.horizon.n,
                                         e.reorth_period, e.replicates, e.burn_in)
     lhs, rhs = spectrum.check_det_identity(
@@ -140,7 +149,10 @@ def _gap_point(payload):
 def cmd_gap(args, cfg: ExperimentConfig) -> int:
     proc = cfg.build_process(args.seed)
     e = cfg.estimators
-    est = spectrum.estimate_spectrum_qr(proc, min(2, proc.p), cfg.horizon.n,
+    if proc.p < 2:
+        raise ConfigError(f"gap needs a process dimension p >= 2; got p = {proc.p}")
+    _check_qr_horizon(cfg)
+    est = spectrum.estimate_spectrum_qr(proc, 2, cfg.horizon.n,
                                         e.reorth_period, e.replicates, e.burn_in)
     payloads = [(cfg.to_dict(), args.seed, int(m), e.trials)
                 for m in e.birkhoff_m]

@@ -147,10 +147,11 @@ class Trajectory:
                     "envelope_max", "hilbert", "limit_estimate")
 
     def rows(self):
-        err = self.max_ratio_error()
-        for i in range(len(self.ns)):
-            yield (int(self.ns[i]), err[i], self.tv[i], self.env_min[i],
-                   self.env_max[i], self.hilbert[i], self.mid[i])
+        """Table rows as Python ints and floats, which format faster than
+        numpy scalars."""
+        return zip(*(c.tolist() for c in (
+            self.ns, self.max_ratio_error(), self.tv, self.env_min,
+            self.env_max, self.hilbert, self.mid)))
 
 
 def make_checkpoints(n: int, kind: str = "geometric", ratio: float = 1.15,

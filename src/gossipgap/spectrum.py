@@ -5,9 +5,11 @@ product ``A_n ... A_1``, re-orthonormalizing every ``reorth_period`` steps
 via QR and accumulating the log-diagonal of the triangular factor; the
 per-column averages converge to the top ``k`` Lyapunov exponents (the
 asymptotic growth rates of the product's singular values).  Replicates run
-on independent derived streams and are re-orthonormalized in one stacked
-QR per step, which keeps the estimator fast without changing any single
-replicate's arithmetic path.
+on independent derived streams and are propagated by one stacked matmul per
+step and re-orthonormalized by one stacked QR per QR step; the logs and
+running sums of the triangular diagonals are taken once per 512-step
+block, in the same addition order, so no single replicate's arithmetic
+path changes.
 
 A burn-in window (not counted in the averages) lets the frame align with
 the top Oseledec directions first; without it the alignment transient
@@ -96,55 +98,63 @@ def _run_frames(procs, k: int, n_count: int, reorth_period: int,
 
     Returns ``(acc, snapshots)`` where ``acc`` is the ``(R, k)`` log-growth
     accumulated over the counted window and ``snapshots`` maps each recorded
-    counted-step index to a copy of ``acc`` at that step.  A QR step is
-    forced at the burn-in boundary, at every recorded step and at the end,
-    so accumulation windows split exactly.
+    counted-step index in ``[1, n_count]`` to a copy of ``acc`` at that step
+    (other record points are ignored).  A QR runs every ``reorth_period``
+    steps since the last one and is forced at the burn-in boundary, at
+    every recorded step and at the end, so accumulation windows split
+    exactly.
+
+    The step loop does only the matmul and, on a QR step, the QR and a copy
+    of ``r``'s diagonal.  Per 512-step block the schedule is computed up
+    front, and the logs of the counted diagonals are summed by one
+    sequential ``cumsum`` that starts from ``acc``, so ``acc`` and the
+    snapshots read from it equal a step-by-step ``acc += log|diag r|``
+    bit for bit.  A zero diagonal (the frame's rank collapsed below ``k``)
+    leaves ``-inf`` in ``acc``; it is reported by one warning at the end.
     """
     R = len(procs)
     p = procs[0].p
+    total = burn_in + n_count
+    record = sorted({r for r in map(int, () if record is None else record)
+                     if 0 < r <= n_count})
+    # forced QR steps, numbered over the whole run; periodic QRs restart at each
+    marks = np.array(sorted({0, burn_in, total, *(burn_in + r for r in record)}))
     Q = np.ascontiguousarray(np.broadcast_to(np.eye(p)[:, :k], (R, p, k)))
     acc = np.zeros((R, k))
     snapshots: dict[int, np.ndarray] = {}
-    record = ([] if record is None
-              else sorted(set(int(r) for r in record)))
-    rec_pos = 0
-    collapsed = False
-
-    def run_phase(steps: int, accumulate: bool, counted_offset: int):
-        nonlocal Q, acc, rec_pos, collapsed
-        since = 0
-        done = 0
-        while done < steps:
-            m = min(_BLOCK, steps - done)
-            blocks = [pr.dense_block(m) for pr in procs]
-            stacked = blocks[0][None] if R == 1 else np.stack(blocks)
-            for s in range(m):
-                Q = np.matmul(stacked[:, s], Q)
-                since += 1
-                step = done + s + 1
-                counted = counted_offset + step
-                hit_record = (accumulate and rec_pos < len(record)
-                              and record[rec_pos] == counted)
-                if since >= reorth_period or step == steps or hit_record:
-                    Q, r = np.linalg.qr(Q)
-                    d = np.abs(np.diagonal(r, axis1=1, axis2=2))
-                    if accumulate:
-                        with np.errstate(divide="ignore"):
-                            acc += np.log(d)
-                        if not collapsed and np.any(d == 0):
-                            collapsed = True
-                            warnings.warn(
-                                "frame rank collapsed below k; affected "
-                                "exponents are reported as -inf")
-                    since = 0
-                if hit_record:
-                    snapshots[counted] = acc.copy()
-                    rec_pos += 1
-            done += m
-
-    if burn_in > 0:
-        run_phase(burn_in, accumulate=False, counted_offset=0)
-    run_phase(n_count, accumulate=True, counted_offset=0)
+    diag = np.empty((_BLOCK, R, k))     # r's diagonal at each QR of a block
+    done = 0
+    while done < total:
+        m = min(_BLOCK, total - done)
+        stacked = np.stack([pr.dense_block(m) for pr in procs], axis=1)
+        t = np.arange(done + 1, done + m + 1)
+        nxt = np.searchsorted(marks, t)
+        is_qr = (marks[nxt] == t) | ((t - marks[nxt - 1]) % reorth_period == 0)
+        j = 0
+        for A, qr_step in zip(stacked, is_qr.tolist()):
+            Q = np.matmul(A, Q)
+            if qr_step:
+                Q, r = np.linalg.qr(Q)
+                diag[j] = r.diagonal(0, 1, 2)
+                j += 1
+        counted = t[is_qr] - burn_in
+        counted = counted[counted > 0]          # a suffix of the block's QRs
+        if len(counted):
+            run = diag[j - len(counted):j]
+            with np.errstate(divide="ignore"):
+                np.log(np.abs(run, out=run), out=run)
+            # row i becomes acc after i + 1 steps of `acc += log`: addition
+            # commutes, and cumsum adds sequentially in step order
+            run[0] += acc
+            np.cumsum(run, axis=0, out=run)
+            acc = run[-1].copy()
+            if record:
+                for i in np.flatnonzero(np.isin(counted, record)):
+                    snapshots[int(counted[i])] = run[i].copy()
+        done += m
+    if np.isneginf(acc).any():
+        warnings.warn("frame rank collapsed below k; affected exponents are "
+                      "reported as -inf")
     return acc, snapshots
 
 

@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gossipgap import consensus
 from gossipgap.cli import main
 from gossipgap.config import ConfigError, ExperimentConfig, load_config
-from gossipgap.report import format_value, sha256_of, verify_manifest
+from gossipgap.report import format_value, sha256_of, verify_manifest, write_table
 
 PUSH_SUM_CFG = {
     "process": {
@@ -290,6 +291,76 @@ def test_cli_k_above_p_is_config_error(tmp_path, capsys):
     cfg["estimators"]["k"] = 4      # k = p is allowed
     p.write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["spectrum", "--config", str(p), "--out", str(out)]) == 0
+
+
+def _no_estimation(*args, **kwargs):
+    raise AssertionError("estimation ran before the config check")
+
+
+@pytest.mark.parametrize("cmd", ["spectrum", "gap"])
+@pytest.mark.parametrize("section,key,value", [
+    ("horizon", "n", 5), ("estimators", "reorth_period", 1000)])
+def test_cli_short_horizon_is_config_error(tmp_path, capsys, monkeypatch, cmd,
+                                           section, key, value):
+    from gossipgap import cli as cli_mod
+
+    cfg = json.loads(json.dumps(PUSH_SUM_CFG))
+    cfg[section][key] = value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    monkeypatch.setattr(cli_mod.spectrum, "estimate_spectrum_qr", _no_estimation)
+    out = tmp_path / "o"
+    assert main([cmd, "--config", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: horizon.n") and "reorth_period" in err
+    assert not out.exists()
+
+
+def test_cli_gap_on_one_node_is_config_error(tmp_path, capsys, monkeypatch):
+    from gossipgap import cli as cli_mod
+
+    cfg = {"process": {"kind": "constant", "seed": 1, "matrix": [[0.5]]},
+           "horizon": {"n": 2000, "checkpoints": "geometric"}}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    monkeypatch.setattr(cli_mod.spectrum, "estimate_spectrum_qr", _no_estimation)
+    out = tmp_path / "o"
+    assert main(["gap", "--config", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: gap needs") and "p = 1" in err
+    assert not out.exists()
+
+
+def _numpy_scalar_rows(traj):
+    """Trajectory rows as numpy scalars, as ``Trajectory.rows`` once gave them."""
+    err = traj.max_ratio_error()
+    for i in range(len(traj.ns)):
+        yield (int(traj.ns[i]), err[i], traj.tv[i], traj.env_min[i],
+               traj.env_max[i], traj.hilbert[i], traj.mid[i])
+
+
+def test_trajectory_table_same_as_from_numpy_scalars(cfg_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    cfg = load_config(cfg_path)
+    proc = cfg.build_process(None)
+    traj = consensus.run(proc, *cfg.build_initial(proc.p), cfg.horizon.n,
+                         checkpoints=cfg.horizon.checkpoints)
+    write_table(tmp_path / "ref.csv", traj.TABLE_HEADER, _numpy_scalar_rows(traj))
+    assert (out / "demo_trajectory.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
+    # missing and infinite values, and integer checkpoints, format the same
+    traj.tv[0] = np.nan
+    traj.hilbert[1] = np.inf
+    traj.env_min[2] = -np.inf
+    traj.mid[3] = -0.0
+    write_table(tmp_path / "a.csv", traj.TABLE_HEADER, traj.rows())
+    write_table(tmp_path / "b.csv", traj.TABLE_HEADER, _numpy_scalar_rows(traj))
+    text = (tmp_path / "a.csv").read_text(encoding="utf-8")
+    assert text == (tmp_path / "b.csv").read_text(encoding="utf-8")
+    assert [row.split(",")[0] for row in text.splitlines()[1:]] == \
+        [str(n) for n in traj.ns]
+    assert ",inf," in text and ",-inf," in text and ",," in text
 
 
 def test_cli_bundle_of_another_subcommand_is_kept(cfg_path, tmp_path, capsys):

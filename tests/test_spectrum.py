@@ -81,10 +81,133 @@ def test_reorth_period_consistency():
 
 def test_degenerate_frame_warns_and_reports_minus_inf():
     proc = ConstantProcess(np.diag([2.0, 0.0]), seed=0)
-    with pytest.warns(UserWarning, match="rank collapsed"):
-        est = estimate_spectrum_qr(proc, 2, 500, replicates=2, burn_in=0)
-    assert est.lambdas[0] == pytest.approx(math.log(2), abs=1e-10)
-    assert est.lambdas[1] == -math.inf
+    for replicates, period in ((2, 1), (1, 1), (2, 3)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = estimate_spectrum_qr(proc, 2, 1200, reorth_period=period,
+                                       replicates=replicates, burn_in=0)
+        assert [str(w.message) for w in caught] == [
+            "frame rank collapsed below k; affected exponents are reported as -inf"]
+        assert est.lambdas[0] == pytest.approx(math.log(2), abs=1e-10)
+        assert est.lambdas[1] == -math.inf
+
+
+def _run_frames_per_step(procs, k, n_count, reorth_period, burn_in, record=None):
+    """The frame loop as it was written before the block-level bookkeeping:
+    log, accumulation, collapse check and schedule evaluated at every step."""
+    R = len(procs)
+    p = procs[0].p
+    Q = np.ascontiguousarray(np.broadcast_to(np.eye(p)[:, :k], (R, p, k)))
+    acc = np.zeros((R, k))
+    snapshots = {}
+    record = [] if record is None else sorted(set(int(r) for r in record))
+    rec_pos = 0
+
+    def run_phase(steps, accumulate):
+        nonlocal Q, acc, rec_pos
+        since = 0
+        done = 0
+        while done < steps:
+            m = min(512, steps - done)
+            stacked = np.stack([pr.dense_block(m) for pr in procs])
+            for s in range(m):
+                Q = np.matmul(stacked[:, s], Q)
+                since += 1
+                step = done + s + 1
+                hit_record = (accumulate and rec_pos < len(record)
+                              and record[rec_pos] == step)
+                if since >= reorth_period or step == steps or hit_record:
+                    Q, r = np.linalg.qr(Q)
+                    d = np.abs(np.diagonal(r, axis1=1, axis2=2))
+                    if accumulate:
+                        with np.errstate(divide="ignore"):
+                            acc += np.log(d)
+                    since = 0
+                if hit_record:
+                    snapshots[step] = acc.copy()
+                    rec_pos += 1
+            done += m
+
+    if burn_in > 0:
+        run_phase(burn_in, False)
+    run_phase(n_count, True)
+    return acc, snapshots
+
+
+_EACH_FRAME_KIND = pytest.mark.parametrize("proc", [
+    lossy5(), IIDFamilyProcess(
+        [np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 3.0]]),
+         np.array([[1.0, 0.0, 1.0], [1.0, 2.0, 0.0], [0.0, 1.0, 1.0]]),
+         np.eye(3) + 0.5], [0.4, 0.4, 0.2], seed=31),
+    acceptance._envelope_configs()[7][0], ConstantProcess(A2),
+], ids=["push_sum", "iid", "markov", "constant"])
+
+
+@_EACH_FRAME_KIND
+@pytest.mark.parametrize("period", [1, 3])
+@pytest.mark.parametrize("replicates", [1, 8])
+def test_run_frames_bitwise_equal_to_per_step_loop(proc, period, replicates):
+    # burn-in ends inside the first block and the run crosses a block
+    # boundary; records sit on and next to it, and on the last step
+    burn_in, n = 200, 700
+    record = [1, 2, 311, 312, 313, 500, n]
+    for k in range(1, proc.p + 1):
+        got = spectrum._run_frames(
+            [proc.spawn((9, r)) for r in range(replicates)], k, n, period,
+            burn_in, record)
+        want = _run_frames_per_step(
+            [proc.spawn((9, r)) for r in range(replicates)], k, n, period,
+            burn_in, record)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert sorted(got[1]) == sorted(want[1]) == record
+        for step in record:
+            np.testing.assert_array_equal(got[1][step], want[1][step])
+
+
+def _expected_qr_steps(burn_in, n, period, record):
+    """Whole-run step numbers of every QR: every ``period`` steps since the
+    last QR, plus forced QRs at the burn-in end, each record and the end."""
+    steps, since = [], 0
+    for t in range(1, burn_in + n + 1):
+        since += 1
+        if since >= period or t in (burn_in, burn_in + n) or t - burn_in in record:
+            steps.append(t)
+            since = 0
+    return steps
+
+
+@pytest.mark.parametrize("period", [1, 3, 7])
+@pytest.mark.parametrize("burn_in", [0, 100])
+def test_run_frames_qr_schedule(period, burn_in, monkeypatch):
+    matmul, qr = np.matmul, np.linalg.qr
+    log = {"steps": 0, "qr_at": []}
+
+    def counting_matmul(*args, **kw):
+        log["steps"] += 1
+        return matmul(*args, **kw)
+
+    def counting_qr(a, *args, **kw):
+        log["qr_at"].append(log["steps"])
+        return qr(a, *args, **kw)
+
+    n = 1100
+    # whole-run step 512 ends the first block: counted 512 without burn-in,
+    # counted 412 after a burn-in of 100
+    record = [1, 411, 412, 413, 511, 512, 513, 700]
+    proc = lossy5(3)
+    monkeypatch.setattr(np, "matmul", counting_matmul)
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    _, snaps = spectrum._run_frames(
+        [proc.spawn((9, r)) for r in range(2)], 2, n, period, burn_in, record)
+    assert log["qr_at"] == _expected_qr_steps(burn_in, n, period, set(record))
+    assert log["steps"] == burn_in + n
+    assert sorted(snaps) == record
+    for step in record:
+        # a run that stops at the recorded step ends with the snapshot
+        short, _ = spectrum._run_frames(
+            [proc.spawn((9, r)) for r in range(2)], 2, step, period, burn_in,
+            record)
+        np.testing.assert_array_equal(snaps[step], short)
 
 
 def test_deterministic_per_seed():
