@@ -175,6 +175,11 @@ def cmd_gap(args, cfg: ExperimentConfig) -> int:
 def cmd_primitivity(args, cfg: ExperimentConfig) -> int:
     proc = cfg.build_process(args.seed)
     rep = primitivity.is_family_primitive(proc.pattern_family())
+    if not (rep.family_primitive or rep.capped):
+        # no emitted product is ever positive, so no index sample can end
+        raise RuntimeError(f"the {proc.kind} pattern family is not primitive: "
+                           f"none of its {rep.states_explored} reachable "
+                           "products is positive")
     count = cfg.horizon.n
     psi = primitivity.sample_forward_indices(proc.spawn((500, 0)), count)
     rho = primitivity.sample_backward_indices(proc.spawn((500, 1)), count)

@@ -9,13 +9,12 @@ while arbitrarily long products stay representable.
 ``run`` applies push-sum emissions as events: each one is the identity
 with the sender's column edited, so ``A_n x`` is two row updates
 (``x[j] += a x[i]`` when the packet is delivered, then ``x[i] *= 1 - a``)
-on the events drawn in blocks by ``PushSumProcess.block_events``.  Other
-processes, and push-sum processes recording pattern history, are applied
-as dense matrices from ``next_matrix``.  Both paths share one per-step
-bookkeeping (the joint rescale, the envelope check and the checkpoint
-snapshots) and give the results of iterating :func:`step`: bit for bit
-when every share is 1/2 (``a x[i]`` is then exact), otherwise to rounding
-(a dense matrix-vector product may fuse the multiply-add).
+on the events drawn in blocks by ``MatrixProcess.block_events``.  Other
+processes are applied as dense matrices from ``next_matrix``.  Both paths
+share one per-step bookkeeping (the joint rescale, the envelope check and
+the checkpoint snapshots) and give the results of iterating :func:`step`:
+bit for bit when every share is 1/2 (``a x[i]`` is then exact), otherwise
+to rounding (a dense matrix-vector product may fuse the multiply-add).
 
 Recorded diagnostics per checkpoint: the min/max ratio envelope (over nodes
 with positive weight), the total-variation distance of the simplex
@@ -218,15 +217,14 @@ def _matrix_updates(proc: MatrixProcess, x: list, w: list, n: int):
 def run(proc: MatrixProcess, x0, w0, n: int, checkpoints=None) -> Trajectory:
     """Iterate the consensus recursion for ``n`` steps of ``proc``.
 
-    Push-sum processes (without pattern history) are applied event by event
-    from ``block_events``; every other process, or one recording history,
-    goes through ``next_matrix``.  Both feed the same per-step bookkeeping,
-    identical to :func:`step`: the joint rescale by ``max(w)`` and the
-    envelope check.  Envelope monotonicity is monitored at every step (from
-    the first step at which all weights are positive, where the
-    monotone-envelope argument applies); violations beyond the floating
-    slack are counted.  Checkpoints keep ``(x, w)`` snapshots, from which
-    the TV and Hilbert columns are computed after the loop.
+    Push-sum processes are applied event by event from ``block_events``;
+    every other process goes through ``next_matrix``.  Both feed the same
+    per-step bookkeeping, identical to :func:`step`: the joint rescale by
+    ``max(w)`` and the envelope check.  Envelope monotonicity is monitored
+    at every step (from the first step at which all weights are positive,
+    where the monotone-envelope argument applies); violations beyond the
+    floating slack are counted.  Checkpoints keep ``(x, w)`` snapshots,
+    from which the TV and Hilbert columns are computed after the loop.
     """
     state = ConsensusState.from_initial(x0, w0)
     n = int(n)
@@ -244,7 +242,7 @@ def run(proc: MatrixProcess, x0, w0, n: int, checkpoints=None) -> Trajectory:
 
     x, w = state.x.tolist(), state.w.tolist()
     log_scale = 0.0
-    if isinstance(proc, PushSumProcess) and not proc.records_history:
+    if isinstance(proc, PushSumProcess):
         updates = _event_updates(proc, x, w, n)
     else:
         updates = _matrix_updates(proc, x, w, n)

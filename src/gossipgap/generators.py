@@ -35,17 +35,19 @@ for the families (a Markov family tabulates the next state from every
 state with one ``searchsorted`` per transition row and walks the chain by
 indexing that table), and a constant index for the constant kind, which
 consumes no draws.  The three emission paths, ``next_matrix``,
-``dense_block`` and ``block_events``, are served from one look-ahead
-buffer of drawn but not yet emitted descriptors, so any interleaving of
-them consumes the stream exactly like single steps.  ``spawn`` makes a
-shallow copy with its own stream: the configuration arrays are read-only
-and shared, so replicate processes cost no re-validation.
+``dense_block`` and ``block_events`` (the descriptors themselves), exist on
+every kind and are served from one look-ahead buffer of drawn but not yet
+emitted descriptors, so any interleaving of them consumes the stream
+exactly like single steps.  A process keeps no record of past emissions;
+a caller that needs one keeps the descriptors ``block_events`` returned.
+``spawn`` makes a shallow copy with its own stream: the configuration
+arrays are read-only and shared, so replicate processes cost no
+re-validation.
 """
 
 from __future__ import annotations
 
 import copy
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,8 +218,9 @@ class MatrixProcess:
     and ``block_events`` all serve the descriptors of one look-ahead
     buffer, pending ones first; ``next_matrix`` refills it with
     ``_LOOKAHEAD`` steps when it is empty.  ``steps_emitted`` counts
-    emissions served, not drawn.  ``spawn`` derives an independent but
-    reproducible stream for replicate work.
+    emissions served, not drawn; nothing else about served emissions is
+    kept.  ``spawn`` derives an independent but reproducible stream for
+    replicate work.
     """
 
     kind = "abstract"
@@ -226,7 +229,6 @@ class MatrixProcess:
         self.p = int(p)
         self.seed = int(seed)
         self.stream = tuple(int(s) for s in stream)
-        self._history: deque | None = None
         # configuration arrays are shared with every spawned child
         for v in vars(self).values():
             if isinstance(v, np.ndarray):
@@ -243,20 +245,16 @@ class MatrixProcess:
         # look-ahead descriptors, served from index _at on (none drawn yet);
         # rebound, never edited in place: a spawned copy starts out sharing them
         self._ahead, self._at = ((),), 0
-        if self._history is not None:
-            self._history.clear()
 
     def spawn(self, stream) -> "MatrixProcess":
         """Same configuration, independent stream ``(seed, *stream)``.
 
         The child is a shallow copy: it shares the (read-only)
-        configuration arrays, gets its own generator and cursor, and
-        records no pattern history.
+        configuration arrays and gets its own generator and cursor.
         """
         child = copy.copy(self)
         child.stream = ((int(stream),) if np.ndim(stream) == 0
                         else tuple(int(s) for s in stream))
-        child._history = None
         child.reset()
         return child
 
@@ -300,45 +298,29 @@ class MatrixProcess:
         a = self._matrix(*[d[at] for d in self._ahead])
         self._at = at + 1
         self.steps_emitted += 1
-        if self._history is not None:
-            self._history.append(a > 0)
         return a
 
     def dense_block(self, m: int) -> np.ndarray:
         """Next ``m`` emissions stacked as an ``(m, p, p)`` array.
 
         Equivalent to ``m`` calls of ``next_matrix`` (same stream
-        consumption).  History recording is supported only through
-        ``next_matrix``.
+        consumption).
         """
-        self._refuse_with_history("dense_block")
         return self._block(*self._take(int(m)))
 
-    def _refuse_with_history(self, name: str) -> None:
-        """Block emission paths that bypass the pattern-history buffer."""
-        if self._history is not None:
-            raise RuntimeError(f"{name} does not record history")
+    def block_events(self, m: int) -> tuple[np.ndarray, ...]:
+        """Descriptors of the next ``m`` steps: ``(edge_index, lost)``
+        arrays for push-sum, ``(member_index,)`` for the families.
+
+        Consumes the stream exactly like ``m`` calls of ``next_matrix``.
+        """
+        return self._take(int(m))
 
     def pattern_family(self) -> np.ndarray:
         """Zero/nonzero patterns of every matrix the process can emit, as
         an ``(f, p, p)`` boolean stack (duplicates kept, in emission-law
         order)."""
         raise NotImplementedError
-
-    # -- pattern history for backward-index sampling ------------------------
-
-    def enable_history(self, cap: int = 100_000) -> None:
-        """Record the boolean pattern of each emission in a ring buffer."""
-        self._history = deque(maxlen=int(cap))
-
-    @property
-    def records_history(self) -> bool:
-        return self._history is not None
-
-    def pattern_history(self) -> deque:
-        if self._history is None:
-            raise RuntimeError("history not enabled; call enable_history first")
-        return self._history
 
 
 class PushSumProcess(MatrixProcess):
@@ -365,14 +347,6 @@ class PushSumProcess(MatrixProcess):
         e = np.minimum(np.searchsorted(self._cum_q, u[:, 0], side="right"),
                        len(self._cum_q) - 1)
         return e, u[:, 1] < self._loss_p[e]
-
-    def block_events(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Next ``m`` steps as ``(edge_index, lost)`` arrays.
-
-        Consumes the stream exactly like ``m`` calls of ``next_matrix``.
-        """
-        self._refuse_with_history("block_events")
-        return self._take(int(m))
 
     def _block(self, e: np.ndarray, lost: np.ndarray) -> np.ndarray:
         m = len(e)

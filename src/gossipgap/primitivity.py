@@ -14,10 +14,19 @@ For stationary two-sided processes the two indices share one distribution,
 and for i.i.d. emissions with a primitive pattern family both tails decay
 geometrically; ``ks_distance`` and ``survival_loglinear_fit`` quantify the
 empirical versions of those two facts.
+
+Forward indices multiply fresh emissions on the left.  Backward indices of
+i.i.d. kinds multiply fresh emissions on the right, since the reversed
+sequence has the same law.  A Markov-modulated family is walked back
+instead: the sampler keeps the member indices it drew with
+``block_events`` and multiplies the members' patterns from
+``pattern_family`` in reverse emission order, so no emission is built as a
+matrix and the indices equal those of a walk over emitted patterns.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,29 +165,26 @@ def sample_forward_index(proc: MatrixProcess, start: int | None = None,
     return k
 
 
-def sample_backward_index(proc: MatrixProcess, end: int,
-                          cap: int = DEFAULT_INDEX_CAP) -> int:
-    """Backward index at time ``end``: steps until
-    ``gamma(A_end) ... gamma(A_{end-k+1})`` becomes all-true.
+def sample_backward_index(patterns, word, cap: int = DEFAULT_INDEX_CAP) -> int:
+    """Backward index at the end of ``word``: the least ``k`` with
+    ``patterns[word[-1]] ... patterns[word[-k]]`` all-true.
 
-    Requires pattern history (``proc.enable_history``) covering the walk;
-    the process is advanced to time ``end`` if it is not there yet.
+    ``word`` holds the member indices of the emissions up to the end time,
+    oldest first, and ``patterns`` maps a member index to its pattern (the
+    ``(f, p, p)`` stack of ``MatrixProcess.pattern_family()`` or a list of
+    its rows).  Raises ``RuntimeError`` when ``k`` reaches ``cap``, or when
+    the walk needs an emission older than ``word[0]`` (history exhausted).
     """
-    hist = proc.pattern_history()
-    if end < 1:
-        raise ValueError("end time must be >= 1")
-    if end < proc.steps_emitted:
-        raise ValueError(f"process already past end={end}")
-    while proc.steps_emitted < end:
-        proc.next_matrix()
-    cur = hist[-1]
+    if len(word) == 0:
+        raise ValueError("empty word")
+    cur = patterns[word[-1]]
     k = 1
     while not cur.all():
         if k >= cap:
             raise RuntimeError(f"pattern not positive within cap={cap} steps")
-        if k >= len(hist) or end - k < 1:
+        if k >= len(word):
             raise RuntimeError("pattern history exhausted before positivity")
-        cur = bool_product(cur, hist[-1 - k])
+        cur = bool_product(cur, patterns[word[-1 - k]])
         k += 1
     return k
 
@@ -201,9 +207,12 @@ def sample_backward_indices(proc: MatrixProcess, count: int,
     For i.i.d. kinds the time-reversed sequence is again i.i.d. with the
     same marginal, so each sample is taken exactly (and independently) by
     multiplying fresh emissions on the right until positivity.  For
-    Markov-modulated processes the true buffered walk-back is used at end
-    points spaced ``spacing`` steps apart (samples are then only
-    approximately independent).
+    Markov-modulated processes the true walk-back is used at end points
+    spaced ``spacing`` steps apart (samples are then only approximately
+    independent): each end point draws the next ``spacing`` member indices
+    with one ``block_events`` call into a history of the last ``cap``
+    indices, which starts empty at the call, and ``sample_backward_index``
+    walks that history back on the pattern family.
     """
     count = int(count)
     out = np.empty(count, dtype=np.int64)
@@ -218,12 +227,11 @@ def sample_backward_indices(proc: MatrixProcess, count: int,
                 k += 1
             out[s] = k
         return out
-    if not proc.records_history:
-        proc.enable_history(cap)
-    end = proc.steps_emitted
+    patterns = list(proc.pattern_family())
+    word = deque(maxlen=int(cap))
     for s in range(count):
-        end += spacing
-        out[s] = sample_backward_index(proc, end, cap=cap)
+        word.extend(proc.block_events(spacing)[0].tolist())
+        out[s] = sample_backward_index(patterns, word, cap=cap)
     return out
 
 

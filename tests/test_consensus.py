@@ -259,18 +259,6 @@ def test_run_share_03_matches_dense_recursion():
     check_against_dense(4, 3 * EVENT_BLOCK + 17, rtol=1e-12)
 
 
-def test_run_with_history_keeps_every_pattern():
-    x0 = np.array([0.3, 1.1, 0.2, 0.9, 0.5])
-    events = run(lossy5(8), x0, np.ones(5), 700)
-    proc = lossy5(8)
-    proc.enable_history(1000)
-    dense = run(proc, x0, np.ones(5), 700)
-    assert len(proc.pattern_history()) == 700
-    for name in ("ns", "env_min", "env_max", "tv", "hilbert", "mid"):
-        np.testing.assert_array_equal(getattr(dense, name), getattr(events, name))
-    np.testing.assert_array_equal(dense.final_state.x, events.final_state.x)
-
-
 def test_tv_column_nan_for_signed_values():
     x0 = np.array([1.0, -1.0, 0.5, 0.2, 0.1])
     traj = run(lossy5(3), x0, np.ones(5), 200)

@@ -153,17 +153,6 @@ def test_dense_block_matches_sequential():
         assert p_blk.steps_emitted == 137
 
 
-def test_block_events_counts_steps_and_refuses_history():
-    proc = PushSumProcess(lossy_cfg(), seed=5)
-    proc.block_events(300)
-    assert proc.steps_emitted == 300
-    proc.enable_history(10)
-    for emit in (proc.block_events, proc.dense_block):
-        with pytest.raises(RuntimeError, match="does not record history"):
-            emit(4)
-    assert proc.steps_emitted == 300
-
-
 def test_pattern_family_per_kind():
     g = ring_with_chords(5)
     loss = tuple(0.3 if k % 2 else 0.0 for k in range(len(g.edges)))
@@ -237,16 +226,37 @@ _EACH_KIND = pytest.mark.parametrize("build", [
 @_EACH_KIND
 def test_spawn_is_a_fresh_stream_without_history(build):
     parent = build((0,))
-    parent.enable_history(8)
     for _ in range(3):
         parent.next_matrix()
     rng_state = parent._rng.bit_generator.state
     child = parent.spawn((4, 2))
-    assert not child.records_history and child.steps_emitted == 0
+    assert child.steps_emitted == 0
     assert np.array_equal(child.dense_block(40), build((4, 2)).dense_block(40))
     assert parent._rng.bit_generator.state == rng_state
     assert parent.stream == (0,) and parent.steps_emitted == 3
-    assert len(parent.pattern_history()) == 3
+    np.testing.assert_array_equal(parent.next_matrix(),
+                                  build((0,)).dense_block(4)[3])
+
+
+@_EACH_KIND
+def test_block_events_consumes_like_next_matrix(build):
+    # m steps of block_events advance the stream like m next_matrix calls;
+    # a family's descriptors are the member indices next_matrix serves
+    proc, ref = build((0,)), build((0,))
+    ref.next_matrix()
+    proc.next_matrix()
+    for m in (0, 1, 63, 64, 65, 300):
+        desc = proc.block_events(m)
+        want = []
+        for _ in range(m):
+            ref.next_matrix()
+            want.append(getattr(ref, "last_index", None))
+        assert all(len(d) == m for d in desc)
+        assert proc.steps_emitted == ref.steps_emitted
+        if proc.kind != "push_sum":
+            assert desc[0].tolist() == want
+            assert proc.last_index == ref.last_index
+    np.testing.assert_array_equal(proc.next_matrix(), ref.next_matrix())
 
 
 def _event_matrices(proc, e, lost):

@@ -1,13 +1,18 @@
+import re
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gossipgap import acceptance
 from gossipgap.acceptance import ring5_process
 from gossipgap.generators import (ConstantProcess, MarkovFamilyProcess,
                                   PushSumConfig, PushSumProcess,
                                   push_sum_matrix, ring, ring_with_chords)
-from gossipgap.primitivity import (bool_product, is_family_primitive,
+from gossipgap.primitivity import (DEFAULT_INDEX_CAP, bool_product,
+                                   is_family_primitive,
                                    ks_critical_distance, ks_distance,
                                    pattern_of, replay_word,
                                    sample_backward_index,
@@ -154,28 +159,39 @@ def test_forward_index_cap_error():
 
 
 def test_backward_index_constant():
-    proc = ConstantProcess(np.ones((3, 3)), seed=0)
-    proc.enable_history(100)
-    assert sample_backward_index(proc, end=5) == 1
+    patterns = ConstantProcess(np.ones((3, 3)), seed=0).pattern_family()
+    assert sample_backward_index(patterns, [0] * 5) == 1
 
 
 def test_backward_index_fibonacci():
-    proc = ConstantProcess(FIB.astype(float), seed=0)
-    proc.enable_history(100)
-    assert sample_backward_index(proc, end=10) == 2
+    assert sample_backward_index([FIB], [0] * 10) == 2
+
+
+def test_backward_index_walks_the_word_backwards():
+    # the index is the shortest suffix whose product, latest member first,
+    # is all-true
+    patterns = ring5_process(True, seed=0).pattern_family()
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        word = rng.integers(len(patterns), size=400).tolist()
+        k = sample_backward_index(patterns, word)
+        assert replay_word(patterns, word[::-1][:k]).all()
+        assert k == 1 or not replay_word(patterns, word[::-1][:k - 1]).all()
 
 
 def test_backward_index_history_exhausted():
-    proc = ConstantProcess(SWAP.astype(float), seed=0)
-    proc.enable_history(8)
-    with pytest.raises(RuntimeError, match="history|cap"):
-        sample_backward_index(proc, end=30)
+    with pytest.raises(RuntimeError, match="history exhausted"):
+        sample_backward_index([SWAP], [0] * 8, cap=30)
+
+
+def test_backward_index_cap_error():
+    with pytest.raises(RuntimeError, match="cap=8"):
+        sample_backward_index([SWAP], [0] * 30, cap=8)
 
 
 def test_backward_index_requires_history():
-    proc = ConstantProcess(np.ones((2, 2)), seed=0)
-    with pytest.raises(RuntimeError, match="history"):
-        sample_backward_index(proc, end=3)
+    with pytest.raises(ValueError, match="empty word"):
+        sample_backward_index([FIB], [])
 
 
 def test_forward_start_in_the_past_rejected():
@@ -207,6 +223,79 @@ def test_backward_ring_buffer_markov():
     proc = MarkovFamilyProcess(fam, P, seed=3)
     samples = sample_backward_indices(proc, 50, spacing=40)
     assert np.all(samples >= 1)
+
+
+def _history_walk(proc, count, cap, spacing):
+    """The walk-back over a buffer of emitted patterns that the Markov
+    branch of ``sample_backward_indices`` replaced: ``next_matrix`` up to
+    each end point, then products of the buffered patterns.  Returns the
+    samples taken and the error message that stopped the walk (or None)."""
+    hist = deque(maxlen=cap)
+    out, end = [], proc.steps_emitted
+    for _ in range(count):
+        end += spacing
+        while proc.steps_emitted < end:
+            hist.append(proc.next_matrix() > 0)
+        cur, k = hist[-1], 1
+        while not cur.all():
+            if k >= cap:
+                return out, f"pattern not positive within cap={cap} steps"
+            if k >= len(hist) or end - k < 1:
+                return out, "pattern history exhausted before positivity"
+            cur = bool_product(cur, hist[-1 - k])
+            k += 1
+        out.append(k)
+    return out, None
+
+
+_WALK_FAMILIES = {
+    "fam3": lambda: acceptance._envelope_configs()[7][0],
+    "ring3": lambda: MarkovFamilyProcess(
+        [push_sum_matrix(3, (0, 1), 0.5), push_sum_matrix(3, (1, 2), 0.5),
+         push_sum_matrix(3, (2, 0), 0.5)],
+        np.array([[0.2, 0.5, 0.3], [0.4, 0.2, 0.4], [0.5, 0.3, 0.2]]), seed=3),
+    "two": lambda: MarkovFamilyProcess([FIB.astype(float), SWAP.astype(float)],
+                                       [[0.6, 0.4], [0.5, 0.5]], seed=11),
+}
+
+
+@pytest.mark.parametrize("cap", [DEFAULT_INDEX_CAP, 6, 12])
+@pytest.mark.parametrize("spacing", [1, 40, 64])
+@pytest.mark.parametrize("family", sorted(_WALK_FAMILIES))
+def test_backward_walk_matches_pattern_history(family, spacing, cap):
+    # same samples as the pattern-buffer walk, and the same error (cap or
+    # history exhausted) at the same sample
+    build = _WALK_FAMILIES[family]
+    want, err = _history_walk(build(), 300, cap, spacing)
+    got = sample_backward_indices(build(), len(want), cap=cap, spacing=spacing)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    if err is None:
+        assert len(want) == 300
+    else:
+        with pytest.raises(RuntimeError, match=re.escape(err)):
+            sample_backward_indices(build(), len(want) + 1, cap=cap,
+                                    spacing=spacing)
+
+
+def test_backward_walk_grid_reaches_both_errors():
+    # the grid above is not vacuous: it stops on each error, the cap error
+    # after samples were taken, and also completes
+    outcomes = {(f, s, c): _history_walk(_WALK_FAMILIES[f](), 300, c, s)
+                for f, s, c in [("fam3", 1, DEFAULT_INDEX_CAP),
+                                ("ring3", 40, 12), ("two", 64, DEFAULT_INDEX_CAP)]}
+    (n0, e0), (n1, e1), (n2, e2) = outcomes.values()
+    assert not n0 and "exhausted" in e0
+    assert len(n1) > 0 and "cap=12" in e1
+    assert len(n2) == 300 and e2 is None
+
+
+def test_backward_walk_consumes_only_its_end_points():
+    proc, ref = _WALK_FAMILIES["fam3"](), _WALK_FAMILIES["fam3"]()
+    sample_backward_indices(proc, 7, spacing=40)
+    ref.dense_block(280)
+    assert proc.steps_emitted == 280 and proc.last_index == ref.last_index
+    np.testing.assert_array_equal(proc.next_matrix(), ref.next_matrix())
 
 
 # -- statistics ---------------------------------------------------------------
