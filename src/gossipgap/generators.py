@@ -313,8 +313,10 @@ class MatrixProcess:
         arrays for push-sum, ``(member_index,)`` for the families.
 
         Consumes the stream exactly like ``m`` calls of ``next_matrix``.
+        The arrays are copies: the look-ahead buffer, which ``last_index``
+        reads, is not the caller's to write.
         """
-        return self._take(int(m))
+        return tuple(d.copy() for d in self._take(int(m)))
 
     def pattern_family(self) -> np.ndarray:
         """Zero/nonzero patterns of every matrix the process can emit, as

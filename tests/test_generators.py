@@ -306,10 +306,10 @@ def test_writing_into_emissions_changes_no_later_emission(build):
     for _ in range(3):
         proc.next_matrix()[:] = -1.0
         proc.dense_block(70)[:] = -1.0
-        if proc.kind == "push_sum":
-            e, lost = proc.block_events(70)
-            e[:], lost[:] = 0, True
-        ref.dense_block(141 if proc.kind == "push_sum" else 71)
+        for d in proc.block_events(70):
+            d[:] = 7        # no member has index 7
+        ref.dense_block(141)
+        assert getattr(proc, "last_index", None) == getattr(ref, "last_index", None)
         np.testing.assert_array_equal(proc.next_matrix(), ref.next_matrix())
         assert getattr(proc, "last_index", None) == getattr(ref, "last_index", None)
 
