@@ -6,15 +6,19 @@ ratios ``x_n^i / w_n^i``.  Both vectors are stored as mantissas with one
 shared log-scale shift, applied jointly each step, so the ratios are exact
 while arbitrarily long products stay representable.
 
-``run`` applies push-sum emissions as events: each one is the identity
-with the sender's column edited, so ``A_n x`` is two row updates
-(``x[j] += a x[i]`` when the packet is delivered, then ``x[i] *= 1 - a``)
-on the events drawn in blocks by ``MatrixProcess.block_events``.  Other
-processes are applied as dense matrices from ``next_matrix``.  Both paths
-share one per-step bookkeeping (the joint rescale, the envelope check and
-the checkpoint snapshots) and give the results of iterating :func:`step`:
-bit for bit when every share is 1/2 (``a x[i]`` is then exact), otherwise
-to rounding (a dense matrix-vector product may fuse the multiply-add).
+``run`` reads every process through the step descriptors that
+``MatrixProcess.block_events`` draws in blocks.  Push-sum emissions are
+applied as events: each one is the identity with the sender's column
+edited, so ``A_n x`` is two row updates (``x[j] += a x[i]`` when the packet
+is delivered, then ``x[i] *= 1 - a``).  Family processes (i.i.d., Markov
+and constant) are applied by member index: each step is the dense product
+``A @ x`` with ``A`` the indexed matrix of the process's ``members``
+stack, whose row-allowability and column-stochasticity are decided once
+per member.  Both paths share one per-step bookkeeping (the joint
+rescale, the envelope check and the checkpoint snapshots) and give the
+results of iterating :func:`step`: bit for bit for families and for
+push-sum when every share is 1/2 (``a x[i]`` is then exact), otherwise to
+rounding (a dense matrix-vector product may fuse the multiply-add).
 
 Recorded diagnostics per checkpoint: the min/max ratio envelope (over nodes
 with positive weight), the total-variation distance of the simplex
@@ -172,7 +176,14 @@ def make_checkpoints(n: int, kind: str = "geometric", ratio: float = 1.15,
     raise ValueError(f"unknown checkpoint schedule {kind!r}")
 
 
-EVENT_BLOCK = 512      # push-sum events drawn per block_events call
+EVENT_BLOCK = 512      # step descriptors drawn per block_events call
+
+
+def _blocks(proc: MatrixProcess, n: int):
+    """The step descriptors of the next ``n`` steps as lists, one
+    ``block_events`` call of at most ``EVENT_BLOCK`` steps at a time."""
+    for done in range(0, n, EVENT_BLOCK):
+        yield [d.tolist() for d in proc.block_events(min(EVENT_BLOCK, n - done))]
 
 
 def _event_updates(proc: PushSumProcess, x: list, w: list, n: int):
@@ -184,11 +195,8 @@ def _event_updates(proc: PushSumProcess, x: list, w: list, n: int):
     """
     cfg = proc.config
     edges = [(i, j, a, 1.0 - a) for (i, j), a in zip(cfg.graph.edges, cfg.share)]
-    left = n
-    while left:
-        m = min(EVENT_BLOCK, left)
-        events, lost = proc.block_events(m)
-        for e, dropped in zip(events.tolist(), lost.tolist()):
+    for events, lost in _blocks(proc, n):
+        for e, dropped in zip(events, lost):
             i, j, a, keep = edges[e]
             if not dropped:
                 x[j] += a * x[i]
@@ -196,35 +204,42 @@ def _event_updates(proc: PushSumProcess, x: list, w: list, n: int):
             x[i] *= keep
             w[i] *= keep
             yield not dropped
-        left -= m
 
 
-def _matrix_updates(proc: MatrixProcess, x: list, w: list, n: int):
-    """Apply ``n`` emissions of ``next_matrix`` to the mantissa lists in
-    place.  Yields after each step whether every emission so far was
-    column-stochastic."""
-    col_stoch = True
-    for _ in range(n):
-        A = proc.next_matrix()
-        if not is_row_allowable(A):
-            raise ValueError("update matrix must be row-allowable")
-        x[:] = (A @ x).tolist()
-        w[:] = (A @ w).tolist()
-        col_stoch = col_stoch and is_column_stochastic(A)
-        yield col_stoch
+def _family_updates(proc: MatrixProcess, x: list, w: list, n: int):
+    """Apply ``n`` steps of a family process to the mantissa lists in place.
+
+    A family emits only its ``f`` members, so row-allowability and
+    column-stochasticity are decided once per member; the steps are the
+    member indices drawn in blocks by ``block_events``.  A member that is
+    not row-allowable raises at the first step that emits it.  Yields
+    after each step whether its emission was column-stochastic.
+    """
+    members = list(proc.members)
+    allowable = [is_row_allowable(a) for a in members]
+    stoch = [is_column_stochastic(a) for a in members]
+    for (idx,) in _blocks(proc, n):
+        for k in idx:
+            if not allowable[k]:
+                raise ValueError("update matrix must be row-allowable")
+            A = members[k]
+            x[:] = (A @ x).tolist()
+            w[:] = (A @ w).tolist()
+            yield stoch[k]
 
 
 def run(proc: MatrixProcess, x0, w0, n: int, checkpoints=None) -> Trajectory:
     """Iterate the consensus recursion for ``n`` steps of ``proc``.
 
-    Push-sum processes are applied event by event from ``block_events``;
-    every other process goes through ``next_matrix``.  Both feed the same
-    per-step bookkeeping, identical to :func:`step`: the joint rescale by
-    ``max(w)`` and the envelope check.  Envelope monotonicity is monitored
-    at every step (from the first step at which all weights are positive,
-    where the monotone-envelope argument applies); violations beyond the
-    floating slack are counted.  Checkpoints keep ``(x, w)`` snapshots,
-    from which the TV and Hilbert columns are computed after the loop.
+    Push-sum processes are applied event by event and every other kind (a
+    family) by member index, both from the descriptors of ``block_events``.
+    Both feed the same per-step bookkeeping, identical to :func:`step`: the
+    joint rescale by ``max(w)`` and the envelope check.  Envelope
+    monotonicity is monitored at every step (from the first step at which
+    all weights are positive, where the monotone-envelope argument
+    applies); violations beyond the floating slack are counted.
+    Checkpoints keep ``(x, w)`` snapshots, from which the TV and Hilbert
+    columns are computed after the loop.
     """
     state = ConsensusState.from_initial(x0, w0)
     n = int(n)
@@ -245,7 +260,7 @@ def run(proc: MatrixProcess, x0, w0, n: int, checkpoints=None) -> Trajectory:
     if isinstance(proc, PushSumProcess):
         updates = _event_updates(proc, x, w, n)
     else:
-        updates = _matrix_updates(proc, x, w, n)
+        updates = _family_updates(proc, x, w, n)
     col_stoch = True
     prev_env = None
     violations = 0

@@ -38,8 +38,11 @@ consumes no draws.  The three emission paths, ``next_matrix``,
 ``dense_block`` and ``block_events`` (the descriptors themselves), exist on
 every kind and are served from one look-ahead buffer of drawn but not yet
 emitted descriptors, so any interleaving of them consumes the stream
-exactly like single steps.  A process keeps no record of past emissions;
-a caller that needs one keeps the descriptors ``block_events`` returned.
+exactly like single steps.  A family's read-only ``members`` stack maps a
+member index to its matrix, so a caller can apply the ``f`` distinct
+members by index instead of receiving one matrix per step.  A process
+keeps no record of past emissions; a caller that needs one keeps the
+descriptors ``block_events`` returned.
 ``spawn`` makes a shallow copy with its own stream: the configuration
 arrays are read-only and shared, so replicate processes cost no
 re-validation.
@@ -376,8 +379,10 @@ class PushSumProcess(MatrixProcess):
 
 
 class _FamilyProcess(MatrixProcess):
-    """Common storage for finite-family processes (shared matrix stack);
-    a step descriptor is the index of the emitted member."""
+    """Common storage for finite-family processes: the read-only
+    ``(f, p, p)`` stack ``members``, shared with spawned children.  A step
+    descriptor is the index of the emitted member, so ``members[idx]`` is
+    the matrix of a step whose ``block_events`` descriptor is ``idx``."""
 
     def __init__(self, matrices, seed: int, stream):
         stack = np.stack([np.asarray(m, dtype=float) for m in matrices])
@@ -385,12 +390,12 @@ class _FamilyProcess(MatrixProcess):
             raise ValueError("family members must be square matrices of equal size")
         if np.any(stack < 0) or not np.all(np.isfinite(stack)):
             raise ValueError("family members must be finite and nonnegative")
-        self._stack = stack
+        self.members = stack
         super().__init__(stack.shape[1], seed, stream)
 
     @property
     def family_size(self) -> int:
-        return self._stack.shape[0]
+        return self.members.shape[0]
 
     @property
     def last_index(self) -> int | None:
@@ -398,13 +403,13 @@ class _FamilyProcess(MatrixProcess):
         return int(self._ahead[0][self._at - 1]) if self._at else None
 
     def _block(self, idx: np.ndarray) -> np.ndarray:
-        return self._stack[idx]
+        return self.members[idx]
 
     def _matrix(self, idx) -> np.ndarray:
-        return self._stack[idx].copy()
+        return self.members[idx].copy()
 
     def pattern_family(self) -> np.ndarray:
-        return self._stack > 0
+        return self.members > 0
 
 
 class IIDFamilyProcess(_FamilyProcess):

@@ -118,7 +118,7 @@ def is_family_primitive(patterns, state_cap: int = 1_000_000) -> PrimitivityRepo
             queue.append(k)
             if k != identity:
                 extend.append((gi, g))
-        if g.all():
+        if np.count_nonzero(g) == g.size:
             return PrimitivityReport(True, visited[k][1], len(visited), False)
 
     head = 0
@@ -131,7 +131,7 @@ def is_family_primitive(patterns, state_cap: int = 1_000_000) -> PrimitivityRepo
             if k in visited:
                 continue
             nw = word + (gi,)
-            if nb.all():
+            if np.count_nonzero(nb) == nb.size:
                 return PrimitivityReport(True, nw, len(visited) + 1, False)
             visited[k] = (nb, nw)
             queue.append(k)
@@ -157,7 +157,7 @@ def sample_forward_index(proc: MatrixProcess, start: int | None = None,
         proc.next_matrix()
     cur = proc.next_matrix() > 0
     k = 1
-    while not cur.all():
+    while np.count_nonzero(cur) != cur.size:
         if k >= cap:
             raise RuntimeError(f"pattern not positive within cap={cap} steps")
         cur = bool_product(proc.next_matrix() > 0, cur)
@@ -179,7 +179,7 @@ def sample_backward_index(patterns, word, cap: int = DEFAULT_INDEX_CAP) -> int:
         raise ValueError("empty word")
     cur = patterns[word[-1]]
     k = 1
-    while not cur.all():
+    while np.count_nonzero(cur) != cur.size:
         if k >= cap:
             raise RuntimeError(f"pattern not positive within cap={cap} steps")
         if k >= len(word):
@@ -220,7 +220,7 @@ def sample_backward_indices(proc: MatrixProcess, count: int,
         for s in range(count):
             cur = proc.next_matrix() > 0
             k = 1
-            while not cur.all():
+            while np.count_nonzero(cur) != cur.size:
                 if k >= cap:
                     raise RuntimeError(f"pattern not positive within cap={cap} steps")
                 cur = bool_product(cur, proc.next_matrix() > 0)

@@ -9,7 +9,8 @@ from gossipgap.consensus import (ENVELOPE_SLACK, EVENT_BLOCK, ConsensusState,
                                  fit_rate, make_checkpoints, rate_window, run,
                                  step, weighted_ratio)
 from gossipgap.core import hilbert_distance, tv_distance
-from gossipgap.generators import (ConstantProcess, PushSumConfig,
+from gossipgap.generators import (ConstantProcess, IIDFamilyProcess,
+                                  MatrixProcess, PushSumConfig,
                                   PushSumProcess, is_column_stochastic,
                                   push_sum_matrix, ring, ring_with_chords)
 from gossipgap.spectrum import estimate_spectrum_qr
@@ -241,13 +242,13 @@ def check_against_dense(k, n, rtol, lead=0):
 
 
 # ring5 lossy and lossless, p4, p2 (share 1/2: exact products), then the
-# constant, i.i.d. and Markov family configs (dense path on both sides)
+# constant, i.i.d. and Markov family configs (member-index path)
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 6, 7])
 def test_run_bitwise_equal_to_dense_recursion(k):
     check_against_dense(k, 3 * EVENT_BLOCK + 17, rtol=0)
 
 
-# ring5 lossy (event path), constant and Markov family (dense path)
+# ring5 lossy (event path), constant and Markov family (member-index path)
 @pytest.mark.parametrize("k", [0, 5, 7])
 @pytest.mark.parametrize("lead", [1, 63, 65])
 def test_run_after_single_steps_equal_to_dense_recursion(k, lead):
@@ -257,6 +258,49 @@ def test_run_after_single_steps_equal_to_dense_recursion(k, lead):
 def test_run_share_03_matches_dense_recursion():
     # ring3 at share 0.3: a*x[i] rounds, and the dense product may fuse it
     check_against_dense(4, 3 * EVENT_BLOCK + 17, rtol=1e-12)
+
+
+def test_run_never_builds_an_emission(monkeypatch):
+    def no_matrix(self):
+        raise AssertionError("run called next_matrix")
+    monkeypatch.setattr(MatrixProcess, "next_matrix", no_matrix)
+    for proc, x0, w0 in _envelope_configs():
+        assert run(proc, x0, w0, EVENT_BLOCK + 70).final_state.n == EVENT_BLOCK + 70
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+@pytest.mark.parametrize("lead", [0, 1, 63, 65])
+def test_run_leaves_family_stream_like_single_steps(k, lead):
+    (proc, x0, w0), (twin, _, _) = _envelope_configs()[k], _envelope_configs()[k]
+    for _ in range(lead):
+        proc.next_matrix()
+    n = EVENT_BLOCK + 70
+    run(proc, x0, w0, n)
+    for _ in range(lead + n):
+        twin.next_matrix()
+    np.testing.assert_array_equal(proc.next_matrix(), twin.next_matrix())
+
+
+def zero_row_family(prob):
+    """I.i.d. family whose second member has a zero row, drawn w.p. ``prob``."""
+    return IIDFamilyProcess([np.eye(2), [[0.0, 0.0], [1.0, 1.0]]],
+                            [1.0 - prob, prob], seed=1)
+
+
+def test_run_family_member_of_probability_zero_never_raises():
+    traj = run(zero_row_family(0.0), [1.0, 0.0], [1.0, 1.0], 1000)
+    assert traj.final_state.n == 1000 and traj.column_stochastic
+
+
+def test_run_family_raises_on_emitted_zero_row_member():
+    with pytest.raises(ValueError, match="row-allowable"):
+        run(zero_row_family(0.1), [1.0, 0.0], [1.0, 1.0], 1000)
+    # a run that stops just before the first step emitting it completes
+    first = int(np.argmax(zero_row_family(0.1).block_events(1000)[0] == 1)) + 1
+    assert run(zero_row_family(0.1), [1.0, 0.0], [1.0, 1.0], first - 1).final_state.n \
+        == first - 1
+    with pytest.raises(ValueError, match="row-allowable"):
+        run(zero_row_family(0.1), [1.0, 0.0], [1.0, 1.0], first)
 
 
 def test_tv_column_nan_for_signed_values():

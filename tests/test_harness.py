@@ -315,15 +315,28 @@ def test_cli_prefix_with_path_is_config_error(tmp_path, capsys, prefix):
     assert not out.exists() and not any((tmp_path / "x").iterdir())
 
 
-def test_cli_numerical_error_exit_code(tmp_path, capsys):
-    # a family member with a zero row stalls the recursion at its first draw
+def _simulate_zero_row_family(tmp_path, probs, n):
+    """``simulate`` on an i.i.d. family whose second member has a zero row."""
     cfg = {"process": {"kind": "iid_family", "seed": 1,
                        "matrices": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 1.0]]],
-                       "probs": [0.5, 0.5]},
-           "horizon": {"n": 200, "checkpoints": "geometric"}}
+                       "probs": probs},
+           "horizon": {"n": n, "checkpoints": "geometric"}}
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg), encoding="utf-8")
-    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    return main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")])
+
+
+def test_cli_numerical_error_exit_code(tmp_path, capsys):
+    # a family member with a zero row stalls the recursion at its first draw
+    assert _simulate_zero_row_family(tmp_path, [0.5, 0.5], 200) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: update matrix must be row-allowable" in err
+    assert "Traceback" not in err
+
+
+def test_cli_rare_zero_row_member_is_numerical_error(tmp_path, capsys):
+    # the zero-row member is drawn w.p. 0.1: some step within 1000 emits it
+    assert _simulate_zero_row_family(tmp_path, [0.9, 0.1], 1000) == 2
     err = capsys.readouterr().err
     assert "numerical failure: update matrix must be row-allowable" in err
     assert "Traceback" not in err
