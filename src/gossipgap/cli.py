@@ -156,8 +156,10 @@ def cmd_gap(args, cfg: ExperimentConfig) -> int:
                                         e.reorth_period, e.replicates, e.burn_in)
     payloads = [(cfg.to_dict(), args.seed, int(m), e.trials)
                 for m in e.birkhoff_m]
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    # the fork start method launches every worker up front: one per task at most
+    workers = min(args.threads, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_gap_point, payloads))
     else:
         points = [_gap_point(p) for p in payloads]

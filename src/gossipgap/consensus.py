@@ -272,8 +272,9 @@ def run(proc: MatrixProcess, x0, w0, n: int, checkpoints=None) -> Trajectory:
         c = max(w)
         if not c > 0:
             raise ValueError("weight vector vanished; update matrix must keep w nonzero")
-        x[:] = [v / c for v in x]
-        w[:] = [v / c for v in w]
+        if c != 1.0:        # v / 1.0 == v: skip the exact-identity rescale
+            x[:] = [v / c for v in x]
+            w[:] = [v / c for v in w]
         log_scale += math.log(c)
         r = [xv / wv for xv, wv in zip(x, w) if wv > 0]
         mn, mx = min(r), max(r)

@@ -31,9 +31,9 @@ responsibility.
 
 Each kind has one vectorised sampler that draws the step descriptors of
 the next ``m`` steps: ``(edge, lost)`` arrays for push-sum, member indices
-for the families (a Markov family tabulates the next state from every
-state with one ``searchsorted`` per transition row and walks the chain by
-indexing that table), and a constant index for the constant kind, which
+for the families (a Markov family walks the chain through a next-state
+table indexed by state and by the bin of each step's uniform among all
+merged row breakpoints), and a constant index for the constant kind, which
 consumes no draws.  The three emission paths, ``next_matrix``,
 ``dense_block`` and ``block_events`` (the descriptors themselves), exist on
 every kind and are served from one look-ahead buffer of drawn but not yet
@@ -438,7 +438,12 @@ class MarkovFamilyProcess(_FamilyProcess):
 
     The chain starts from its stationary distribution, so the emitted matrix
     sequence is strictly stationary.  One uniform is consumed per step (the
-    first selects the initial state, later ones drive transitions).
+    first selects the initial state, later ones drive transitions).  The
+    bin of a transition's uniform ``u`` among the merged breakpoints of all
+    cumulative rows fixes how many of each row's breakpoints lie at or below
+    ``u``, so one ``searchsorted`` per draw and a ``(state, bin)`` next-state
+    table, shared with spawned copies, give the states a per-row
+    ``searchsorted`` gives.
     """
 
     kind = "markov_family"
@@ -461,8 +466,16 @@ class MarkovFamilyProcess(_FamilyProcess):
         self.initial_dist = np.array(initial_dist, dtype=float)
         if abs(float(self.initial_dist.sum()) - 1.0) > 1e-9 or np.any(self.initial_dist < -1e-15):
             raise ValueError("initial distribution must be a probability vector")
-        self._cum_rows = np.cumsum(P, axis=1)
         self._cum_init = np.cumsum(np.clip(self.initial_dist, 0.0, None))
+        # _next[s][b]: the state after s when the step's uniform u falls in
+        # bin b = searchsorted(_edges, u, "right") of the merged breakpoints
+        # (sorted distinct values without np.unique, which imports numpy.ma)
+        cum_rows = np.cumsum(P, axis=1)
+        self._edges = np.array(sorted(set(cum_rows.flat)))
+        self._next = tuple(
+            (0, *np.minimum(np.searchsorted(row, self._edges, side="right"),
+                            f - 1).tolist())
+            for row in cum_rows)
         super().__init__(matrices, seed, stream)
 
     @staticmethod
@@ -486,12 +499,9 @@ class MarkovFamilyProcess(_FamilyProcess):
                         self.family_size - 1))
             idx.append(s)
             u = u[1:]
-        # nxt[t][r]: the state after draw t when the chain sits in r
-        nxt = np.minimum(np.stack([np.searchsorted(row, u, side="right")
-                                   for row in self._cum_rows], axis=1),
-                         self.family_size - 1).tolist()
-        for row in nxt:
-            s = row[s]
+        table = self._next
+        for b in np.searchsorted(self._edges, u, side="right").tolist():
+            s = table[s][b]
             idx.append(s)
         self._state = s
         return (np.array(idx, dtype=np.intp),)

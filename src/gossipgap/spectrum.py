@@ -53,7 +53,7 @@ _RESIDUAL_STREAM = 7
 
 _BLOCK = 512
 _BIRKHOFF_SEGMENT = 16                 # steps between re-factorizations
-_BIRKHOFF_BUFFER_BYTES = 4 << 20       # cap on the per-call emission buffer
+_BIRKHOFF_BUFFER_BYTES = 2 << 20       # cap on the emission buffer and the phi spread
 
 
 @dataclass
@@ -295,13 +295,57 @@ def _phi_from_factors(U: np.ndarray, lognorm: np.ndarray, Vh: np.ndarray) -> flo
     return float((dmax + dmax.T).max())
 
 
+def _phis_from_factors(U: np.ndarray, lognorm: np.ndarray,
+                       Vh: np.ndarray) -> np.ndarray:
+    """``_phi_from_factors`` of each trial of a stack of factors, bit for bit:
+    its ``log1p`` path vectorised over trials (chunked so the ``(trials, p,
+    p, p)`` spread stays under ``_BIRKHOFF_BUFFER_BYTES``), a trial that
+    takes one of its fallbacks through ``_phi_from_factors`` itself."""
+    T, p = lognorm.shape
+    u1, v1 = U[:, :, 0], Vh[:, 0, :]
+    flip = np.all(u1 < 0, axis=1, keepdims=True)
+    u1, v1 = np.where(flip, -u1, u1), np.where(flip, -v1, v1)
+    fast = ~(np.any(u1 <= 0, axis=1) | np.any(v1 <= 0, axis=1))
+    phi = np.empty(T)
+    chunk = max(1, _BIRKHOFF_BUFFER_BYTES // (p ** 3 * 8))
+    todo = np.flatnonzero(fast)
+    for lo in range(0, len(todo), chunk):
+        sel = todo[lo:lo + chunk]
+        eps = np.exp(lognorm[sel, 1:])
+        delta = (((U[sel, :, 1:] * eps[:, None, :]) @ Vh[sel, 1:, :])
+                 / (u1[sel, :, None] * v1[sel, None, :]))
+        ok = ~np.any(1.0 + delta <= 0.0, axis=(1, 2))
+        fast[sel[~ok]] = False
+        t = np.log1p(delta[ok])
+        dmax = (t[:, :, None, :] - t[:, None, :, :]).max(axis=3)
+        phi[sel[ok]] = (dmax + dmax.transpose(0, 2, 1)).max(axis=(1, 2))
+    for i in np.flatnonzero(~fast):
+        phi[i] = _phi_from_factors(U[i], lognorm[i], Vh[i])
+    return phi
+
+
 def _birkhoff_draw_len(trials: int, p: int) -> int:
     """Steps drawn per trial per ``dense_block`` call: the largest multiple
-    of the segment length, up to four segments, whose ``(steps, trials, p,
-    p)`` buffer fits in ``_BIRKHOFF_BUFFER_BYTES``; never below one segment."""
+    of the segment length whose ``(steps, trials, p, p)`` buffer fits in
+    ``_BIRKHOFF_BUFFER_BYTES``; never below one segment."""
     fit = _BIRKHOFF_BUFFER_BYTES // (trials * p * p * 8)
-    return max(_BIRKHOFF_SEGMENT,
-               min(4 * _BIRKHOFF_SEGMENT, fit - fit % _BIRKHOFF_SEGMENT))
+    return max(_BIRKHOFF_SEGMENT, fit - fit % _BIRKHOFF_SEGMENT)
+
+
+def _segment_products(steps: np.ndarray, seg: int):
+    """Products ``C`` (later factors on the left) and 0/1 patterns ``P``
+    (clipped products of the step patterns, i.e. boolean products) of the
+    consecutive ``seg``-step runs of the step-major ``(n * seg, T, p, p)``
+    ``steps``, each ``(n, T, p, p)``: one batched matmul per step position."""
+    runs = steps.reshape(-1, seg, *steps.shape[1:])
+    C = np.ascontiguousarray(np.broadcast_to(np.eye(steps.shape[-1]),
+                                             runs[:, 0].shape))
+    P = C.copy()
+    for s in range(seg):
+        A = runs[:, s]
+        C = A @ C
+        P = np.minimum((A > 0).astype(float) @ P, 1.0)
+    return C, P
 
 
 def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstimate:
@@ -316,7 +360,7 @@ def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstima
 
     The product is never formed entrywise: each trial is carried in
     factored singular form ``U diag(exp(lognorm)) Vh`` (re-factored every
-    few steps, log-scale norms), and ``phi`` is evaluated from the factors
+    16 steps, log-scale norms), and ``phi`` is evaluated from the factors
     through ``log1p`` so contractions hundreds of nats deep stay resolved.
     A trial whose second singular direction underflows entirely
     (``m * gap`` beyond ~700 nats) is censored and counted in
@@ -324,10 +368,14 @@ def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstima
     censored.
 
     Each trial draws its ``m`` emissions through ``dense_block`` in runs of
-    up to 64 steps (four 16-step segments, fewer when the step-major
-    ``(steps, trials, p, p)`` buffer would exceed about 4 MiB, never fewer
-    than one segment).  The draw length changes no result: every trial's
-    stream and every segment's arithmetic are those of one draw per segment.
+    as many whole 16-step segments as fit a step-major ``(steps, trials,
+    p, p)`` buffer of about 2 MiB (at least one segment).  The 16-step
+    products and patterns of all segments of a draw are formed together,
+    one batched matmul per step position, and then folded into the
+    factors segment by segment; ``phi`` is evaluated for all positive
+    trials at once.  Neither changes a result: every trial's stream and
+    every segment's arithmetic are those of one draw per segment and a
+    step-by-step product.
     """
     if proc.p < 2:
         raise ValueError("gap estimation needs p >= 2")
@@ -343,37 +391,28 @@ def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstima
     pat = U.copy()                      # 0/1 pattern of the running product
     draw_len = _birkhoff_draw_len(T, p)
     buf = np.empty((min(draw_len, m), T, p, p))    # step-major: buf[s] is (T, p, p)
-    done = 0
-    while done < m:
-        start = done % draw_len
-        if start == 0:
-            drawn = min(draw_len, m - done)
-            for t, pr in enumerate(procs):
-                buf[:drawn, t] = pr.dense_block(drawn)
-        seg = min(_BIRKHOFF_SEGMENT, m - done)
-        C = np.ascontiguousarray(np.broadcast_to(np.eye(p), (T, p, p)))
-        for A in buf[start:start + seg]:
-            C = A @ C
-            pat = np.minimum((A > 0).astype(float) @ pat, 1.0)
-        B = (C @ U) * np.exp(lognorm)[:, None, :]
-        u, sv, wh = np.linalg.svd(B)
-        with np.errstate(divide="ignore"):
-            lognorm = np.log(sv) - np.log(sv[:, :1])
-        U = u
-        Vh = wh @ Vh
-        done += seg
-    vals = []
-    n_tau_one = 0
-    n_tau_zero = 0
-    for t in range(T):
-        if not pat[t].all():
-            n_tau_one += 1
-            continue
-        phi = _phi_from_factors(U[t], lognorm[t], Vh[t])
-        if phi == 0.0:
-            n_tau_zero += 1
-            continue
-        vals.append(-log_tau_from_phi(phi) / m)
+    for done in range(0, m, draw_len):
+        drawn = min(draw_len, m - done)
+        for t, pr in enumerate(procs):
+            buf[:drawn, t] = pr.dense_block(drawn)
+        full = drawn - drawn % _BIRKHOFF_SEGMENT
+        # the whole segments of the draw, then the partial one ending it
+        for lo, hi in ((0, full), (full, drawn)):
+            if lo == hi:
+                continue
+            seg = min(hi - lo, _BIRKHOFF_SEGMENT)
+            for C, P in zip(*_segment_products(buf[lo:hi], seg)):
+                pat = np.minimum(P @ pat, 1.0)
+                B = (C @ U) * np.exp(lognorm)[:, None, :]
+                U, sv, wh = np.linalg.svd(B)
+                with np.errstate(divide="ignore"):
+                    lognorm = np.log(sv) - np.log(sv[:, :1])
+                Vh = wh @ Vh
+    positive = np.count_nonzero(pat, axis=(1, 2)) == p * p
+    phis = _phis_from_factors(U[positive], lognorm[positive], Vh[positive])
+    vals = [-log_tau_from_phi(phi) / m for phi in phis.tolist() if phi != 0.0]
+    n_tau_one = T - len(phis)
+    n_tau_zero = len(phis) - len(vals)
     diagnostics = {"m": m, "trials": T,
                    "tau_one_fraction": n_tau_one / T,
                    "tau_zero_fraction": n_tau_zero / T}

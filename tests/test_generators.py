@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipgap import acceptance
 from gossipgap.core import is_row_allowable
@@ -211,6 +213,76 @@ def test_markov_dense_block_splits_match_next_matrix(build, schedule):
         assert got.shape == (n, ref.p, ref.p)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert _chain_cursor(mixed) == _chain_cursor(ref)
+
+
+def _per_row_walk(proc, u):
+    """Reference Markov walk over the uniforms ``u``: the first places the
+    chain by the initial law, each later one is located by a
+    ``searchsorted`` in the current state's cumulative transition row."""
+    f = proc.family_size
+    s = int(min(np.searchsorted(proc._cum_init, u[0], side="right"), f - 1))
+    idx = [s]
+    cum_rows = np.cumsum(proc.transition, axis=1)
+    nxt = np.minimum(np.stack([np.searchsorted(row, u[1:], side="right")
+                               for row in cum_rows], axis=1), f - 1)
+    for row in nxt:
+        s = int(row[s])
+        idx.append(s)
+    return idx
+
+
+class _Uniforms:
+    """Stand-in generator serving a fixed sequence of uniforms in order."""
+
+    def __init__(self, u):
+        self.u, self.at = u, 0
+
+    def random(self, m):
+        self.at += m
+        return self.u[self.at - m:self.at].copy()
+
+
+_TAKES = st.lists(st.sampled_from([0, 1, 63, 64, 65, 1000, "next"]), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=st.integers(1, 5),
+       weights=st.lists(st.integers(0, 3), min_size=25, max_size=25),
+       short_rows=st.booleans(),
+       pool=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=12),
+       takes=_TAKES)
+def test_markov_table_walk_matches_per_row_walk(f, weights, short_rows, pool, takes):
+    # zero weights repeat breakpoints and put 0.0 among them; the ring
+    # weight keeps the chain irreducible
+    W = np.array(weights[:f * f], dtype=float).reshape(f, f)
+    W[np.arange(f), (np.arange(f) + 1) % f] += 1.0
+    P = W / W.sum(axis=1, keepdims=True)
+    if short_rows:                      # cumulative rows ending below 1.0
+        P[::2] *= 1.0 - 4e-13
+    proc = MarkovFamilyProcess([np.eye(2) * (k + 1) for k in range(f)], P, seed=3)
+    # uniforms on every breakpoint and at 0.0, then the drawn ones
+    edges = proc._edges[proc._edges < 1.0]
+    total = sum(64 if t == "next" else t for t in takes) + 64
+    u = np.resize(np.concatenate((edges, [0.0], pool)), total)
+    proc._rng = _Uniforms(u)
+    got = []
+    for t in takes:
+        if t == "next":
+            proc.next_matrix()
+            got.append(proc.last_index)
+        else:
+            (idx,) = proc.block_events(t)
+            assert len(idx) == t
+            got.extend(idx.tolist())
+    assert got == _per_row_walk(proc, u)[:len(got)]
+
+    child = proc.spawn((7,))
+    assert child._edges is proc._edges and child._next is proc._next
+    assert not child._edges.flags.writeable
+    assert all(isinstance(row, tuple) for row in child._next)
+    (idx,) = child.block_events(1000)
+    fresh = np.random.Generator(np.random.PCG64(np.random.SeedSequence((3, 7))))
+    assert idx.tolist() == _per_row_walk(child, fresh.random(1000))
 
 
 _FAM2 = [np.eye(2), np.array([[1.0, 1.0], [1.0, 0.0]])]

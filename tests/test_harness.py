@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gossipgap import consensus
+from gossipgap import cli, consensus
 from gossipgap.cli import main
 from gossipgap.config import ConfigError, ExperimentConfig, load_config
 from gossipgap.report import format_value, sha256_of, verify_manifest, write_table
@@ -179,6 +179,29 @@ def test_cli_gap_parallel_matches_serial(cfg_path, tmp_path):
     assert main(["gap", "--config", str(cfg_path), "--out", str(out2),
                  "--threads", "2"]) == 0
     assert sha256_of(out1 / "demo_gap.csv") == sha256_of(out2 / "demo_gap.csv")
+
+
+def test_cli_gap_pool_never_exceeds_tasks(cfg_path, tmp_path, monkeypatch):
+    # a recorder stands in for the pool, so no worker is ever started
+    seen = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    assert main(["gap", "--config", str(cfg_path), "--out", str(tmp_path / "g"),
+                 "--threads", "4096"]) == 0
+    assert seen == [len(PUSH_SUM_CFG["estimators"]["birkhoff_m"])]
 
 
 def test_cli_primitivity(tmp_path):

@@ -401,7 +401,7 @@ _FAM3_IID = IIDFamilyProcess(
      np.eye(3) + 0.5], [0.4, 0.4, 0.2], seed=31)
 
 
-@pytest.mark.parametrize("draw", [64, 48, 32, 16])
+@pytest.mark.parametrize("draw", [80, 64, 48, 32, 16])
 @pytest.mark.parametrize("proc", [
     lossy5(), _FAM3_IID, acceptance._envelope_configs()[7][0], ConstantProcess(A2),
 ], ids=["push_sum", "iid", "markov", "constant"])
@@ -413,7 +413,7 @@ def test_birkhoff_matches_per_segment_reference(proc, draw, monkeypatch):
     assert spectrum._birkhoff_draw_len(6, proc.p) == draw
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for m in (1, 15, 16, 17, 64, 65, 150):
+        for m in (1, 15, 16, 17, 64, 65, 150, 500):
             g = estimate_gap_birkhoff(proc, m, 6)
             got = (g.value, g.stderr, g.diagnostics["tau_one_fraction"],
                    g.diagnostics["tau_zero_fraction"])
@@ -422,12 +422,68 @@ def test_birkhoff_matches_per_segment_reference(proc, draw, monkeypatch):
 
 def test_birkhoff_draw_length():
     draw_len = spectrum._birkhoff_draw_len
-    assert draw_len(128, 5) == 64                 # 1.6 MB: four segments
-    assert draw_len(128, 16) == 16                # 16.8 MB at 64 steps: one
+    assert draw_len(128, 5) == 80                 # 2.05 MB: five segments
+    assert draw_len(128, 3) == 224                # 2.06 MB: fourteen segments
+    assert draw_len(128, 16) == 16                # 4.2 MB at 16 steps: one
     assert draw_len(4096, 64) == 16               # never below one segment
     cap = spectrum._BIRKHOFF_BUFFER_BYTES
-    assert all(draw_len(t, p) * t * p * p * 8 <= cap
-               for t in (1, 64, 256) for p in (2, 5, 12) if draw_len(t, p) > 16)
+    for t in (1, 64, 256):
+        for p in (2, 5, 12):
+            n = draw_len(t, p)
+            assert n >= 16 and n % 16 == 0
+            if n > 16:
+                assert n * t * p * p * 8 <= cap < (n + 16) * t * p * p * 8
+
+
+def _phi_cases():
+    """Factor stacks covering the log1p path and every fallback of
+    ``_phi_from_factors``: a flipped all-negative Perron pair (log1p path),
+    a sign split, a non-positive Perron component and ``1 + delta <= 0``.
+    The factors need not be orthonormal; the fallback rows describe
+    row-allowable matrices ``U diag(exp(lognorm)) Vh`` built by hand."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for p in (2, 3, 5):
+        mats = np.exp(rng.uniform(-3, 3, (40, p, p)))
+        mats[:3] *= 1e-3 ** np.arange(p)     # deep contractions: tiny lognorm
+        u, s, vh = np.linalg.svd(mats)
+        with np.errstate(divide="ignore"):
+            ln = np.log(s) - np.log(s[:, :1])
+        ln[3, 1:] = -np.inf                  # second direction underflowed
+        u[4], vh[4] = -u[4], -vh[4]          # all-negative Perron pair
+        ones, a = np.ones(p), 1.0 + np.arange(p)
+        for t in (5, 6, 7):                  # two rank-one terms, the rest off
+            u[t], vh[t], ln[t] = 0.0, 0.0, -np.inf
+            ln[t, :2] = 0.0
+        # sign split: u1 > 0, v1 < 0; M = a a^T - 0.5 1 1^T
+        u[5, :, 0], vh[5, 0] = ones, -0.5 * ones
+        u[5, :, 1], vh[5, 1] = a, a
+        # zero Perron component: M = u1 1^T + a a^T with u1[0] = 0
+        u[6, :, 0], vh[6, 0] = ones, ones
+        u[6, 0, 0] = 0.0
+        u[6, :, 1], vh[6, 1] = a, a
+        # 1 + delta = -0.5 at (0, 0) only: M = 1 1^T - 1.5 e_0 e_0^T
+        u[7, :, 0], vh[7, 0] = ones, ones
+        u[7, 0, 1], vh[7, 1, 0] = -1.5, 1.0
+        cases.append((u, ln, vh))
+    return cases
+
+
+@pytest.mark.parametrize("cap", [None, 1], ids=["one-chunk", "per-trial"])
+def test_batched_phi_matches_per_trial(cap, monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(spectrum, "_BIRKHOFF_BUFFER_BYTES", cap)
+    calls = []
+    per_trial = spectrum._phi_from_factors
+    monkeypatch.setattr(spectrum, "_phi_from_factors",
+                        lambda *a: calls.append(1) or per_trial(*a))
+    for u, ln, vh in _phi_cases():
+        calls.clear()
+        got = spectrum._phis_from_factors(u, ln, vh)
+        want = [per_trial(u[t], ln[t], vh[t]) for t in range(len(ln))]
+        np.testing.assert_array_equal(got, want)
+        assert len(calls) == 3       # sign split, zero component, 1 + delta <= 0
+    assert spectrum._phis_from_factors(u[:0], ln[:0], vh[:0]).shape == (0,)
 
 
 def test_gap_estimate_clamps_negative():
