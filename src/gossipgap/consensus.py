@@ -157,6 +157,13 @@ class Trajectory:
             self.env_max, self.hilbert, self.mid)))
 
 
+def _sorted_distinct(values) -> np.ndarray:
+    """Sorted distinct values as an ``int64`` array, like ``np.unique`` but
+    without its first-call import of ``numpy.ma``."""
+    flat = np.asarray(values, dtype=np.int64).ravel().tolist()
+    return np.array(sorted(set(flat)), dtype=np.int64)
+
+
 def make_checkpoints(n: int, kind: str = "geometric", ratio: float = 1.15,
                      count: int = 200) -> np.ndarray:
     """Checkpoint schedule up to and including ``n``."""
@@ -170,9 +177,9 @@ def make_checkpoints(n: int, kind: str = "geometric", ratio: float = 1.15,
             ks.append(int(math.ceil(v)))
             v *= ratio
         ks.append(n)
-        return np.unique(np.array(ks, dtype=np.int64))
+        return _sorted_distinct(ks)
     if kind == "linear":
-        return np.unique(np.linspace(1, n, min(count, n)).astype(np.int64))
+        return _sorted_distinct(np.linspace(1, n, min(count, n)).astype(np.int64))
     raise ValueError(f"unknown checkpoint schedule {kind!r}")
 
 
@@ -248,7 +255,7 @@ def run(proc: MatrixProcess, x0, w0, n: int, checkpoints=None) -> Trajectory:
     elif isinstance(checkpoints, str):
         cps = make_checkpoints(n, checkpoints)
     else:
-        cps = np.unique(np.asarray(list(checkpoints), dtype=np.int64))
+        cps = _sorted_distinct(list(checkpoints))
         if len(cps) == 0 or cps[0] < 1 or cps[-1] > n:
             raise ValueError("checkpoints must lie in [1, n]")
     if proc.p != state.p:

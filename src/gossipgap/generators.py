@@ -34,15 +34,16 @@ the next ``m`` steps: ``(edge, lost)`` arrays for push-sum, member indices
 for the families (a Markov family walks the chain through a next-state
 table indexed by state and by the bin of each step's uniform among all
 merged row breakpoints), and a constant index for the constant kind, which
-consumes no draws.  The three emission paths, ``next_matrix``,
-``dense_block`` and ``block_events`` (the descriptors themselves), exist on
-every kind and are served from one look-ahead buffer of drawn but not yet
-emitted descriptors, so any interleaving of them consumes the stream
-exactly like single steps.  A family's read-only ``members`` stack maps a
-member index to its matrix, so a caller can apply the ``f`` distinct
-members by index instead of receiving one matrix per step.  A process
-keeps no record of past emissions; a caller that needs one keeps the
-descriptors ``block_events`` returned.
+consumes no draws.  The emission paths, ``next_matrix``, ``dense_block``
+and the descriptors themselves (``block_events`` for a block of steps,
+``step_events`` one step at a time), exist on every kind and are served
+from one look-ahead buffer of drawn but not yet emitted descriptors, so
+any interleaving of them consumes the stream exactly like single steps.
+A family's read-only ``members`` stack maps a member index to its matrix,
+so a caller can apply the ``f`` distinct members by index instead of
+receiving one matrix per step.  A process keeps no record of past
+emissions; a caller that needs one keeps the descriptors ``block_events``
+returned.
 ``spawn`` makes a shallow copy with its own stream: the configuration
 arrays are read-only and shared, so replicate processes cost no
 re-validation.
@@ -73,7 +74,7 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-12
-_LOOKAHEAD = 64     # steps next_matrix draws when its look-ahead is empty
+_LOOKAHEAD = 64     # steps next_matrix and step_events draw into an empty look-ahead
 
 
 @dataclass(frozen=True)
@@ -217,13 +218,13 @@ class MatrixProcess:
     Each kind implements one vectorised sampler, ``_draw(m)``, giving the
     step descriptors of the next ``m`` steps as a tuple of length-``m``
     arrays, and two builders from descriptors: ``_block`` (an ``(m, p, p)``
-    block) and ``_matrix`` (one emission).  ``next_matrix``, ``dense_block``
-    and ``block_events`` all serve the descriptors of one look-ahead
-    buffer, pending ones first; ``next_matrix`` refills it with
-    ``_LOOKAHEAD`` steps when it is empty.  ``steps_emitted`` counts
-    emissions served, not drawn; nothing else about served emissions is
-    kept.  ``spawn`` derives an independent but reproducible stream for
-    replicate work.
+    block) and ``_matrix`` (one emission).  ``next_matrix``, ``dense_block``,
+    ``block_events`` and ``step_events`` all serve the descriptors of one
+    look-ahead buffer, pending ones first; ``next_matrix`` and
+    ``step_events`` refill it with ``_LOOKAHEAD`` steps when it is empty.
+    ``steps_emitted`` counts emissions served, not drawn; nothing else
+    about served emissions is kept.  ``spawn`` derives an independent but
+    reproducible stream for replicate work.
     """
 
     kind = "abstract"
@@ -310,6 +311,31 @@ class MatrixProcess:
         consumption).
         """
         return self._block(*self._take(int(m)))
+
+    def step_events(self):
+        """Serve the coming steps one at a time: an iterator over each
+        step's descriptors as Python scalars, ``(edge_index, lost)`` for
+        push-sum and ``(member_index,)`` for the families.
+
+        Each step is taken from the look-ahead buffer, refilled with
+        ``_LOOKAHEAD`` steps when it is empty exactly as ``next_matrix``
+        refills it, and counted as served before it is yielded.  So the
+        stream moves on by exactly the steps taken from the iterator, and
+        an emission call between two of them sees the stream a
+        ``next_matrix`` caller would.
+        """
+        while True:
+            ahead, at = self._ahead, self._at
+            if at == len(ahead[0]):
+                ahead, at = self._draw(_LOOKAHEAD), 0
+                self._ahead = ahead
+            for desc in zip(*(d[at:].tolist() for d in ahead)):
+                at += 1
+                self._at = at
+                self.steps_emitted += 1
+                yield desc
+                if self._at != at or self._ahead is not ahead:
+                    break       # another emission call moved the cursor
 
     def block_events(self, m: int) -> tuple[np.ndarray, ...]:
         """Descriptors of the next ``m`` steps: ``(edge_index, lost)``

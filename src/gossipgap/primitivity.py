@@ -16,12 +16,15 @@ geometrically; ``ks_distance`` and ``survival_loglinear_fit`` quantify the
 empirical versions of those two facts.
 
 Forward indices multiply fresh emissions on the left.  Backward indices of
-i.i.d. kinds multiply fresh emissions on the right, since the reversed
-sequence has the same law.  A Markov-modulated family is walked back
-instead: the sampler keeps the member indices it drew with
-``block_events`` and multiplies the members' patterns from
-``pattern_family`` in reverse emission order, so no emission is built as a
-matrix and the indices equal those of a walk over emitted patterns.
+i.i.d. kinds multiply fresh patterns on the right, since the reversed
+sequence has the same law: the running pattern is held as one integer
+bitmask per column, and each step descriptor from ``step_events`` applies
+its emission's pattern as a few column ORs (one for a delivered push-sum
+packet, none for a lost one), so no emission is built as a matrix.  A
+Markov-modulated family is walked back instead: the sampler keeps the
+member indices it drew with ``block_events`` and multiplies the members'
+patterns from ``pattern_family`` in reverse emission order.  Both walks give
+the indices of a walk over emitted patterns.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import is_allowable
-from .generators import MatrixProcess
+from .generators import MatrixProcess, push_sum_matrix
 
 __all__ = [
     "PrimitivityReport",
@@ -189,6 +192,32 @@ def sample_backward_index(patterns, word, cap: int = DEFAULT_INDEX_CAP) -> int:
     return k
 
 
+def _column_edits(proc: MatrixProcess) -> dict:
+    """For an i.i.d. kind, map each step descriptor of ``step_events`` to
+    the column edits of ``cur @ gamma(A)`` for the step's emission ``A``.
+
+    With ``cur`` held as column bitmasks (bit ``r`` of column ``c`` is
+    ``cur[r, c]``), column ``c`` of ``cur @ G`` is the OR of the old
+    columns ``r`` with ``G[r, c]``.  The edits are ``(targets, pairs)``:
+    the columns where ``G`` differs from the identity, and one ``(c, r)``
+    pair per true ``G[r, c]`` of those columns.  A lost push-sum packet
+    and an identity member have no edits.
+    """
+    if proc.kind == "push_sum":
+        cfg = proc.config
+        pats = {(e, lost): push_sum_matrix(proc.p, edge, cfg.share[e], lost) > 0
+                for e, edge in enumerate(cfg.graph.edges) for lost in (False, True)}
+    else:
+        pats = {(idx,): g for idx, g in enumerate(proc.pattern_family())}
+    eye = np.eye(proc.p, dtype=bool)
+    edits = {}
+    for desc, g in pats.items():
+        targets = np.flatnonzero((g != eye).any(axis=0)).tolist()
+        edits[desc] = (targets, [(c, r) for c in targets
+                                 for r in np.flatnonzero(g[:, c]).tolist()])
+    return edits
+
+
 def sample_forward_indices(proc: MatrixProcess, count: int,
                            cap: int = DEFAULT_INDEX_CAP) -> np.ndarray:
     """Renewal sampling of forward indices: each sample starts where the
@@ -206,8 +235,14 @@ def sample_backward_indices(proc: MatrixProcess, count: int,
 
     For i.i.d. kinds the time-reversed sequence is again i.i.d. with the
     same marginal, so each sample is taken exactly (and independently) by
-    multiplying fresh emissions on the right until positivity.  For
-    Markov-modulated processes the true walk-back is used at end points
+    multiplying fresh patterns on the right until positivity.  The walk
+    holds the running pattern as column bitmasks, starting from the
+    identity, and applies each step's column edits (``_column_edits``)
+    from the descriptors ``step_events`` serves, so it builds no emission
+    and uses up exactly the steps it walks, the ``cap`` steps of a sample
+    that ends in the cap error included.
+
+    For Markov-modulated processes the true walk-back is used at end points
     spaced ``spacing`` steps apart (samples are then only approximately
     independent): each end point draws the next ``spacing`` member indices
     with one ``block_events`` call into a history of the last ``cap``
@@ -217,14 +252,25 @@ def sample_backward_indices(proc: MatrixProcess, count: int,
     count = int(count)
     out = np.empty(count, dtype=np.int64)
     if proc.kind in ("push_sum", "iid_family", "constant"):
+        edits = _column_edits(proc)
+        p, full = proc.p, (1 << proc.p) - 1
+        steps = proc.step_events()
         for s in range(count):
-            cur = proc.next_matrix() > 0
-            k = 1
-            while np.count_nonzero(cur) != cur.size:
+            cols = [1 << c for c in range(p)]
+            k = 0
+            for desc in steps:
+                k += 1
+                targets, pairs = edits[desc]
+                if targets:
+                    old = cols.copy()
+                    for c in targets:
+                        cols[c] = 0
+                    for c, r in pairs:
+                        cols[c] |= old[r]
+                if cols.count(full) == p:
+                    break
                 if k >= cap:
                     raise RuntimeError(f"pattern not positive within cap={cap} steps")
-                cur = bool_product(cur, proc.next_matrix() > 0)
-                k += 1
             out[s] = k
         return out
     patterns = list(proc.pattern_family())

@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,6 +402,42 @@ def test_make_checkpoints():
     assert np.all(np.diff(cps) > 0)
     lin = make_checkpoints(1000, "linear", count=50)
     assert len(lin) == 50 and lin[-1] == 1000
+
+
+_SCHEDULES = """
+import json, sys
+import numpy as np
+from gossipgap.consensus import make_checkpoints, run
+from gossipgap.generators import ConstantProcess
+traj = run(ConstantProcess(np.eye(2)), [1.0, 2.0], [1.0, 1.0], 60,
+           checkpoints=[60, 7, 3, 7, 1, 60, 3])
+out = [make_checkpoints(5000), make_checkpoints(300, "linear"), traj.ns]
+print(json.dumps({"numpy.ma": "numpy.ma" in sys.modules,
+                  "schedules": [(c.tolist(), str(c.dtype)) for c in out]}))
+"""
+
+
+def test_checkpoint_schedules_do_not_import_numpy_ma():
+    # a fresh interpreter builds both schedules and an explicit checkpoint
+    # list without loading numpy.ma (which np.unique imports), and gets
+    # what np.unique gave
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _SCHEDULES], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["numpy.ma"] is False
+    ks, v = [], 1.0
+    while v < 5000:
+        ks.append(math.ceil(v))
+        v *= 1.15
+    want = [np.unique(np.array(ks + [5000], dtype=np.int64)),
+            np.unique(np.linspace(1, 300, 200).astype(np.int64)),
+            np.unique(np.array([60, 7, 3, 7, 1, 60, 3], dtype=np.int64))]
+    assert got["schedules"] == [[w.tolist(), str(w.dtype)] for w in want]
 
 
 def test_run_rate_bounded_by_lambda2_no_loss():

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -337,15 +339,24 @@ def _event_matrices(proc, e, lost):
                      for k, lo in zip(e, lost)]).reshape(-1, proc.p, proc.p)
 
 
+def _step_matrices(proc, steps):
+    """The emissions of a list of ``step_events`` descriptors."""
+    if proc.kind == "push_sum":
+        return _event_matrices(proc, [e for e, _ in steps], [lo for _, lo in steps])
+    return proc.members[[idx for idx, in steps]]
+
+
 @_EACH_KIND
 @pytest.mark.parametrize("seed", range(4))
 def test_emission_paths_interleave_like_single_steps(build, seed):
-    # random schedules of next_matrix runs, dense_block and block_events,
-    # with sizes straddling the look-ahead length, reproduce one
+    # random schedules of next_matrix runs, dense_block, block_events and
+    # steps from one step_events iterator kept alive across the other
+    # calls, with sizes straddling the look-ahead length, reproduce one
     # next_matrix stream and one dense_block of the total length
     rng = np.random.default_rng(seed)
     mixed, ref = build((0,)), build((0,))
-    paths = ["next", "block"] + (["events"] if mixed.kind == "push_sum" else [])
+    live = mixed.step_events()
+    paths = ["next", "block", "steps"] + (["events"] if mixed.kind == "push_sum" else [])
     got, total = [], 0
     for op in range(10):
         path, m = rng.choice(paths), int(rng.choice([0, 1, 63, 64, 65, 511]))
@@ -354,6 +365,10 @@ def test_emission_paths_interleave_like_single_steps(build, seed):
             out = out.reshape(-1, ref.p, ref.p)
         elif path == "block":
             out = mixed.dense_block(m)
+        elif path == "steps":
+            steps = list(islice(live, m))
+            assert all(type(v) in (int, bool) for d in steps for v in d)
+            out = _step_matrices(mixed, steps)
         else:
             out = _event_matrices(mixed, *mixed.block_events(m))
         want = [ref.next_matrix() for _ in range(m)]

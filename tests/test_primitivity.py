@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from gossipgap import acceptance
 from gossipgap.acceptance import ring5_process
-from gossipgap.generators import (ConstantProcess, MarkovFamilyProcess,
+from gossipgap.generators import (ConstantProcess, Digraph, IIDFamilyProcess,
+                                  MarkovFamilyProcess, MatrixProcess,
                                   PushSumConfig, PushSumProcess,
                                   push_sum_matrix, ring, ring_with_chords)
 from gossipgap.primitivity import (DEFAULT_INDEX_CAP, bool_product,
@@ -223,6 +224,135 @@ def test_backward_ring_buffer_markov():
     proc = MarkovFamilyProcess(fam, P, seed=3)
     samples = sample_backward_indices(proc, 50, spacing=40)
     assert np.all(samples >= 1)
+
+
+def _iid_walk(proc, count, cap):
+    """The i.i.d. branch of ``sample_backward_indices`` that the column-mask
+    walk replaced: fresh emissions from ``next_matrix`` multiplied on the
+    right of the running bool pattern until it is all-true.  Returns the
+    samples taken and the error message that stopped the walk (or None)."""
+    out = []
+    for _ in range(count):
+        cur = proc.next_matrix() > 0
+        k = 1
+        while np.count_nonzero(cur) != cur.size:
+            if k >= cap:
+                return out, f"pattern not positive within cap={cap} steps"
+            cur = bool_product(cur, proc.next_matrix() > 0)
+            k += 1
+        out.append(k)
+    return out, None
+
+
+_IID_KINDS = {
+    "ring5_lossy": lambda: ring5_process(True, seed=5),
+    "ring5_lossless": lambda: ring5_process(False, seed=31),
+    "ring3_share": lambda: PushSumProcess(
+        PushSumConfig(ring(3), (0.2, 0.5, 0.3), (0.3, 0.7, 0.45), (0.0, 0.2, 0.0)), 7),
+    "swap_fib": lambda: IIDFamilyProcess([SWAP.astype(float), FIB.astype(float)],
+                                         [0.5, 0.5], seed=3),
+    "constant": lambda: ConstantProcess(FIB.astype(float), seed=0),
+}
+
+
+def _same_stream(proc, twin):
+    assert proc.steps_emitted == twin.steps_emitted
+    np.testing.assert_array_equal(proc.next_matrix(), twin.next_matrix())
+
+
+@pytest.mark.parametrize("cap", [DEFAULT_INDEX_CAP, 6, 12])
+@pytest.mark.parametrize("kind", sorted(_IID_KINDS))
+def test_backward_column_walk_matches_pattern_walk(kind, cap):
+    # same samples as the next_matrix walk, the same cap error at the same
+    # sample, and the same steps used up either way
+    build = _IID_KINDS[kind]
+    twin = build()
+    want, err = _iid_walk(twin, 300, cap)
+    proc = build()
+    if err is None:
+        got = sample_backward_indices(proc, 300, cap=cap)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_array_equal(
+            sample_backward_indices(build(), len(want), cap=cap), want)
+        with pytest.raises(RuntimeError, match=re.escape(err)):
+            sample_backward_indices(proc, len(want) + 1, cap=cap)
+    _same_stream(proc, twin)
+
+
+def test_backward_column_walk_grid_reaches_the_cap_error():
+    # the grid above is not vacuous: it completes, and it stops on the cap
+    # error both at the first sample and after samples were taken
+    outcomes = [_iid_walk(_IID_KINDS[k](), 300, c) for k, c in
+                [("ring5_lossy", DEFAULT_INDEX_CAP), ("ring5_lossy", 6),
+                 ("swap_fib", 6)]]
+    (n0, e0), (n1, e1), (n2, e2) = outcomes
+    assert len(n0) == 300 and e0 is None
+    assert not n1 and "cap=6" in e1
+    assert len(n2) > 0 and "cap=6" in e2
+
+
+@pytest.mark.parametrize("lead", [0, 1, 63, 64, 65])
+@pytest.mark.parametrize("kind", sorted(_IID_KINDS))
+def test_backward_column_walk_leaves_stream_like_single_steps(kind, lead):
+    # with the look-ahead buffer part used before the call, the sampler
+    # uses up exactly the steps a next_matrix walk uses
+    proc, twin = _IID_KINDS[kind](), _IID_KINDS[kind]()
+    for _ in range(lead):
+        proc.next_matrix()
+        twin.next_matrix()
+    want, err = _iid_walk(twin, 40, DEFAULT_INDEX_CAP)
+    assert err is None
+    np.testing.assert_array_equal(sample_backward_indices(proc, 40), want)
+    _same_stream(proc, twin)
+
+
+def test_backward_column_walk_never_builds_an_emission(monkeypatch):
+    want = {k: _iid_walk(_IID_KINDS[k](), 100, DEFAULT_INDEX_CAP)[0]
+            for k in ("ring5_lossy", "swap_fib", "constant")}
+
+    def no_emission(self, *args):
+        raise AssertionError("the i.i.d. backward walk built an emission")
+    monkeypatch.setattr(MatrixProcess, "next_matrix", no_emission)
+    monkeypatch.setattr(MatrixProcess, "dense_block", no_emission)
+    for kind, samples in want.items():
+        proc = _IID_KINDS[kind]()
+        np.testing.assert_array_equal(sample_backward_indices(proc, 100), samples)
+
+
+def _random_iid_process(p, seed, family):
+    """A strongly connected push-sum digraph with per-edge loss in {0, 0.3},
+    or an i.i.d. family of random allowable patterns (each member holds a
+    random permutation, so its diagonal may be zero)."""
+    rng = np.random.default_rng(seed)
+    if family:
+        mats = []
+        for _ in range(int(rng.integers(1, 5))):
+            pat = rng.random((p, p)) < 0.3
+            pat[np.arange(p), rng.permutation(p)] = True
+            mats.append(pat * rng.uniform(0.5, 2.0, (p, p)))
+        return IIDFamilyProcess(mats, rng.dirichlet(np.ones(len(mats))), seed)
+    order = rng.permutation(p)
+    edges = {(int(order[k]), int(order[(k + 1) % p])) for k in range(p)}
+    edges |= {(i, j) for i in range(p) for j in range(p)
+              if i != j and rng.random() < 0.3}
+    edges = sorted(edges)
+    cfg = PushSumConfig.uniform(Digraph(p, tuple(edges)), rng.uniform(0.1, 0.9),
+                                rng.choice([0.0, 0.3], len(edges)).tolist())
+    return PushSumProcess(cfg, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2 ** 31 - 1), st.booleans())
+def test_backward_column_walk_matches_bool_walk(p, seed, family):
+    want, err = _iid_walk(_random_iid_process(p, seed, family), 30, 60)
+    proc = _random_iid_process(p, seed, family)
+    np.testing.assert_array_equal(sample_backward_indices(proc, len(want), cap=60),
+                                  want)
+    if err is not None:
+        with pytest.raises(RuntimeError, match=re.escape(err)):
+            sample_backward_indices(proc, 1, cap=60)
 
 
 def _history_walk(proc, count, cap, spacing):
