@@ -187,6 +187,8 @@ class InitialSpec:
         v = np.asarray(spec, dtype=float)
         if v.shape != (p,):
             raise ConfigError(f"initial: vector must have length {p}")
+        if not np.all(np.isfinite(v)):
+            raise ConfigError("initial: vector entries must be finite")
         return v
 
     def build(self, p: int) -> tuple[np.ndarray, np.ndarray]:

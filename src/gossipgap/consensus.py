@@ -6,19 +6,22 @@ ratios ``x_n^i / w_n^i``.  Both vectors are stored as mantissas with one
 shared log-scale shift, applied jointly each step, so the ratios are exact
 while arbitrarily long products stay representable.
 
-``run`` reads every process through the step descriptors that
-``MatrixProcess.block_events`` draws in blocks.  Push-sum emissions are
-applied as events: each one is the identity with the sender's column
-edited, so ``A_n x`` is two row updates (``x[j] += a x[i]`` when the packet
-is delivered, then ``x[i] *= 1 - a``).  Family processes (i.i.d., Markov
-and constant) are applied by member index: each step is the dense product
-``A @ x`` with ``A`` the indexed matrix of the process's ``members``
-stack, whose row-allowability and column-stochasticity are decided once
-per member.  Both paths share one per-step bookkeeping (the joint
-rescale, the envelope check and the checkpoint snapshots) and give the
-results of iterating :func:`step`: bit for bit for families and for
-push-sum when every share is 1/2 (``a x[i]`` is then exact), otherwise to
-rounding (a dense matrix-vector product may fuse the multiply-add).
+``run`` drives every kind through one step loop over the step descriptors
+that ``MatrixProcess.block_events`` draws in blocks, each mapped to one
+entry of an update table built once per run.  A push-sum step, and a
+family member that is the identity with only column ``i`` changed
+(``A[i, i] > 0``, at most one off-diagonal entry ``A[j, i] = a``), is a
+column edit: ``A x`` is two row updates, ``x[j] += a x[i]`` (none for a
+lost packet or a diagonal-only member), then ``x[i] *= A[i, i]``.  Any
+other family member is applied as the dense product ``A @ x``.
+Row-allowability and column-stochasticity are decided once per table
+entry; a member that is not row-allowable raises at the first step that
+emits it.  Every step then shares one bookkeeping (the joint rescale, the
+envelope check and the checkpoint snapshots), and the results are those
+of iterating :func:`step`: bit for bit for dense members and for column
+edits whose off-diagonal entry is a power of two (``a x[i]`` is then
+exact), otherwise to rounding (a dense matrix-vector product may fuse the
+multiply-add).
 
 Recorded diagnostics per checkpoint: the min/max ratio envelope (over nodes
 with positive weight), the total-variation distance of the simplex
@@ -76,6 +79,8 @@ class ConsensusState:
         w0 = np.asarray(w0, dtype=float).copy()
         if x0.shape != w0.shape or x0.ndim != 1:
             raise ValueError("x0 and w0 must be vectors of equal length")
+        if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(w0))):
+            raise ValueError("x0 and w0 must be finite")
         if np.any(w0 < 0) or not np.any(w0 > 0):
             raise ValueError("weights must be nonnegative and not all zero")
         return cls(0, x0, w0, 0.0)
@@ -186,67 +191,60 @@ def make_checkpoints(n: int, kind: str = "geometric", ratio: float = 1.15,
 EVENT_BLOCK = 512      # step descriptors drawn per block_events call
 
 
-def _blocks(proc: MatrixProcess, n: int):
-    """The step descriptors of the next ``n`` steps as lists, one
-    ``block_events`` call of at most ``EVENT_BLOCK`` steps at a time."""
-    for done in range(0, n, EVENT_BLOCK):
-        yield [d.tolist() for d in proc.block_events(min(EVENT_BLOCK, n - done))]
+def _column_edit(A: np.ndarray):
+    """``(i, A[i, i], j, A[j, i])`` when ``A`` is the identity with only
+    column ``i`` changed, ``A[i, i] > 0`` and at most one off-diagonal
+    entry ``A[j, i]`` (``j`` None and ``0.0`` when there is none), else None."""
+    cols = np.flatnonzero((A != np.eye(len(A))).any(axis=0)).tolist() or [0]
+    i = cols[0]
+    off = [j for j in np.flatnonzero(A[:, i]).tolist() if j != i]
+    if len(cols) > 1 or len(off) > 1 or not A[i, i] > 0:
+        return None
+    j = off[0] if off else None
+    return i, float(A[i, i]), j, (float(A[j, i]) if off else 0.0)
 
 
-def _event_updates(proc: PushSumProcess, x: list, w: list, n: int):
-    """Apply ``n`` push-sum steps to the mantissa lists in place.
-
-    Each emission is the identity with column ``i`` edited, so ``A x`` is
-    two row updates: ``x[j] += a x[i]`` (delivered packets only), then
-    ``x[i] *= 1 - a``.  Yields after each step whether it was delivered.
-    """
-    cfg = proc.config
-    edges = [(i, j, a, 1.0 - a) for (i, j), a in zip(cfg.graph.edges, cfg.share)]
-    for events, lost in _blocks(proc, n):
-        for e, dropped in zip(events, lost):
-            i, j, a, keep = edges[e]
-            if not dropped:
-                x[j] += a * x[i]
-                w[j] += a * w[i]
-            x[i] *= keep
-            w[i] *= keep
-            yield not dropped
-
-
-def _family_updates(proc: MatrixProcess, x: list, w: list, n: int):
-    """Apply ``n`` steps of a family process to the mantissa lists in place.
-
-    A family emits only its ``f`` members, so row-allowability and
-    column-stochasticity are decided once per member; the steps are the
-    member indices drawn in blocks by ``block_events``.  A member that is
-    not row-allowable raises at the first step that emits it.  Yields
-    after each step whether its emission was column-stochastic.
-    """
+def _update_table(proc: MatrixProcess) -> tuple[list, np.ndarray]:
+    """The update of each table key, and whether its matrix is
+    column-stochastic: ``(i, keep, j, a)`` for a column edit (a push-sum
+    key ``2 edge + lost``, or a family member index), ``(None, 0.0, None,
+    A)`` for any other row-allowable member, applied as ``A @ x``, and
+    ``(None, 0.0, None, None)``, which raises when emitted, for a member
+    that is not row-allowable."""
+    if isinstance(proc, PushSumProcess):
+        cfg = proc.config
+        table = [u for (i, j), a in zip(cfg.graph.edges, cfg.share)
+                 for u in ((i, 1.0 - a, j, a), (i, 1.0 - a, None, 0.0))]
+        return table, np.tile([True, False], len(cfg.share))
     members = list(proc.members)
-    allowable = [is_row_allowable(a) for a in members]
-    stoch = [is_column_stochastic(a) for a in members]
-    for (idx,) in _blocks(proc, n):
-        for k in idx:
-            if not allowable[k]:
-                raise ValueError("update matrix must be row-allowable")
-            A = members[k]
-            x[:] = (A @ x).tolist()
-            w[:] = (A @ w).tolist()
-            yield stoch[k]
+    table = [_column_edit(A) or (None, 0.0, None, A if is_row_allowable(A) else None)
+             for A in members]
+    return table, np.array([is_column_stochastic(A) for A in members])
+
+
+def _blocks(proc: MatrixProcess, n: int):
+    """The :func:`_update_table` keys of the next ``n`` steps as an array,
+    one ``block_events`` call of at most ``EVENT_BLOCK`` steps at a time."""
+    for done in range(0, n, EVENT_BLOCK):
+        desc = proc.block_events(min(EVENT_BLOCK, n - done))
+        yield 2 * desc[0] + desc[1] if isinstance(proc, PushSumProcess) else desc[0]
 
 
 def run(proc: MatrixProcess, x0, w0, n: int, checkpoints=None) -> Trajectory:
     """Iterate the consensus recursion for ``n`` steps of ``proc``.
 
-    Push-sum processes are applied event by event and every other kind (a
-    family) by member index, both from the descriptors of ``block_events``.
-    Both feed the same per-step bookkeeping, identical to :func:`step`: the
-    joint rescale by ``max(w)`` and the envelope check.  Envelope
-    monotonicity is monitored at every step (from the first step at which
-    all weights are positive, where the monotone-envelope argument
-    applies); violations beyond the floating slack are counted.
-    Checkpoints keep ``(x, w)`` snapshots, from which the TV and Hilbert
-    columns are computed after the loop.
+    One step loop serves every kind: each step looks its ``block_events``
+    key up in the table of :func:`_update_table` and applies the column
+    edit (``x[j] += a x[i]``, then ``x[i] *= keep``, and the same for
+    ``w``) or the dense product ``A @ x``, then does the bookkeeping of
+    :func:`step`: the joint rescale by ``max(w)`` and the envelope check.
+    Envelope monotonicity is monitored from the first step at which all
+    weights are positive, where the monotone-envelope argument applies;
+    violations beyond the floating slack are counted.  Checkpoints keep
+    ``(x, w)`` snapshots, from which the TV and Hilbert columns are
+    computed after the loop.  The result equals iterating :func:`step` bit
+    for bit for dense members and power-of-two ``a``, otherwise to
+    rounding (see the module docstring).
     """
     state = ConsensusState.from_initial(x0, w0)
     n = int(n)
@@ -264,40 +262,52 @@ def run(proc: MatrixProcess, x0, w0, n: int, checkpoints=None) -> Trajectory:
 
     x, w = state.x.tolist(), state.w.tolist()
     log_scale = 0.0
-    if isinstance(proc, PushSumProcess):
-        updates = _event_updates(proc, x, w, n)
-    else:
-        updates = _family_updates(proc, x, w, n)
+    table, stoch = _update_table(proc)
     col_stoch = True
     prev_env = None
     violations = 0
     violation_max = 0.0
     rows_env, snap_x, snap_w = [], [], []
 
-    for t, stoch in enumerate(updates, 1):
-        col_stoch = col_stoch and stoch
-        c = max(w)
-        if not c > 0:
-            raise ValueError("weight vector vanished; update matrix must keep w nonzero")
-        if c != 1.0:        # v / 1.0 == v: skip the exact-identity rescale
-            x[:] = [v / c for v in x]
-            w[:] = [v / c for v in w]
-        log_scale += math.log(c)
-        r = [xv / wv for xv, wv in zip(x, w) if wv > 0]
-        mn, mx = min(r), max(r)
-        if prev_env is not None:
-            scale = max(abs(prev_env[0]), abs(prev_env[1]))
-            slack = ENVELOPE_SLACK * scale
-            excess = max(prev_env[0] - mn, mx - prev_env[1])
-            if excess > slack:
-                violations += 1
-                violation_max = max(violation_max, excess - slack)
-        if len(r) == len(w):
-            prev_env = (mn, mx)
-        if t in cp_set:
-            rows_env.append((mn, mx))
-            snap_x.append(x[:])
-            snap_w.append(w[:])
+    t = 0
+    for keys in _blocks(proc, n):
+        col_stoch = col_stoch and bool(stoch[keys].all())
+        for k in keys.tolist():
+            i, keep, j, a = table[k]
+            if i is not None:
+                if j is not None:
+                    x[j] += a * x[i]
+                    w[j] += a * w[i]
+                x[i] *= keep
+                w[i] *= keep
+            elif a is None:
+                raise ValueError("update matrix must be row-allowable")
+            else:
+                x[:] = (a @ x).tolist()
+                w[:] = (a @ w).tolist()
+            t += 1
+            c = max(w)
+            if not c > 0:
+                raise ValueError("weight vector vanished; update matrix must keep w nonzero")
+            if c != 1.0:        # v / 1.0 == v: skip the exact-identity rescale
+                x[:] = [v / c for v in x]
+                w[:] = [v / c for v in w]
+            log_scale += math.log(c)
+            r = [xv / wv for xv, wv in zip(x, w) if wv > 0]
+            mn, mx = min(r), max(r)
+            if prev_env is not None:
+                scale = max(abs(prev_env[0]), abs(prev_env[1]))
+                slack = ENVELOPE_SLACK * scale
+                excess = max(prev_env[0] - mn, mx - prev_env[1])
+                if excess > slack:
+                    violations += 1
+                    violation_max = max(violation_max, excess - slack)
+            if len(r) == len(w):
+                prev_env = (mn, mx)
+            if t in cp_set:
+                rows_env.append((mn, mx))
+                snap_x.append(x[:])
+                snap_w.append(w[:])
 
     env_min, env_max = np.array(rows_env).T
     mid = 0.5 * (env_min + env_max)

@@ -193,7 +193,7 @@ class PushSumConfig:
         object.__setattr__(self, "loss_prob", tuple(float(r) for r in self.loss_prob))
         if len(self.edge_prob) != ne or len(self.share) != ne or len(self.loss_prob) != ne:
             raise ValueError("edge_prob, share and loss_prob must have one entry per edge")
-        if any(q < 0 for q in self.edge_prob) or abs(sum(self.edge_prob) - 1.0) > _PROB_TOL:
+        if any(q < 0 for q in self.edge_prob) or not abs(sum(self.edge_prob) - 1.0) <= _PROB_TOL:
             raise ValueError("edge probabilities must be nonnegative and sum to 1")
         if any(not 0.0 < s < 1.0 for s in self.share):
             raise ValueError("shares must lie strictly inside (0, 1)")
@@ -447,7 +447,7 @@ class IIDFamilyProcess(_FamilyProcess):
         probs = np.array(probs, dtype=float)
         if probs.ndim != 1 or len(probs) != len(matrices):
             raise ValueError("one probability per family member required")
-        if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > _PROB_TOL:
+        if np.any(probs < 0) or not abs(float(probs.sum()) - 1.0) <= _PROB_TOL:
             raise ValueError("probabilities must be nonnegative and sum to 1")
         self.probs = probs
         self._cum = np.cumsum(probs)
@@ -480,7 +480,7 @@ class MarkovFamilyProcess(_FamilyProcess):
         f = len(matrices)
         if P.shape != (f, f):
             raise ValueError("transition matrix must be square with one row per member")
-        if np.any(P < 0) or np.any(np.abs(P.sum(axis=1) - 1.0) > _PROB_TOL):
+        if np.any(P < 0) or not np.all(np.abs(P.sum(axis=1) - 1.0) <= _PROB_TOL):
             raise ValueError("transition matrix must be row-stochastic")
         pattern = Digraph(f, tuple((i, j) for i in range(f) for j in range(f)
                                    if i != j and P[i, j] > 0))
@@ -490,7 +490,11 @@ class MarkovFamilyProcess(_FamilyProcess):
         if initial_dist is None:
             initial_dist = self._stationary(P)
         self.initial_dist = np.array(initial_dist, dtype=float)
-        if abs(float(self.initial_dist.sum()) - 1.0) > 1e-9 or np.any(self.initial_dist < -1e-15):
+        if self.initial_dist.shape != (f,):
+            raise ValueError(f"initial distribution must have one entry per member, "
+                             f"got shape {self.initial_dist.shape}")
+        if (not abs(float(self.initial_dist.sum()) - 1.0) <= 1e-9
+                or np.any(self.initial_dist < -1e-15)):
             raise ValueError("initial distribution must be a probability vector")
         self._cum_init = np.cumsum(np.clip(self.initial_dist, 0.0, None))
         # _next[s][b]: the state after s when the step's uniform u falls in

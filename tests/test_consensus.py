@@ -9,13 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gossipgap.acceptance import _envelope_configs
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gossipgap.acceptance import _envelope_configs, p4_process
 from gossipgap.consensus import (ENVELOPE_SLACK, EVENT_BLOCK, ConsensusState,
-                                 fit_rate, make_checkpoints, rate_window, run,
-                                 step, weighted_ratio)
+                                 _update_table, fit_rate, make_checkpoints,
+                                 rate_window, run, step, weighted_ratio)
 from gossipgap.core import hilbert_distance, tv_distance
 from gossipgap.generators import (ConstantProcess, IIDFamilyProcess,
-                                  MatrixProcess, PushSumConfig,
+                                  MarkovFamilyProcess, MatrixProcess, PushSumConfig,
                                   PushSumProcess, is_column_stochastic,
                                   push_sum_matrix, ring, ring_with_chords)
 from gossipgap.spectrum import estimate_spectrum_qr
@@ -83,6 +86,10 @@ def test_initial_state_validation():
         ConsensusState.from_initial([1.0, 1.0], [-1.0, 1.0])
     with pytest.raises(ValueError, match="not all zero"):
         ConsensusState.from_initial([1.0, 1.0], [0.0, 0.0])
+    for x0, w0 in (([math.nan, 1.0], [1.0, 1.0]), ([1.0, 1.0], [math.inf, 1.0]),
+                   ([-math.inf, 1.0], [1.0, 1.0])):
+        with pytest.raises(ValueError, match="finite"):
+            ConsensusState.from_initial(x0, w0)
 
 
 def test_zero_weight_nodes_excluded_until_positive():
@@ -218,6 +225,12 @@ def check_against_dense(k, n, rtol, lead=0):
     (proc, x0, w0), (twin, _, _) = _envelope_configs()[k], _envelope_configs()[k]
     for _ in range(lead):       # leaves look-ahead pending in both
         np.testing.assert_array_equal(proc.next_matrix(), twin.next_matrix())
+    compare_with_dense(proc, twin, x0, w0, n, rtol, lead)
+
+
+def compare_with_dense(proc, twin, x0, w0, n, rtol, lead=0):
+    """``run`` on ``proc`` against the dense recursion on its twin (same
+    configuration and stream), every step a checkpoint."""
     traj = run(proc, x0, w0, n, checkpoints=np.arange(1, n + 1))
     cols, limit, col_stoch, violations, violation_max, state = \
         dense_reference(twin, x0, w0, n)
@@ -263,6 +276,84 @@ def test_run_after_single_steps_equal_to_dense_recursion(k, lead):
 def test_run_share_03_matches_dense_recursion():
     # ring3 at share 0.3: a*x[i] rounds, and the dense product may fuse it
     check_against_dense(4, 3 * EVENT_BLOCK + 17, rtol=1e-12)
+
+
+def test_update_table_classifies_members():
+    two_off = np.eye(3)
+    two_off[:, 0] = [0.4, 0.3, 0.3]
+    zero_diag = push_sum_matrix(3, (1, 2), 0.5)
+    zero_diag[1, 1] = 0.0
+    members = [np.eye(3),
+               push_sum_matrix(3, (0, 2), 0.3, loss=True),     # lost packet
+               push_sum_matrix(3, (2, 0), 0.5),
+               zero_diag,                                      # raises when emitted
+               push_sum_matrix(3, (0, 1), 0.5) @ push_sum_matrix(3, (2, 1), 0.5),
+               two_off,
+               np.diag([0.5, 1.0, 0.5])]
+    proc = IIDFamilyProcess(members, [1 / 7] * 7, seed=1)
+    table, stoch = _update_table(proc)
+    assert table[:3] == [(0, 1.0, None, 0.0), (0, 0.7, None, 0.0), (2, 0.5, 0, 0.5)]
+    assert table[3] == (None, 0.0, None, None)
+    for k in (4, 5, 6):     # two columns edited, two off-diagonal entries
+        assert table[k][:3] == (None, 0.0, None)
+        np.testing.assert_array_equal(table[k][3], members[k])
+    assert stoch.tolist() == [True, False, True, False, True, True, False]
+    assert all(type(v) is float for u in table[:3] for v in (u[1], u[3]))
+
+
+def test_update_table_of_push_sum_is_one_edit_per_edge_and_loss():
+    table, stoch = _update_table(p4_process())
+    edges = ring_with_chords(4, chords=((0, 2),)).edges
+    assert table == [u for i, j in edges for u in ((i, 0.5, j, 0.5), (i, 0.5, None, 0.0))]
+    assert stoch.tolist() == [True, False] * len(edges)
+
+
+def _edit_member(p, i, d, lost, share):
+    return push_sum_matrix(p, (i, (i + d) % p), share, loss=lost)
+
+
+@st.composite
+def family_runs(draw, shares, edits=True, dense=True, signed=True):
+    """A random i.i.d. or Markov family on 2-5 nodes, with push-sum-shaped
+    members at the drawn shares and/or dense positive ones, and initial
+    vectors (``x0`` of either sign when ``signed``)."""
+    p = draw(st.integers(2, 5))
+    kinds = []
+    if edits:
+        kinds.append(st.builds(_edit_member, st.just(p), st.integers(0, p - 1),
+                               st.integers(1, p - 1), st.booleans(), shares))
+    if dense:
+        kinds.append(st.lists(st.floats(0.1, 2.0), min_size=p * p, max_size=p * p)
+                     .map(lambda v: np.reshape(v, (p, p))))
+    members = draw(st.lists(st.one_of(*kinds), min_size=1, max_size=4))
+    f = len(members)
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        build = lambda: IIDFamilyProcess(members, [1 / f] * f, seed)
+    else:
+        build = lambda: MarkovFamilyProcess(members, np.full((f, f), 1 / f), seed)
+    vec = lambda low: st.lists(st.floats(low, 1.0, allow_subnormal=False),
+                               min_size=p, max_size=p)
+    return build, draw(vec(-1.0 if signed else 0.05)), draw(vec(0.1))
+
+
+HALF = st.just(0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(family_runs(HALF, dense=False), family_runs(HALF, edits=False),
+                 family_runs(HALF)))
+def test_run_family_bitwise_equal_to_dense_recursion(case):
+    # share-1/2 edits (a x[i] exact) and dense members (the same A @ x)
+    build, x0, w0 = case
+    compare_with_dense(build(), build(), x0, w0, 150, rtol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_runs(st.floats(0.01, 0.99), dense=False, signed=False))
+def test_run_family_random_shares_match_dense_recursion(case):
+    build, x0, w0 = case
+    compare_with_dense(build(), build(), x0, w0, 150, rtol=1e-12)
 
 
 def test_run_never_builds_an_emission(monkeypatch):

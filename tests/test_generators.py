@@ -85,6 +85,18 @@ def test_push_sum_config_validation():
         PushSumConfig(g, (1 / 3,) * 3, (0.5,) * 3, (1.0, 0.0, 0.0))
 
 
+def test_nan_probabilities_rejected():
+    nan, fam = float("nan"), [np.eye(2), np.full((2, 2), 0.5)]
+    with pytest.raises(ValueError, match="sum to 1"):
+        PushSumConfig(ring(3), (nan, 0.5, 0.5), (0.5,) * 3, (0.0,) * 3)
+    with pytest.raises(ValueError, match="sum to 1"):
+        IIDFamilyProcess(fam, [nan, 1.0], seed=0)
+    with pytest.raises(ValueError, match="row-stochastic"):
+        MarkovFamilyProcess(fam, [[nan, 0.5], [0.5, 0.5]], seed=0)
+    with pytest.raises(ValueError, match="probability vector"):
+        MarkovFamilyProcess(fam, [[0.5, 0.5], [0.5, 0.5]], seed=0, initial_dist=[nan, 1.0])
+
+
 # -- emission semantics ---------------------------------------------------------
 
 
@@ -452,6 +464,14 @@ def test_markov_requires_irreducible():
     reducible = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="irreducible"):
         MarkovFamilyProcess(fam, reducible, seed=0)
+
+
+@pytest.mark.parametrize("initial", [[0.5, 0.5], [[0.5, 0.5], [0.0, 0.0]],
+                                     [[0.25, 0.25, 0.25, 0.25]]])
+def test_markov_initial_dist_needs_one_entry_per_member(initial):
+    fam = [np.eye(2), 0.5 * np.ones((2, 2)), np.diag([0.5, 1.0]), np.diag([1.0, 0.5])]
+    with pytest.raises(ValueError, match="one entry per member"):
+        MarkovFamilyProcess(fam, np.full((4, 4), 0.25), seed=0, initial_dist=initial)
 
 
 def test_markov_marginal_stationary_over_time():

@@ -495,6 +495,35 @@ def test_cli_non_square_constant_is_config_error(tmp_path, capsys):
     assert "config error" in err and "square" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("initial_dist", [[0.5, 0.5], [[0.5, 0.5], [0.0, 0.0]]])
+def test_cli_markov_initial_dist_of_wrong_shape_is_config_error(tmp_path, capsys,
+                                                                initial_dist):
+    fam = [np.eye(2).tolist(), [[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.0], [0.5, 1.0]],
+           [[1.0, 0.5], [0.0, 0.5]]]
+    cfg = {"process": {"kind": "markov_family", "seed": 1, "matrices": fam,
+                       "transition": [[0.25] * 4] * 4, "initial_dist": initial_dist},
+           "horizon": {"n": 50, "checkpoints": "geometric"}}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "one entry per member" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,vector", [("x0", [math.nan, 0.3, 0.2, 0.1]),
+                                        ("w0", [math.inf, 1.0, 1.0, 1.0]),
+                                        ("x0", [0.1, -math.inf, 0.2, 0.1])])
+def test_cli_non_finite_initial_vector_is_config_error(tmp_path, capsys, key, vector):
+    cfg = json.loads(json.dumps(PUSH_SUM_CFG))
+    cfg["initial"][key] = vector
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")    # json writes NaN/Infinity
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "finite" in err and "Traceback" not in err
+
+
 def test_cli_same_subcommand_overwrites_its_bundle(cfg_path, tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
