@@ -17,7 +17,8 @@ which have defaults):
     * ``constant``: ``matrix``.
 
 ``initial``
-    ``x0`` / ``w0``: explicit list, or ``"random-positive"`` (uniform on
+    ``x0`` / ``w0``: explicit list of ``p`` finite numbers (``w0``
+    nonnegative and not all zero), or ``"random-positive"`` (uniform on
     ``(0, 1)`` from ``sub_seed``), or ``"ones"``; ``sub_seed``: integer.
 
 ``horizon``
@@ -184,7 +185,10 @@ class InitialSpec:
             if spec == "ones":
                 return np.ones(p)
             raise ConfigError(f"initial: unknown vector spec {spec!r}")
-        v = np.asarray(spec, dtype=float)
+        try:
+            v = np.asarray(spec, dtype=float)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"initial: vector entries must be numbers: {e}") from e
         if v.shape != (p,):
             raise ConfigError(f"initial: vector must have length {p}")
         if not np.all(np.isfinite(v)):
@@ -196,6 +200,8 @@ class InitialSpec:
             np.random.SeedSequence((int(self.sub_seed), 97))))
         x0 = self._make(self.x0, p, rng)
         w0 = self._make(self.w0, p, rng)
+        if np.any(w0 < 0) or not np.any(w0 > 0):
+            raise ConfigError("initial: w0 must be nonnegative and not all zero")
         return x0, w0
 
 

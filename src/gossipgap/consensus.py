@@ -6,22 +6,21 @@ ratios ``x_n^i / w_n^i``.  Both vectors are stored as mantissas with one
 shared log-scale shift, applied jointly each step, so the ratios are exact
 while arbitrarily long products stay representable.
 
-``run`` drives every kind through one step loop over the step descriptors
-that ``MatrixProcess.block_events`` draws in blocks, each mapped to one
-entry of an update table built once per run.  A push-sum step, and a
-family member that is the identity with only column ``i`` changed
-(``A[i, i] > 0``, at most one off-diagonal entry ``A[j, i] = a``), is a
-column edit: ``A x`` is two row updates, ``x[j] += a x[i]`` (none for a
-lost packet or a diagonal-only member), then ``x[i] *= A[i, i]``.  Any
-other family member is applied as the dense product ``A @ x``.
-Row-allowability and column-stochasticity are decided once per table
-entry; a member that is not row-allowable raises at the first step that
-emits it.  Every step then shares one bookkeeping (the joint rescale, the
-envelope check and the checkpoint snapshots), and the results are those
-of iterating :func:`step`: bit for bit for dense members and for column
-edits whose off-diagonal entry is a power of two (``a x[i]`` is then
-exact), otherwise to rounding (a dense matrix-vector product may fuse the
-multiply-add).
+``run`` drives every kind through one step loop over the member indices
+that ``MatrixProcess.block_events`` draws in blocks, each looked up in the
+process's ``updates`` table, built once per process.  A column edit
+``(i, keep, j, a)`` (a push-sum send, or a family member that is the
+identity with only column ``i`` changed) is two row updates,
+``x[j] += a x[i]`` (none for a lost packet or a diagonal-only member),
+then ``x[i] *= keep``.  Any other member is applied as the dense product
+``A @ x``, and a member that is not row-allowable raises at the first step
+that emits it.  Column-stochasticity comes from the process's per-member
+``stochastic`` flags.  Every step then shares one bookkeeping (the joint
+rescale, the envelope check and the checkpoint snapshots), and the results
+are those of iterating :func:`step`: bit for bit for dense members and for
+column edits whose off-diagonal entry is a power of two (``a x[i]`` is
+then exact), otherwise to rounding (a dense matrix-vector product may fuse
+the multiply-add).
 
 Recorded diagnostics per checkpoint: the min/max ratio envelope (over nodes
 with positive weight), the total-variation distance of the simplex
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import hilbert_distance, is_row_allowable, tv_distance
-from .generators import MatrixProcess, PushSumProcess, is_column_stochastic
+from .generators import MatrixProcess
 
 __all__ = [
     "ConsensusState",
@@ -188,55 +187,16 @@ def make_checkpoints(n: int, kind: str = "geometric", ratio: float = 1.15,
     raise ValueError(f"unknown checkpoint schedule {kind!r}")
 
 
-EVENT_BLOCK = 512      # step descriptors drawn per block_events call
-
-
-def _column_edit(A: np.ndarray):
-    """``(i, A[i, i], j, A[j, i])`` when ``A`` is the identity with only
-    column ``i`` changed, ``A[i, i] > 0`` and at most one off-diagonal
-    entry ``A[j, i]`` (``j`` None and ``0.0`` when there is none), else None."""
-    cols = np.flatnonzero((A != np.eye(len(A))).any(axis=0)).tolist() or [0]
-    i = cols[0]
-    off = [j for j in np.flatnonzero(A[:, i]).tolist() if j != i]
-    if len(cols) > 1 or len(off) > 1 or not A[i, i] > 0:
-        return None
-    j = off[0] if off else None
-    return i, float(A[i, i]), j, (float(A[j, i]) if off else 0.0)
-
-
-def _update_table(proc: MatrixProcess) -> tuple[list, np.ndarray]:
-    """The update of each table key, and whether its matrix is
-    column-stochastic: ``(i, keep, j, a)`` for a column edit (a push-sum
-    key ``2 edge + lost``, or a family member index), ``(None, 0.0, None,
-    A)`` for any other row-allowable member, applied as ``A @ x``, and
-    ``(None, 0.0, None, None)``, which raises when emitted, for a member
-    that is not row-allowable."""
-    if isinstance(proc, PushSumProcess):
-        cfg = proc.config
-        table = [u for (i, j), a in zip(cfg.graph.edges, cfg.share)
-                 for u in ((i, 1.0 - a, j, a), (i, 1.0 - a, None, 0.0))]
-        return table, np.tile([True, False], len(cfg.share))
-    members = list(proc.members)
-    table = [_column_edit(A) or (None, 0.0, None, A if is_row_allowable(A) else None)
-             for A in members]
-    return table, np.array([is_column_stochastic(A) for A in members])
-
-
-def _blocks(proc: MatrixProcess, n: int):
-    """The :func:`_update_table` keys of the next ``n`` steps as an array,
-    one ``block_events`` call of at most ``EVENT_BLOCK`` steps at a time."""
-    for done in range(0, n, EVENT_BLOCK):
-        desc = proc.block_events(min(EVENT_BLOCK, n - done))
-        yield 2 * desc[0] + desc[1] if isinstance(proc, PushSumProcess) else desc[0]
+EVENT_BLOCK = 512      # member indices drawn per block_events call
 
 
 def run(proc: MatrixProcess, x0, w0, n: int, checkpoints=None) -> Trajectory:
     """Iterate the consensus recursion for ``n`` steps of ``proc``.
 
     One step loop serves every kind: each step looks its ``block_events``
-    key up in the table of :func:`_update_table` and applies the column
-    edit (``x[j] += a x[i]``, then ``x[i] *= keep``, and the same for
-    ``w``) or the dense product ``A @ x``, then does the bookkeeping of
+    member index up in ``proc.updates`` and applies the column edit
+    (``x[j] += a x[i]``, then ``x[i] *= keep``, and the same for ``w``)
+    or the dense product ``A @ x``, then does the bookkeeping of
     :func:`step`: the joint rescale by ``max(w)`` and the envelope check.
     Envelope monotonicity is monitored from the first step at which all
     weights are positive, where the monotone-envelope argument applies;
@@ -262,7 +222,7 @@ def run(proc: MatrixProcess, x0, w0, n: int, checkpoints=None) -> Trajectory:
 
     x, w = state.x.tolist(), state.w.tolist()
     log_scale = 0.0
-    table, stoch = _update_table(proc)
+    table, stoch = proc.updates, proc.stochastic
     col_stoch = True
     prev_env = None
     violations = 0
@@ -270,7 +230,8 @@ def run(proc: MatrixProcess, x0, w0, n: int, checkpoints=None) -> Trajectory:
     rows_env, snap_x, snap_w = [], [], []
 
     t = 0
-    for keys in _blocks(proc, n):
+    for done in range(0, n, EVENT_BLOCK):
+        keys = proc.block_events(min(EVENT_BLOCK, n - done))
         col_stoch = col_stoch and bool(stoch[keys].all())
         for k in keys.tolist():
             i, keep, j, a = table[k]

@@ -29,21 +29,26 @@ strictly stationary.  Whether a user-supplied chain also satisfies the
 moment/mixing conditions required by the asymptotic theory is the user's
 responsibility.
 
-Each kind has one vectorised sampler that draws the step descriptors of
-the next ``m`` steps: ``(edge, lost)`` arrays for push-sum, member indices
-for the families (a Markov family walks the chain through a next-state
-table indexed by state and by the bin of each step's uniform among all
-merged row breakpoints), and a constant index for the constant kind, which
-consumes no draws.  The emission paths, ``next_matrix``, ``dense_block``
-and the descriptors themselves (``block_events`` for a block of steps,
-``step_events`` one step at a time), exist on every kind and are served
-from one look-ahead buffer of drawn but not yet emitted descriptors, so
-any interleaving of them consumes the stream exactly like single steps.
-A family's read-only ``members`` stack maps a member index to its matrix,
-so a caller can apply the ``f`` distinct members by index instead of
-receiving one matrix per step.  A process keeps no record of past
-emissions; a caller that needs one keeps the descriptors ``block_events``
-returned.
+A step is described by its member index ``k`` in the process's finite
+set of emissions: a family's member, or for push-sum ``k = 2 e + lost``,
+the send along edge ``e``, delivered or lost.  Each kind has one
+vectorised sampler that draws the indices of the next ``m`` steps (a
+Markov family walks the chain through a next-state table indexed by state
+and by the bin of each step's uniform among all merged row breakpoints;
+the constant kind consumes no draws).  ``next_matrix``, ``dense_block``
+and the indices themselves (``block_events`` for a block of steps,
+``step_events`` one step at a time) are served from one look-ahead buffer
+of drawn but not yet emitted indices, so any interleaving of them consumes
+the stream exactly like single steps.  ``member(k)`` builds member ``k``,
+and the read-only table ``updates[k]`` says what it does to a vector:
+``(i, keep, j, a)`` when it is the identity with only column ``i``
+changed to ``keep = A[i, i] > 0`` and at most one off-diagonal
+``a = A[j, i]`` (``j`` None when there is none), ``(None, 0.0, None, A)``
+for any other row-allowable member and ``(None, 0.0, None, None)`` for one
+with a zero row; ``stochastic[k]`` flags the column-stochastic members.
+Push-sum fills the table from its configuration and builds its emissions
+from it.  A process keeps no record of past emissions; a caller that needs
+one keeps the indices ``block_events`` returned.
 ``spawn`` makes a shallow copy with its own stream: the configuration
 arrays are read-only and shared, so replicate processes cost no
 re-validation.
@@ -55,6 +60,8 @@ import copy
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .core import is_row_allowable
 
 __all__ = [
     "Digraph",
@@ -157,14 +164,10 @@ def push_sum_matrix(p: int, edge: tuple[int, int], alpha: float,
         raise ValueError("sender and receiver must differ")
     if not 0.0 < alpha < 1.0:
         raise ValueError("share must lie strictly inside (0, 1)")
-    return _edit_column(np.eye(p), i, j, alpha, loss)
-
-
-def _edit_column(a: np.ndarray, i: int, j: int, alpha: float,
-                 loss: bool) -> np.ndarray:
-    """Turn the identity ``a`` in place into the send along ``(i, j)``."""
+    a = np.eye(p)
     a[i, i] = 1.0 - alpha
-    a[j, i] = 0.0 if loss else alpha
+    if not loss:
+        a[j, i] = alpha
     return a
 
 
@@ -215,15 +218,18 @@ class PushSumConfig:
 class MatrixProcess:
     """Seeded generator of a stationary sequence of nonnegative matrices.
 
-    Each kind implements one vectorised sampler, ``_draw(m)``, giving the
-    step descriptors of the next ``m`` steps as a tuple of length-``m``
-    arrays, and two builders from descriptors: ``_block`` (an ``(m, p, p)``
-    block) and ``_matrix`` (one emission).  ``next_matrix``, ``dense_block``,
-    ``block_events`` and ``step_events`` all serve the descriptors of one
-    look-ahead buffer, pending ones first; ``next_matrix`` and
-    ``step_events`` refill it with ``_LOOKAHEAD`` steps when it is empty.
-    ``steps_emitted`` counts emissions served, not drawn; nothing else
-    about served emissions is kept.  ``spawn`` derives an independent but
+    Each kind emits members of a finite set of ``family_size`` matrices and
+    implements one vectorised sampler, ``_draw(m)``, giving the member
+    indices of the next ``m`` steps as one ``intp`` array, and two builders
+    from indices: ``_block`` (an ``(m, p, p)`` block) and ``member`` (one
+    emission).  Its ``updates`` table and ``stochastic`` flags (see the
+    module docstring) are built once at construction.  ``next_matrix``,
+    ``dense_block``, ``block_events`` and ``step_events`` all serve the
+    indices of one look-ahead buffer, pending ones first; ``next_matrix``
+    and ``step_events`` refill it with ``_LOOKAHEAD`` steps when it is
+    empty.  ``steps_emitted`` counts emissions served, not drawn, and
+    ``last_index`` is the member index of the last one; nothing else about
+    served emissions is kept.  ``spawn`` derives an independent but
     reproducible stream for replicate work.
     """
 
@@ -239,6 +245,15 @@ class MatrixProcess:
                 v.setflags(write=False)
         self.reset()
 
+    @property
+    def family_size(self) -> int:
+        return len(self.updates)
+
+    @property
+    def last_index(self) -> int | None:
+        """Member index of the last emission served (None before the first)."""
+        return int(self._ahead[self._at - 1]) if self._at else None
+
     # -- stream management -------------------------------------------------
 
     def reset(self) -> None:
@@ -246,15 +261,17 @@ class MatrixProcess:
         key = (self.seed,) + self.stream
         self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
         self.steps_emitted = 0
-        # look-ahead descriptors, served from index _at on (none drawn yet);
-        # rebound, never edited in place: a spawned copy starts out sharing them
-        self._ahead, self._at = ((),), 0
+        # look-ahead member indices, served from index _at on (none drawn
+        # yet); rebound, never edited in place: a spawned copy starts out
+        # sharing them
+        self._ahead, self._at = np.zeros(0, dtype=np.intp), 0
 
     def spawn(self, stream) -> "MatrixProcess":
         """Same configuration, independent stream ``(seed, *stream)``.
 
         The child is a shallow copy: it shares the (read-only)
-        configuration arrays and gets its own generator and cursor.
+        configuration arrays and member table and gets its own generator
+        and cursor.
         """
         child = copy.copy(self)
         child.stream = ((int(stream),) if np.ndim(stream) == 0
@@ -264,42 +281,40 @@ class MatrixProcess:
 
     # -- emission ----------------------------------------------------------
 
-    def _draw(self, m: int) -> tuple[np.ndarray, ...]:
+    def _draw(self, m: int) -> np.ndarray:
         raise NotImplementedError
 
-    def _block(self, *desc: np.ndarray) -> np.ndarray:
+    def _block(self, idx: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _matrix(self, *desc) -> np.ndarray:
+    def member(self, k) -> np.ndarray:
+        """Member ``k`` as a fresh ``(p, p)`` float array."""
         raise NotImplementedError
 
-    def _take(self, m: int) -> tuple[np.ndarray, ...]:
-        """Descriptors of the next ``m`` steps, pending look-ahead first,
+    def _take(self, m: int) -> np.ndarray:
+        """Member indices of the next ``m`` steps, pending look-ahead first,
         counted as served."""
         if m < 0:
             raise ValueError("step count must be nonnegative")
-        if m == 0:          # draws nothing and keeps the last served step
-            return self._draw(0)
         ahead, at = self._ahead, self._at
-        pending = len(ahead[0]) - at
-        if m <= pending:
-            desc = tuple(d[at:at + m] for d in ahead)
+        pending = len(ahead) - at
+        if m <= pending:    # a zero-step take draws nothing
+            idx = ahead[at:at + m]
             self._at = at + m
         else:
             fresh = self._draw(m - pending)
-            desc = (tuple(np.concatenate((d[at:], f)) for d, f in zip(ahead, fresh))
-                    if pending else fresh)
-            self._ahead, self._at = fresh, len(fresh[0])
+            idx = np.concatenate((ahead[at:], fresh)) if pending else fresh
+            self._ahead, self._at = fresh, len(fresh)
         self.steps_emitted += m
-        return desc
+        return idx
 
     def next_matrix(self) -> np.ndarray:
         """Emit ``A_n`` as a fresh ``(p, p)`` float array and advance the
         internal cursor."""
         at = self._at
-        if at == len(self._ahead[0]):
+        if at == len(self._ahead):
             self._ahead, at = self._draw(_LOOKAHEAD), 0
-        a = self._matrix(*[d[at] for d in self._ahead])
+        a = self.member(self._ahead[at])
         self._at = at + 1
         self.steps_emitted += 1
         return a
@@ -310,12 +325,11 @@ class MatrixProcess:
         Equivalent to ``m`` calls of ``next_matrix`` (same stream
         consumption).
         """
-        return self._block(*self._take(int(m)))
+        return self._block(self._take(int(m)))
 
     def step_events(self):
         """Serve the coming steps one at a time: an iterator over each
-        step's descriptors as Python scalars, ``(edge_index, lost)`` for
-        push-sum and ``(member_index,)`` for the families.
+        step's member index as a Python int.
 
         Each step is taken from the look-ahead buffer, refilled with
         ``_LOOKAHEAD`` steps when it is empty exactly as ``next_matrix``
@@ -326,26 +340,25 @@ class MatrixProcess:
         """
         while True:
             ahead, at = self._ahead, self._at
-            if at == len(ahead[0]):
+            if at == len(ahead):
                 ahead, at = self._draw(_LOOKAHEAD), 0
                 self._ahead = ahead
-            for desc in zip(*(d[at:].tolist() for d in ahead)):
+            for k in ahead[at:].tolist():
                 at += 1
                 self._at = at
                 self.steps_emitted += 1
-                yield desc
+                yield k
                 if self._at != at or self._ahead is not ahead:
                     break       # another emission call moved the cursor
 
-    def block_events(self, m: int) -> tuple[np.ndarray, ...]:
-        """Descriptors of the next ``m`` steps: ``(edge_index, lost)``
-        arrays for push-sum, ``(member_index,)`` for the families.
+    def block_events(self, m: int) -> np.ndarray:
+        """Member indices of the next ``m`` steps as one ``intp`` array.
 
         Consumes the stream exactly like ``m`` calls of ``next_matrix``.
-        The arrays are copies: the look-ahead buffer, which ``last_index``
+        The array is a copy: the look-ahead buffer, which ``last_index``
         reads, is not the caller's to write.
         """
-        return tuple(d.copy() for d in self._take(int(m)))
+        return self._take(int(m)).copy()
 
     def pattern_family(self) -> np.ndarray:
         """Zero/nonzero patterns of every matrix the process can emit, as
@@ -357,58 +370,76 @@ class MatrixProcess:
 class PushSumProcess(MatrixProcess):
     """I.i.d. one-edge-per-tick gossip emissions with packet loss.
 
-    Each step consumes exactly two uniforms: the first selects the edge by
-    the categorical law ``edge_prob``, the second decides packet loss.
+    Member ``2 e + lost`` is the send along edge ``e``, delivered
+    (``lost = 0``) or lost (``lost = 1``).  Each step consumes exactly two
+    uniforms: the first selects the edge by the categorical law
+    ``edge_prob``, the second decides packet loss.
     """
 
     kind = "push_sum"
 
     def __init__(self, config: PushSumConfig, seed: int, stream: tuple[int, ...] = (0,)):
         self.config = config
-        self._ei = np.array([e[0] for e in config.graph.edges], dtype=np.intp)
-        self._ej = np.array([e[1] for e in config.graph.edges], dtype=np.intp)
-        self._alpha = np.array(config.share, dtype=float)
+        edges = config.graph.edges
+        self.updates = tuple(u for (i, j), a in zip(edges, config.share)
+                             for u in ((i, 1.0 - a, j, a), (i, 1.0 - a, None, 0.0)))
+        self.stochastic = np.tile([True, False], len(edges))
+        # per member: the edited column, its two entries, and the receiver's
+        # row (whose entry is 0.0 for a lost packet)
+        col, keep, _, off = zip(*self.updates)
+        self._col, self._keep, self._off = np.array(col), np.array(keep), np.array(off)
+        self._row = np.repeat([j for _, j in edges], 2)
         self._loss_p = np.array(config.loss_prob, dtype=float)
         self._cum_q = np.cumsum(np.array(config.edge_prob, dtype=float))
         self._eye = np.eye(config.graph.p)
         super().__init__(config.graph.p, seed, stream)
 
-    def _draw(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+    def _draw(self, m: int) -> np.ndarray:
         u = self._rng.random((m, 2))
         e = np.minimum(np.searchsorted(self._cum_q, u[:, 0], side="right"),
                        len(self._cum_q) - 1)
-        return e, u[:, 1] < self._loss_p[e]
+        return 2 * e + (u[:, 1] < self._loss_p[e])
 
-    def _block(self, e: np.ndarray, lost: np.ndarray) -> np.ndarray:
-        m = len(e)
+    def _block(self, k: np.ndarray) -> np.ndarray:
+        m = len(k)
         blk = np.broadcast_to(self._eye, (m, self.p, self.p)).copy()
-        s = np.arange(m)
-        i, j = self._ei[e], self._ej[e]
-        blk[s, i, i] = 1.0 - self._alpha[e]
-        blk[s, j, i] = np.where(lost, 0.0, self._alpha[e])
+        s, i = np.arange(m), self._col[k]
+        blk[s, i, i] = self._keep[k]
+        blk[s, self._row[k], i] = self._off[k]
         return blk
 
-    def _matrix(self, e, lost) -> np.ndarray:
-        return _edit_column(self._eye.copy(), self._ei[e], self._ej[e],
-                            self._alpha[e], lost)
+    def member(self, k) -> np.ndarray:
+        a = self._eye.copy()
+        i, keep, j, off = self.updates[k]
+        a[i, i] = keep
+        if j is not None:
+            a[j, i] = off
+        return a
 
     def pattern_family(self) -> np.ndarray:
         """Per edge: the delivered pattern, then the lost one (the identity)
         when the edge can lose its packet."""
-        c = self.config
-        mats = []
-        for e, edge in enumerate(c.graph.edges):
-            mats.append(push_sum_matrix(self.p, edge, c.share[e]))
-            if c.loss_prob[e] > 0:
-                mats.append(push_sum_matrix(self.p, edge, c.share[e], loss=True))
-        return np.stack(mats) > 0
+        k = np.arange(self.family_size)
+        return self._block(k[(k % 2 == 0) | (self._loss_p[k // 2] > 0)]) > 0
+
+
+def _column_edit(A: np.ndarray):
+    """``(i, A[i, i], j, A[j, i])`` when ``A`` is the identity with only
+    column ``i`` changed, ``A[i, i] > 0`` and at most one off-diagonal
+    entry ``A[j, i]`` (``j`` None and ``0.0`` when there is none), else None."""
+    cols = np.flatnonzero((A != np.eye(len(A))).any(axis=0)).tolist() or [0]
+    i = cols[0]
+    off = [j for j in np.flatnonzero(A[:, i]).tolist() if j != i]
+    if len(cols) > 1 or len(off) > 1 or not A[i, i] > 0:
+        return None
+    j = off[0] if off else None
+    return i, float(A[i, i]), j, (float(A[j, i]) if off else 0.0)
 
 
 class _FamilyProcess(MatrixProcess):
     """Common storage for finite-family processes: the read-only
-    ``(f, p, p)`` stack ``members``, shared with spawned children.  A step
-    descriptor is the index of the emitted member, so ``members[idx]`` is
-    the matrix of a step whose ``block_events`` descriptor is ``idx``."""
+    ``(f, p, p)`` stack ``members``, shared with spawned children, so
+    ``members[k]`` is the matrix of a step whose member index is ``k``."""
 
     def __init__(self, matrices, seed: int, stream):
         stack = np.stack([np.asarray(m, dtype=float) for m in matrices])
@@ -416,23 +447,19 @@ class _FamilyProcess(MatrixProcess):
             raise ValueError("family members must be square matrices of equal size")
         if np.any(stack < 0) or not np.all(np.isfinite(stack)):
             raise ValueError("family members must be finite and nonnegative")
+        stack.setflags(write=False)     # before the table takes views of it
         self.members = stack
+        self.updates = tuple(
+            _column_edit(A) or (None, 0.0, None, A if is_row_allowable(A) else None)
+            for A in stack)
+        self.stochastic = np.array([is_column_stochastic(A) for A in stack])
         super().__init__(stack.shape[1], seed, stream)
-
-    @property
-    def family_size(self) -> int:
-        return self.members.shape[0]
-
-    @property
-    def last_index(self) -> int | None:
-        """Member index of the last emission served (None before the first)."""
-        return int(self._ahead[0][self._at - 1]) if self._at else None
 
     def _block(self, idx: np.ndarray) -> np.ndarray:
         return self.members[idx]
 
-    def _matrix(self, idx) -> np.ndarray:
-        return self.members[idx].copy()
+    def member(self, k) -> np.ndarray:
+        return self.members[k].copy()
 
     def pattern_family(self) -> np.ndarray:
         return self.members > 0
@@ -453,10 +480,10 @@ class IIDFamilyProcess(_FamilyProcess):
         self._cum = np.cumsum(probs)
         super().__init__(matrices, seed, stream)
 
-    def _draw(self, m: int) -> tuple[np.ndarray]:
+    def _draw(self, m: int) -> np.ndarray:
         u = self._rng.random(m)
-        return (np.minimum(np.searchsorted(self._cum, u, side="right"),
-                           self.family_size - 1),)
+        return np.minimum(np.searchsorted(self._cum, u, side="right"),
+                          self.family_size - 1)
 
 
 class MarkovFamilyProcess(_FamilyProcess):
@@ -521,7 +548,7 @@ class MarkovFamilyProcess(_FamilyProcess):
         super().reset()
         self._state: int | None = None     # chain state after the last draw
 
-    def _draw(self, m: int) -> tuple[np.ndarray]:
+    def _draw(self, m: int) -> np.ndarray:
         u = self._rng.random(m)
         s, idx = self._state, []
         if s is None and m:     # the first draw places the chain by its initial law
@@ -534,7 +561,7 @@ class MarkovFamilyProcess(_FamilyProcess):
             s = table[s][b]
             idx.append(s)
         self._state = s
-        return (np.array(idx, dtype=np.intp),)
+        return np.array(idx, dtype=np.intp)
 
 
 class ConstantProcess(_FamilyProcess):
@@ -546,5 +573,5 @@ class ConstantProcess(_FamilyProcess):
     def __init__(self, matrix, seed: int = 0, stream: tuple[int, ...] = (0,)):
         super().__init__([matrix], seed, stream)
 
-    def _draw(self, m: int) -> tuple[np.ndarray]:
-        return (np.zeros(m, dtype=np.intp),)
+    def _draw(self, m: int) -> np.ndarray:
+        return np.zeros(m, dtype=np.intp)

@@ -18,13 +18,14 @@ empirical versions of those two facts.
 Forward indices multiply fresh emissions on the left.  Backward indices of
 i.i.d. kinds multiply fresh patterns on the right, since the reversed
 sequence has the same law: the running pattern is held as one integer
-bitmask per column, and each step descriptor from ``step_events`` applies
-its emission's pattern as a few column ORs (one for a delivered push-sum
-packet, none for a lost one), so no emission is built as a matrix.  A
-Markov-modulated family is walked back instead: the sampler keeps the
-member indices it drew with ``block_events`` and multiplies the members'
-patterns from ``pattern_family`` in reverse emission order.  Both walks give
-the indices of a walk over emitted patterns.
+bitmask per column, and each member index from ``step_events`` applies its
+member's pattern as a few column ORs, built once per member (one for a
+delivered push-sum packet, none for a lost one or an identity member), so
+no emission is built as a matrix.  A Markov-modulated family is walked
+back instead: the sampler keeps the member indices it drew with
+``block_events`` and multiplies the members' patterns from
+``pattern_family`` in reverse emission order.  Both walks give the indices
+of a walk over emitted patterns.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import is_allowable
-from .generators import MatrixProcess, push_sum_matrix
+from .generators import MatrixProcess
 
 __all__ = [
     "PrimitivityReport",
@@ -156,8 +157,7 @@ def sample_forward_index(proc: MatrixProcess, start: int | None = None,
         start = t_next
     if start < t_next:
         raise ValueError(f"process already emitted step {start}; next is {t_next}")
-    while proc.steps_emitted + 1 < start:
-        proc.next_matrix()
+    proc.block_events(start - t_next)
     cur = proc.next_matrix() > 0
     k = 1
     while np.count_nonzero(cur) != cur.size:
@@ -192,9 +192,9 @@ def sample_backward_index(patterns, word, cap: int = DEFAULT_INDEX_CAP) -> int:
     return k
 
 
-def _column_edits(proc: MatrixProcess) -> dict:
-    """For an i.i.d. kind, map each step descriptor of ``step_events`` to
-    the column edits of ``cur @ gamma(A)`` for the step's emission ``A``.
+def _column_edits(proc: MatrixProcess) -> list:
+    """For an i.i.d. kind, the column edits of ``cur @ gamma(A)`` for each
+    member ``A``, indexed by member index.
 
     With ``cur`` held as column bitmasks (bit ``r`` of column ``c`` is
     ``cur[r, c]``), column ``c`` of ``cur @ G`` is the OR of the old
@@ -203,18 +203,13 @@ def _column_edits(proc: MatrixProcess) -> dict:
     pair per true ``G[r, c]`` of those columns.  A lost push-sum packet
     and an identity member have no edits.
     """
-    if proc.kind == "push_sum":
-        cfg = proc.config
-        pats = {(e, lost): push_sum_matrix(proc.p, edge, cfg.share[e], lost) > 0
-                for e, edge in enumerate(cfg.graph.edges) for lost in (False, True)}
-    else:
-        pats = {(idx,): g for idx, g in enumerate(proc.pattern_family())}
     eye = np.eye(proc.p, dtype=bool)
-    edits = {}
-    for desc, g in pats.items():
+    edits = []
+    for k in range(proc.family_size):
+        g = proc.member(k) > 0
         targets = np.flatnonzero((g != eye).any(axis=0)).tolist()
-        edits[desc] = (targets, [(c, r) for c in targets
-                                 for r in np.flatnonzero(g[:, c]).tolist()])
+        edits.append((targets, [(c, r) for c in targets
+                                for r in np.flatnonzero(g[:, c]).tolist()]))
     return edits
 
 
@@ -238,7 +233,7 @@ def sample_backward_indices(proc: MatrixProcess, count: int,
     multiplying fresh patterns on the right until positivity.  The walk
     holds the running pattern as column bitmasks, starting from the
     identity, and applies each step's column edits (``_column_edits``)
-    from the descriptors ``step_events`` serves, so it builds no emission
+    from the member indices ``step_events`` serves, so it builds no emission
     and uses up exactly the steps it walks, the ``cap`` steps of a sample
     that ends in the cap error included.
 
@@ -258,9 +253,9 @@ def sample_backward_indices(proc: MatrixProcess, count: int,
         for s in range(count):
             cols = [1 << c for c in range(p)]
             k = 0
-            for desc in steps:
+            for idx in steps:
                 k += 1
-                targets, pairs = edits[desc]
+                targets, pairs = edits[idx]
                 if targets:
                     old = cols.copy()
                     for c in targets:
@@ -276,7 +271,7 @@ def sample_backward_indices(proc: MatrixProcess, count: int,
     patterns = list(proc.pattern_family())
     word = deque(maxlen=int(cap))
     for s in range(count):
-        word.extend(proc.block_events(spacing)[0].tolist())
+        word.extend(proc.block_events(spacing).tolist())
         out[s] = sample_backward_index(patterns, word, cap=cap)
     return out
 

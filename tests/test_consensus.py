@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from gossipgap.acceptance import _envelope_configs, p4_process
 from gossipgap.consensus import (ENVELOPE_SLACK, EVENT_BLOCK, ConsensusState,
-                                 _update_table, fit_rate, make_checkpoints,
-                                 rate_window, run, step, weighted_ratio)
+                                 fit_rate, make_checkpoints, rate_window, run,
+                                 step, weighted_ratio)
 from gossipgap.core import hilbert_distance, tv_distance
 from gossipgap.generators import (ConstantProcess, IIDFamilyProcess,
                                   MarkovFamilyProcess, MatrixProcess, PushSumConfig,
@@ -278,7 +278,7 @@ def test_run_share_03_matches_dense_recursion():
     check_against_dense(4, 3 * EVENT_BLOCK + 17, rtol=1e-12)
 
 
-def test_update_table_classifies_members():
+def test_member_table_classifies_family_members():
     two_off = np.eye(3)
     two_off[:, 0] = [0.4, 0.3, 0.3]
     zero_diag = push_sum_matrix(3, (1, 2), 0.5)
@@ -291,8 +291,8 @@ def test_update_table_classifies_members():
                two_off,
                np.diag([0.5, 1.0, 0.5])]
     proc = IIDFamilyProcess(members, [1 / 7] * 7, seed=1)
-    table, stoch = _update_table(proc)
-    assert table[:3] == [(0, 1.0, None, 0.0), (0, 0.7, None, 0.0), (2, 0.5, 0, 0.5)]
+    table, stoch = proc.updates, proc.stochastic
+    assert table[:3] == ((0, 1.0, None, 0.0), (0, 0.7, None, 0.0), (2, 0.5, 0, 0.5))
     assert table[3] == (None, 0.0, None, None)
     for k in (4, 5, 6):     # two columns edited, two off-diagonal entries
         assert table[k][:3] == (None, 0.0, None)
@@ -301,10 +301,12 @@ def test_update_table_classifies_members():
     assert all(type(v) is float for u in table[:3] for v in (u[1], u[3]))
 
 
-def test_update_table_of_push_sum_is_one_edit_per_edge_and_loss():
-    table, stoch = _update_table(p4_process())
+def test_member_table_of_push_sum_is_one_edit_per_edge_and_loss():
+    proc = p4_process()
+    table, stoch = proc.updates, proc.stochastic
     edges = ring_with_chords(4, chords=((0, 2),)).edges
-    assert table == [u for i, j in edges for u in ((i, 0.5, j, 0.5), (i, 0.5, None, 0.0))]
+    assert table == tuple(u for i, j in edges
+                          for u in ((i, 0.5, j, 0.5), (i, 0.5, None, 0.0)))
     assert stoch.tolist() == [True, False] * len(edges)
 
 
@@ -392,7 +394,7 @@ def test_run_family_raises_on_emitted_zero_row_member():
     with pytest.raises(ValueError, match="row-allowable"):
         run(zero_row_family(0.1), [1.0, 0.0], [1.0, 1.0], 1000)
     # a run that stops just before the first step emitting it completes
-    first = int(np.argmax(zero_row_family(0.1).block_events(1000)[0] == 1)) + 1
+    first = int(np.argmax(zero_row_family(0.1).block_events(1000) == 1)) + 1
     assert run(zero_row_family(0.1), [1.0, 0.0], [1.0, 1.0], first - 1).final_state.n \
         == first - 1
     with pytest.raises(ValueError, match="row-allowable"):

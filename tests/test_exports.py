@@ -35,3 +35,16 @@ def test_package_reexports_are_public():
             assert alias.name in mod.__all__, (
                 f"gossipgap re-exports {alias.name}, which is not in "
                 f"gossipgap.{node.module}.__all__")
+
+
+@pytest.mark.parametrize("name", ["consensus", "primitivity", "spectrum"])
+def test_push_sum_format_stays_behind_generators(name):
+    # these modules see processes only through member indices and the
+    # member table, never through the push-sum edge and loss encoding
+    path = Path(gossipgap.__file__).with_name(f"{name}.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    leaked = imported & {"PushSumProcess", "push_sum_matrix"}
+    assert not leaked, f"gossipgap.{name} imports {sorted(leaked)}"

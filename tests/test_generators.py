@@ -1,3 +1,4 @@
+import math
 from itertools import islice
 
 import numpy as np
@@ -13,6 +14,7 @@ from gossipgap.generators import (ConstantProcess, Digraph, IIDFamilyProcess,
                                   complete_digraph, is_column_stochastic,
                                   is_strongly_connected, push_sum_matrix,
                                   ring, ring_with_chords)
+from gossipgap.primitivity import _column_edits
 
 
 def lossy_cfg(p=5, loss=0.2):
@@ -134,9 +136,9 @@ def test_every_emission_row_allowable():
 def test_reproducibility_events_one_million_steps():
     p1 = PushSumProcess(lossy_cfg(), seed=123)
     p2 = PushSumProcess(lossy_cfg(), seed=123)
-    e1, l1 = p1.block_events(1_000_000)
-    e2, l2 = p2.block_events(1_000_000)
-    assert np.array_equal(e1, e2) and np.array_equal(l1, l2)
+    k1, k2 = p1.block_events(1_000_000), p2.block_events(1_000_000)
+    assert k1.dtype == np.intp
+    assert np.array_equal(k1 // 2, k2 // 2) and np.array_equal(k1 % 2, k2 % 2)
 
 
 def test_reproducibility_full_matrices():
@@ -285,7 +287,7 @@ def test_markov_table_walk_matches_per_row_walk(f, weights, short_rows, pool, ta
             proc.next_matrix()
             got.append(proc.last_index)
         else:
-            (idx,) = proc.block_events(t)
+            idx = proc.block_events(t)
             assert len(idx) == t
             got.extend(idx.tolist())
     assert got == _per_row_walk(proc, u)[:len(got)]
@@ -294,7 +296,7 @@ def test_markov_table_walk_matches_per_row_walk(f, weights, short_rows, pool, ta
     assert child._edges is proc._edges and child._next is proc._next
     assert not child._edges.flags.writeable
     assert all(isinstance(row, tuple) for row in child._next)
-    (idx,) = child.block_events(1000)
+    idx = child.block_events(1000)
     fresh = np.random.Generator(np.random.PCG64(np.random.SeedSequence((3, 7))))
     assert idx.tolist() == _per_row_walk(child, fresh.random(1000))
 
@@ -326,36 +328,36 @@ def test_spawn_is_a_fresh_stream_without_history(build):
 
 @_EACH_KIND
 def test_block_events_consumes_like_next_matrix(build):
-    # m steps of block_events advance the stream like m next_matrix calls;
-    # a family's descriptors are the member indices next_matrix serves
+    # m steps of block_events advance the stream like m next_matrix calls,
+    # and the indices are the member indices next_matrix serves
     proc, ref = build((0,)), build((0,))
     ref.next_matrix()
     proc.next_matrix()
     for m in (0, 1, 63, 64, 65, 300):
-        desc = proc.block_events(m)
+        idx = proc.block_events(m)
         want = []
         for _ in range(m):
             ref.next_matrix()
-            want.append(getattr(ref, "last_index", None))
-        assert all(len(d) == m for d in desc)
+            want.append(ref.last_index)
+        assert len(idx) == m
         assert proc.steps_emitted == ref.steps_emitted
-        if proc.kind != "push_sum":
-            assert desc[0].tolist() == want
-            assert proc.last_index == ref.last_index
+        assert idx.tolist() == want
+        assert proc.last_index == ref.last_index
     np.testing.assert_array_equal(proc.next_matrix(), ref.next_matrix())
 
 
-def _event_matrices(proc, e, lost):
+def _event_matrices(proc, ks):
     c = proc.config
-    return np.array([push_sum_matrix(proc.p, c.graph.edges[k], c.share[k], lo)
-                     for k, lo in zip(e, lost)]).reshape(-1, proc.p, proc.p)
+    return np.array([push_sum_matrix(proc.p, c.graph.edges[k // 2], c.share[k // 2],
+                                     loss=k % 2 == 1)
+                     for k in ks]).reshape(-1, proc.p, proc.p)
 
 
 def _step_matrices(proc, steps):
-    """The emissions of a list of ``step_events`` descriptors."""
+    """The emissions of a list of ``step_events`` member indices."""
     if proc.kind == "push_sum":
-        return _event_matrices(proc, [e for e, _ in steps], [lo for _, lo in steps])
-    return proc.members[[idx for idx, in steps]]
+        return _event_matrices(proc, steps)
+    return proc.members[steps]
 
 
 @_EACH_KIND
@@ -379,16 +381,16 @@ def test_emission_paths_interleave_like_single_steps(build, seed):
             out = mixed.dense_block(m)
         elif path == "steps":
             steps = list(islice(live, m))
-            assert all(type(v) in (int, bool) for d in steps for v in d)
+            assert all(type(k) is int for k in steps)
             out = _step_matrices(mixed, steps)
         else:
-            out = _event_matrices(mixed, *mixed.block_events(m))
+            out = _event_matrices(mixed, mixed.block_events(m).tolist())
         want = [ref.next_matrix() for _ in range(m)]
         assert out.shape == (m, ref.p, ref.p)
         assert all(np.array_equal(g, w) for g, w in zip(out, want))
         total += m
         assert mixed.steps_emitted == ref.steps_emitted == total
-        assert getattr(mixed, "last_index", None) == getattr(ref, "last_index", None)
+        assert mixed.last_index == ref.last_index
         got.append(out)
         if op == 4:     # a spawn with look-ahead pending is a fresh stream
             child = mixed.spawn((4, 2))
@@ -405,12 +407,11 @@ def test_writing_into_emissions_changes_no_later_emission(build):
     for _ in range(3):
         proc.next_matrix()[:] = -1.0
         proc.dense_block(70)[:] = -1.0
-        for d in proc.block_events(70):
-            d[:] = 7        # no member has index 7
+        proc.block_events(70)[:] = 70       # no member has index 70
         ref.dense_block(141)
-        assert getattr(proc, "last_index", None) == getattr(ref, "last_index", None)
+        assert proc.last_index == ref.last_index
         np.testing.assert_array_equal(proc.next_matrix(), ref.next_matrix())
-        assert getattr(proc, "last_index", None) == getattr(ref, "last_index", None)
+        assert proc.last_index == ref.last_index
 
 
 @_EACH_KIND
@@ -423,6 +424,85 @@ def test_negative_step_count_is_refused(build):
     np.testing.assert_array_equal(proc.dense_block(2), build((0,)).dense_block(3)[1:])
 
 
+# -- the member table ------------------------------------------------------------
+
+
+@st.composite
+def member_processes(draw):
+    """A small push-sum process (share 0.5 or 0.3, with or without loss), or
+    an i.i.d. or Markov family of push-sum-shaped, diagonal, dense and
+    zero-row members."""
+    p = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    share = draw(st.sampled_from([0.5, 0.3]))
+    if draw(st.booleans()):
+        edges = draw(st.lists(st.sampled_from(complete_digraph(p).edges),
+                              min_size=1, max_size=6, unique=True))
+        loss = draw(st.sampled_from([0.0, 0.3]))
+        return PushSumProcess(PushSumConfig.uniform(Digraph(p, tuple(edges)), share,
+                                                    loss), seed)
+    edits = st.builds(lambda e, lost: push_sum_matrix(p, e, share, loss=lost),
+                      st.sampled_from(complete_digraph(p).edges), st.booleans())
+    dense = st.lists(st.sampled_from([0.0, 0.25, 0.3, 1.0, 1.7]),
+                     min_size=p * p, max_size=p * p).map(lambda v: np.reshape(v, (p, p)))
+    diag = st.lists(st.sampled_from([0.25, 0.3, 1.0]), min_size=p, max_size=p).map(np.diag)
+    members = draw(st.lists(st.one_of(edits, dense, diag), min_size=1, max_size=4))
+    f = len(members)
+    if draw(st.booleans()):
+        return IIDFamilyProcess(members, [1 / f] * f, seed)
+    return MarkovFamilyProcess(members, np.full((f, f), 1 / f), seed)
+
+
+def _power_of_two(a: float) -> bool:
+    return a == 0.0 or math.frexp(a)[0] == 0.5
+
+
+@settings(max_examples=80, deadline=None)
+@given(proc=member_processes(), seed=st.integers(0, 2**32 - 1))
+def test_member_table_agrees_with_every_member(proc, seed):
+    # the update table, the column-stochastic flags, primitivity's column
+    # edits and the block builder all describe the matrix member(k) builds
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, proc.p)
+    edits = _column_edits(proc)
+    block = proc._block(np.arange(proc.family_size))
+    assert len(edits) == len(proc.updates) == len(proc.stochastic) == proc.family_size
+    for k in range(proc.family_size):
+        A = proc.member(k)
+        np.testing.assert_array_equal(block[k], A)
+        assert proc.stochastic[k] == is_column_stochastic(A)
+        i, keep, j, a = proc.updates[k]
+        if i is None and a is None:
+            assert not is_row_allowable(A)
+        elif i is None:
+            np.testing.assert_array_equal(a, A)
+        else:
+            y = x.copy()
+            if j is not None:
+                y[j] += a * y[i]
+            y[i] *= keep
+            if _power_of_two(a):
+                np.testing.assert_array_equal(y, A @ x)
+            else:
+                np.testing.assert_allclose(y, A @ x, rtol=1e-15, atol=1e-15)
+        cols = [1 << c for c in range(proc.p)]
+        targets, pairs = edits[k]
+        old = cols.copy()
+        for c in targets:
+            cols[c] = 0
+        for c, r in pairs:
+            cols[c] |= old[r]
+        pattern = [[bool(cols[c] >> r & 1) for c in range(proc.p)] for r in range(proc.p)]
+        np.testing.assert_array_equal(pattern, A > 0)
+        if proc.kind == "push_sum":
+            c = proc.config
+            np.testing.assert_array_equal(
+                A, push_sum_matrix(proc.p, c.graph.edges[k // 2], c.share[k // 2],
+                                   loss=k % 2 == 1))
+    child = proc.spawn((5,))
+    assert child.updates is proc.updates and child.stochastic is proc.stochastic
+    assert not proc.stochastic.flags.writeable
+
+
 # -- statistics of the sampler ---------------------------------------------------
 
 
@@ -430,7 +510,8 @@ def test_edge_and_loss_frequencies():
     cfg = PushSumConfig(ring(3), (0.5, 0.3, 0.2), (0.5,) * 3, (0.0, 0.25, 0.6))
     proc = PushSumProcess(cfg, seed=1234)
     n = 1_000_000
-    e, lost = proc.block_events(n)
+    k = proc.block_events(n)
+    e, lost = k // 2, k % 2 == 1
     counts = np.bincount(e, minlength=3)
     for k, q in enumerate(cfg.edge_prob):
         se = np.sqrt(q * (1 - q) * n)

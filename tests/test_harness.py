@@ -511,17 +511,26 @@ def test_cli_markov_initial_dist_of_wrong_shape_is_config_error(tmp_path, capsys
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("key,vector", [("x0", [math.nan, 0.3, 0.2, 0.1]),
-                                        ("w0", [math.inf, 1.0, 1.0, 1.0]),
-                                        ("x0", [0.1, -math.inf, 0.2, 0.1])])
-def test_cli_non_finite_initial_vector_is_config_error(tmp_path, capsys, key, vector):
+BAD_INITIAL = [("x0", [math.nan, 0.3, 0.2, 0.1], "finite"),
+               ("w0", [math.inf, 1.0, 1.0, 1.0], "finite"),
+               ("x0", [0.1, -math.inf, 0.2, 0.1], "finite"),
+               ("x0", ["a", 1, 2, 3], "must be numbers"),
+               ("x0", {"a": 1}, "must be numbers"),
+               ("w0", [-1, 1, 1, 1], "w0 must be nonnegative and not all zero"),
+               ("w0", [0, 0, 0, 0], "w0 must be nonnegative and not all zero")]
+
+
+@pytest.mark.parametrize("key,vector,message", BAD_INITIAL,
+                         ids=[f"{key}-vector{n}" for n, (key, _, _) in enumerate(BAD_INITIAL)])
+def test_cli_non_finite_initial_vector_is_config_error(tmp_path, capsys, key, vector,
+                                                        message):
     cfg = json.loads(json.dumps(PUSH_SUM_CFG))
     cfg["initial"][key] = vector
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg), encoding="utf-8")    # json writes NaN/Infinity
     assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and "finite" in err and "Traceback" not in err
+    assert "config error" in err and message in err and "Traceback" not in err
 
 
 def test_cli_same_subcommand_overwrites_its_bundle(cfg_path, tmp_path):

@@ -202,6 +202,28 @@ def test_forward_start_in_the_past_rejected():
         sample_forward_index(proc, start=1)
 
 
+@pytest.mark.parametrize("build", [lambda: ring5_process(True),
+                                   lambda: acceptance._envelope_configs()[7][0]],
+                         ids=["push_sum", "fam3"])
+@pytest.mark.parametrize("lead", [0, 1, 65])
+def test_forward_start_skips_ahead_like_single_steps(monkeypatch, build, lead):
+    proc, twin = build(), build()
+    for _ in range(lead):
+        proc.next_matrix()
+        twin.next_matrix()
+    built = []
+    next_matrix = MatrixProcess.next_matrix
+    monkeypatch.setattr(MatrixProcess, "next_matrix",
+                        lambda self: built.append(self) or next_matrix(self))
+    k = sample_forward_index(proc, start=proc.steps_emitted + 1 + 37)
+    assert built.count(proc) == k       # the skipped steps built no matrix
+    for _ in range(37):
+        twin.next_matrix()
+    assert sample_forward_index(twin) == k
+    assert proc.steps_emitted == twin.steps_emitted == lead + 37 + k
+    np.testing.assert_array_equal(proc.next_matrix(), twin.next_matrix())
+
+
 def lossy_proc(seed):
     g = ring_with_chords(5)
     ne = len(g.edges)
