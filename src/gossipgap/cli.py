@@ -177,11 +177,10 @@ def cmd_gap(args, cfg: ExperimentConfig) -> int:
 def cmd_primitivity(args, cfg: ExperimentConfig) -> int:
     proc = cfg.build_process(args.seed)
     rep = primitivity.is_family_primitive(proc.pattern_family())
-    if not (rep.family_primitive or rep.capped):
+    if not rep.family_primitive:
         # no emitted product is ever positive, so no index sample can end
         raise RuntimeError(f"the {proc.kind} pattern family is not primitive: "
-                           f"none of its {rep.states_explored} reachable "
-                           "products is positive")
+                           "no product of its members is positive")
     count = cfg.horizon.n
     psi = primitivity.sample_forward_indices(proc.spawn((500, 0)), count)
     rho = primitivity.sample_backward_indices(proc.spawn((500, 1)), count)
@@ -198,7 +197,6 @@ def cmd_primitivity(args, cfg: ExperimentConfig) -> int:
         "witness_word": ("-".join(map(str, rep.witness_word))
                          if rep.witness_word else None),
         "states_explored": rep.states_explored,
-        "capped": rep.capped,
         "ks_distance": ks, "ks_critical_1pct": ks_crit,
         "psi_mean": float(psi.mean()), "rho_mean": float(rho.mean()),
         "survival_slope": slope, "survival_corr": corr,

@@ -361,10 +361,9 @@ class MatrixProcess:
         return self._take(int(m)).copy()
 
     def pattern_family(self) -> np.ndarray:
-        """Zero/nonzero patterns of every matrix the process can emit, as
-        an ``(f, p, p)`` boolean stack (duplicates kept, in emission-law
-        order)."""
-        raise NotImplementedError
+        """Zero/nonzero patterns of the members as an ``(f, p, p)`` boolean
+        stack: row ``k`` is ``member(k) > 0``."""
+        return self._block(np.arange(self.family_size)) > 0
 
 
 class PushSumProcess(MatrixProcess):
@@ -416,12 +415,6 @@ class PushSumProcess(MatrixProcess):
             a[j, i] = off
         return a
 
-    def pattern_family(self) -> np.ndarray:
-        """Per edge: the delivered pattern, then the lost one (the identity)
-        when the edge can lose its packet."""
-        k = np.arange(self.family_size)
-        return self._block(k[(k % 2 == 0) | (self._loss_p[k // 2] > 0)]) > 0
-
 
 def _column_edit(A: np.ndarray):
     """``(i, A[i, i], j, A[j, i])`` when ``A`` is the identity with only
@@ -460,9 +453,6 @@ class _FamilyProcess(MatrixProcess):
 
     def member(self, k) -> np.ndarray:
         return self.members[k].copy()
-
-    def pattern_family(self) -> np.ndarray:
-        return self.members > 0
 
 
 class IIDFamilyProcess(_FamilyProcess):

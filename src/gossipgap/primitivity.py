@@ -3,8 +3,8 @@
 A finite family of nonnegative matrices is *primitive* if some finite
 product of its members (repetitions allowed) is strictly positive.  Only
 the zero/nonzero pattern matters, so the decision runs over boolean
-matrices: breadth-first search over the semigroup generated by the family
-patterns, capped by a configurable state budget.
+matrices: two breadth-first searches over ordered row pairs either build a
+positive witness word or prove that none exists (``is_family_primitive``).
 
 For a stationary matrix process the *forward index* ``psi`` at time ``t``
 is the least ``k >= 1`` such that ``gamma(A_{t+k-1}) ... gamma(A_t)`` is
@@ -15,17 +15,16 @@ and for i.i.d. emissions with a primitive pattern family both tails decay
 geometrically; ``ks_distance`` and ``survival_loglinear_fit`` quantify the
 empirical versions of those two facts.
 
-Forward indices multiply fresh emissions on the left.  Backward indices of
-i.i.d. kinds multiply fresh patterns on the right, since the reversed
-sequence has the same law: the running pattern is held as one integer
-bitmask per column, and each member index from ``step_events`` applies its
-member's pattern as a few column ORs, built once per member (one for a
-delivered push-sum packet, none for a lost one or an identity member), so
-no emission is built as a matrix.  A Markov-modulated family is walked
-back instead: the sampler keeps the member indices it drew with
-``block_events`` and multiplies the members' patterns from
-``pattern_family`` in reverse emission order.  Both walks give the indices
-of a walk over emitted patterns.
+Forward indices multiply fresh emissions on the left.  Backward indices
+multiply patterns on the right, one member index at a time: the running
+pattern is held as one integer bitmask per column, and each index applies
+its row of ``pattern_family`` as a few column ORs, built once per member
+(one for a delivered push-sum packet, none for a lost one or an identity
+member), so no emission is built as a matrix.  I.i.d. kinds walk fresh
+indices from ``step_events``, since the reversed sequence has the same
+law; a Markov-modulated family walks back over the indices it drew with
+``block_events``, newest first.  Both walks give the indices of a walk
+over emitted patterns.
 """
 
 from __future__ import annotations
@@ -82,21 +81,59 @@ class PrimitivityReport:
     family_primitive: bool
     witness_word: tuple[int, ...] | None
     states_explored: int
-    capped: bool
 
 
-def is_family_primitive(patterns, state_cap: int = 1_000_000) -> PrimitivityReport:
-    """Decide primitivity of a finite pattern family by semigroup BFS.
+def _merge_word(pats: np.ndarray, targets: np.ndarray):
+    """``(word, product, pairs reached)``: a word over the ``(f, p, p)``
+    stack ``pats`` whose product has a column every row shares, or None.
 
-    ``patterns`` is the ``(f, p, p)`` bool stack of
-    ``MatrixProcess.pattern_family()`` or any sequence of ``(p, p)`` bool
-    arrays; every member must be allowable.
+    Pair ``(a, b)`` leads to ``(x, y)`` under member ``g`` when ``g[a, x]``
+    and ``g[b, y]``, so rows ``a, b`` of a product share column ``c`` when
+    its word leads ``(a, b)`` to ``(c, c)``.  A breadth-first search back
+    from the diagonal pairs in the mask ``targets`` gives each pair that
+    reaches one its distance and first member; rows ``1 .. p-1`` are then
+    merged one at a time into a column the earlier rows share.
+    """
+    p = pats.shape[1]
+    counts = pats.astype(np.float32)    # BLAS products count paths, exactly
+    dist = np.where(targets, 0, -1)
+    first = np.zeros((p, p), dtype=np.intp)
+    frontier = targets
+    while frontier.any():
+        # pred[k, a, b]: member k leads (a, b) into the frontier
+        pred = (counts @ frontier.astype(np.float32) @ counts.transpose(0, 2, 1)
+                > 0) & (dist < 0)
+        frontier = pred.any(axis=0)
+        first[frontier] = pred.argmax(axis=0)[frontier]
+        dist[frontier] = dist.max() + 1
 
-    Explores the set of distinct boolean products reachable from the
-    generators (extending words on the right), so the first hit of the
-    all-true pattern yields a shortest witness word.  If ``state_cap``
-    distinct states are reached without a decision the report is returned
-    with ``capped=True`` and ``family_primitive=False`` (inconclusive).
+    reached = int(np.count_nonzero(dist >= 0))
+    word, prod = [], np.eye(p, dtype=bool)
+    for i in range(1, p):
+        pairs = np.flatnonzero(np.outer(prod[:i].all(axis=0), prod[i]) & (dist >= 0))
+        if len(pairs) == 0:
+            return None, prod, reached
+        a, b = divmod(int(pairs[np.argmin(dist.flat[pairs])]), p)
+        while dist[a, b] > 0:
+            word.append(int(first[a, b]))
+            g = pats[word[-1]]
+            prod = bool_product(prod, g)
+            a, b = np.argwhere(np.outer(g[a], g[b]) & (dist == dist[a, b] - 1))[0]
+    return word, prod, reached
+
+
+def is_family_primitive(patterns) -> PrimitivityReport:
+    """Decide primitivity of a family of allowable patterns (the ``(f, p,
+    p)`` stack of ``MatrixProcess.pattern_family()`` or any sequence of
+    ``(p, p)`` bool arrays) by two row-pair searches (``_merge_word``).
+
+    The first, to every diagonal pair, gives ``W`` with all-true columns
+    ``J``; the second, on the transposed members to the pairs ``(j, j)``
+    of ``J``, gives ``V`` with an all-true row in ``J`` when reversed.  So
+    ``W + reversed(V)`` is positive: the witness, not a shortest one.  A
+    positive product leads every pair to every pair, so a failed search
+    proves the family is not primitive.  ``states_explored`` counts the
+    pairs both searches reached.
     """
     if len(patterns) == 0:
         raise ValueError("empty family")
@@ -109,39 +146,14 @@ def is_family_primitive(patterns, state_cap: int = 1_000_000) -> PrimitivityRepo
         if not is_allowable(g):
             raise ValueError("family members must be allowable patterns")
 
-    visited: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
-    queue: list[bytes] = []
-    # A generator that repeats an earlier pattern, or is the identity,
-    # only ever maps a state to one already visited: extend by the others.
-    identity = np.eye(shape[0], dtype=bool).tobytes()
-    extend: list[tuple[int, np.ndarray]] = []
-    for gi, g in enumerate(pats):
-        k = g.tobytes()
-        if k not in visited:
-            visited[k] = (g, (gi,))
-            queue.append(k)
-            if k != identity:
-                extend.append((gi, g))
-        if np.count_nonzero(g) == g.size:
-            return PrimitivityReport(True, visited[k][1], len(visited), False)
-
-    head = 0
-    while head < len(queue):
-        bits, word = visited[queue[head]]
-        head += 1
-        for gi, gbits in extend:
-            nb = bool_product(bits, gbits)
-            k = nb.tobytes()
-            if k in visited:
-                continue
-            nw = word + (gi,)
-            if np.count_nonzero(nb) == nb.size:
-                return PrimitivityReport(True, nw, len(visited) + 1, False)
-            visited[k] = (nb, nw)
-            queue.append(k)
-            if len(visited) >= state_cap:
-                return PrimitivityReport(False, None, len(visited), True)
-    return PrimitivityReport(False, None, len(visited), False)
+    stack = np.stack(pats)
+    w, prod, states = _merge_word(stack, np.eye(shape[0], dtype=bool))
+    if w is None:
+        return PrimitivityReport(False, None, states)
+    v, _, more = _merge_word(stack.transpose(0, 2, 1), np.diag(prod.all(axis=0)))
+    # p = 1: both words are empty and every member is positive
+    witness = None if v is None else tuple(w + v[::-1]) or (0,)
+    return PrimitivityReport(witness is not None, witness, states + more)
 
 
 def sample_forward_index(proc: MatrixProcess, start: int | None = None,
@@ -193,8 +205,8 @@ def sample_backward_index(patterns, word, cap: int = DEFAULT_INDEX_CAP) -> int:
 
 
 def _column_edits(proc: MatrixProcess) -> list:
-    """For an i.i.d. kind, the column edits of ``cur @ gamma(A)`` for each
-    member ``A``, indexed by member index.
+    """The column edits of ``cur @ G`` for each row ``G`` of
+    ``proc.pattern_family()``, indexed by member index.
 
     With ``cur`` held as column bitmasks (bit ``r`` of column ``c`` is
     ``cur[r, c]``), column ``c`` of ``cur @ G`` is the OR of the old
@@ -205,12 +217,35 @@ def _column_edits(proc: MatrixProcess) -> list:
     """
     eye = np.eye(proc.p, dtype=bool)
     edits = []
-    for k in range(proc.family_size):
-        g = proc.member(k) > 0
+    for g in proc.pattern_family():
         targets = np.flatnonzero((g != eye).any(axis=0)).tolist()
         edits.append((targets, [(c, r) for c in targets
                                 for r in np.flatnonzero(g[:, c]).tolist()]))
     return edits
+
+
+def _column_walk(edits, p: int, steps, cap: int) -> int:
+    """Least ``k`` whose first ``k`` member indices from ``steps`` multiply,
+    left to right and as column bitmasks edited by ``edits``, to all-true.
+    Raises ``RuntimeError`` when ``k`` reaches ``cap``, or else when
+    ``steps`` runs out (history exhausted)."""
+    full = (1 << p) - 1
+    cols = [1 << c for c in range(p)]
+    k = 0
+    for idx in steps:
+        k += 1
+        targets, pairs = edits[idx]
+        if targets:
+            old = cols.copy()
+            for c in targets:
+                cols[c] = 0
+            for c, r in pairs:
+                cols[c] |= old[r]
+        if cols.count(full) == p:
+            return k
+        if k >= cap:
+            raise RuntimeError(f"pattern not positive within cap={cap} steps")
+    raise RuntimeError("pattern history exhausted before positivity")
 
 
 def sample_forward_indices(proc: MatrixProcess, count: int,
@@ -228,51 +263,28 @@ def sample_backward_indices(proc: MatrixProcess, count: int,
                             spacing: int = 64) -> np.ndarray:
     """Sample backward indices from a process stream.
 
-    For i.i.d. kinds the time-reversed sequence is again i.i.d. with the
-    same marginal, so each sample is taken exactly (and independently) by
-    multiplying fresh patterns on the right until positivity.  The walk
-    holds the running pattern as column bitmasks, starting from the
-    identity, and applies each step's column edits (``_column_edits``)
-    from the member indices ``step_events`` serves, so it builds no emission
-    and uses up exactly the steps it walks, the ``cap`` steps of a sample
-    that ends in the cap error included.
+    Every sample is one ``_column_walk`` over member indices, so no
+    emission is built.  For i.i.d. kinds the time-reversed sequence is
+    again i.i.d. with the same marginal, so each sample is taken exactly
+    (and independently) by walking fresh member indices from
+    ``step_events``; it uses up exactly the steps it walks, the ``cap``
+    steps of a sample that ends in the cap error included.
 
     For Markov-modulated processes the true walk-back is used at end points
     spaced ``spacing`` steps apart (samples are then only approximately
     independent): each end point draws the next ``spacing`` member indices
     with one ``block_events`` call into a history of the last ``cap``
-    indices, which starts empty at the call, and ``sample_backward_index``
-    walks that history back on the pattern family.
+    indices, which starts empty at the call, and the walk takes that
+    history newest first, as ``sample_backward_index`` does.
     """
-    count = int(count)
-    out = np.empty(count, dtype=np.int64)
-    if proc.kind in ("push_sum", "iid_family", "constant"):
-        edits = _column_edits(proc)
-        p, full = proc.p, (1 << proc.p) - 1
-        steps = proc.step_events()
-        for s in range(count):
-            cols = [1 << c for c in range(p)]
-            k = 0
-            for idx in steps:
-                k += 1
-                targets, pairs = edits[idx]
-                if targets:
-                    old = cols.copy()
-                    for c in targets:
-                        cols[c] = 0
-                    for c, r in pairs:
-                        cols[c] |= old[r]
-                if cols.count(full) == p:
-                    break
-                if k >= cap:
-                    raise RuntimeError(f"pattern not positive within cap={cap} steps")
-            out[s] = k
-        return out
-    patterns = list(proc.pattern_family())
-    word = deque(maxlen=int(cap))
-    for s in range(count):
-        word.extend(proc.block_events(spacing).tolist())
-        out[s] = sample_backward_index(patterns, word, cap=cap)
+    out = np.empty(int(count), dtype=np.int64)
+    edits, word = _column_edits(proc), deque(maxlen=int(cap))
+    iid = proc.kind in ("push_sum", "iid_family", "constant")
+    steps = proc.step_events() if iid else None
+    for s in range(len(out)):
+        if not iid:
+            word.extend(proc.block_events(spacing).tolist())
+        out[s] = _column_walk(edits, proc.p, steps if iid else reversed(word), cap)
     return out
 
 

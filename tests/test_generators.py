@@ -172,19 +172,19 @@ def test_dense_block_matches_sequential():
 
 
 def test_pattern_family_per_kind():
+    # one row per member, including the lost member of a lossless edge
     g = ring_with_chords(5)
     loss = tuple(0.3 if k % 2 else 0.0 for k in range(len(g.edges)))
-    pats = PushSumProcess(PushSumConfig.uniform(g, 0.4, loss), seed=1).pattern_family()
-    assert pats.shape == (len(g.edges) + sum(r > 0 for r in loss), 5, 5)
-    # per edge: the delivered pattern, then the lost one when loss is possible
-    np.testing.assert_array_equal(pats[0], push_sum_matrix(5, g.edges[0], 0.4) > 0)
-    np.testing.assert_array_equal(pats[1], push_sum_matrix(5, g.edges[1], 0.4) > 0)
-    np.testing.assert_array_equal(pats[2], np.eye(5, dtype=bool))
     fam = [np.eye(2), np.array([[1.0, 1.0], [1.0, 0.0]])]
-    np.testing.assert_array_equal(
-        IIDFamilyProcess(fam, [0.5, 0.5], seed=1).pattern_family(), np.stack(fam) > 0)
-    np.testing.assert_array_equal(
-        ConstantProcess(fam[1]).pattern_family(), (fam[1] > 0)[None])
+    for proc in (PushSumProcess(PushSumConfig.uniform(g, 0.4, loss), seed=1),
+                 IIDFamilyProcess(fam, [0.5, 0.5], seed=1),
+                 MarkovFamilyProcess(fam, [[0.5, 0.5], [0.2, 0.8]], seed=1),
+                 ConstantProcess(fam[1])):
+        pats = proc.pattern_family()
+        assert pats.dtype == bool
+        assert pats.shape == (proc.family_size, proc.p, proc.p)
+        for k in range(proc.family_size):
+            np.testing.assert_array_equal(pats[k], proc.member(k) > 0)
 
 
 def test_spawn_streams_differ_and_reproduce():

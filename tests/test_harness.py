@@ -228,8 +228,8 @@ def _no_sampling(*args, **kwargs):
 
 def test_cli_primitivity_non_primitive_family_fails_fast(tmp_path, capsys,
                                                          monkeypatch):
-    # a decided (uncapped) BFS that finds no positive product ends the
-    # command before any index is sampled
+    # a family with no positive product ends the command before any
+    # index is sampled
     from gossipgap import cli as cli_mod
 
     p = tmp_path / "swap.json"
@@ -242,31 +242,6 @@ def test_cli_primitivity_non_primitive_family_fails_fast(tmp_path, capsys,
     assert err.startswith("numerical failure: the constant pattern family "
                           "is not primitive")
     assert not out.exists()
-
-
-def test_cli_primitivity_capped_search_still_samples(tmp_path, monkeypatch):
-    # an inconclusive (capped) BFS keeps sampling and reports capped=True
-    from gossipgap import cli as cli_mod
-    from gossipgap.primitivity import PrimitivityReport
-
-    p = tmp_path / "swap.json"
-    p.write_text(json.dumps(_SWAP_CFG), encoding="utf-8")
-    calls = []
-
-    def fake_samples(proc, count, *args, **kwargs):
-        calls.append(count)
-        return np.full(count, 2, dtype=np.int64)
-
-    monkeypatch.setattr(cli_mod.primitivity, "is_family_primitive",
-                        lambda pats: PrimitivityReport(False, None, 3, True))
-    for name in ("sample_forward_indices", "sample_backward_indices"):
-        monkeypatch.setattr(cli_mod.primitivity, name, fake_samples)
-    out = tmp_path / "o"
-    assert main(["primitivity", "--config", str(p), "--out", str(out)]) == 0
-    assert calls == [100, 100]
-    rows = (out / "run_summary.csv").read_text().splitlines()
-    summary = dict(line.split(",", 1) for line in rows[1:])
-    assert summary["family_primitive"] == "False" and summary["capped"] == "True"
 
 
 def test_cli_config_error_exit_code(tmp_path):

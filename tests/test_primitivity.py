@@ -1,4 +1,5 @@
 import re
+import time
 from collections import deque
 
 import numpy as np
@@ -56,14 +57,14 @@ def test_pattern_homomorphism(p, seed):
 
 def test_family_primitive_fibonacci():
     rep = is_family_primitive([FIB])
-    assert rep.family_primitive and not rep.capped
+    assert rep.family_primitive
     assert len(rep.witness_word) == 2
     assert replay_word([FIB], rep.witness_word).all()
 
 
 def test_family_swap_not_primitive():
     rep = is_family_primitive([SWAP])
-    assert not rep.family_primitive and not rep.capped
+    assert not rep.family_primitive
     assert rep.states_explored == 2
     assert rep.witness_word is None
 
@@ -77,14 +78,14 @@ def test_family_push_sum_strongly_connected():
 
 
 def test_family_push_sum_ring5_lossy_report():
-    # 14 generators, 7 of them identity patterns from lost packets; the BFS
-    # extends only by the 7 distinct non-identity ones
+    # 14 generators, 7 of them identity patterns from lost packets; each
+    # search reaches all 25 row pairs of a primitive family
     pats = ring5_process(True).pattern_family()
     assert len(pats) == 14
     rep = is_family_primitive(pats)
-    assert rep.family_primitive and not rep.capped
-    assert rep.witness_word == (0, 4, 10, 8, 6, 4, 2, 0)
-    assert rep.states_explored == 1810
+    assert rep.family_primitive
+    assert rep.witness_word == (0, 10, 4, 10, 8, 6, 4, 6, 12, 0)
+    assert rep.states_explored == 50
     assert replay_word(pats, rep.witness_word).all()
 
 
@@ -133,11 +134,93 @@ def test_family_rejects_bad_members():
             is_family_primitive(bad)
 
 
-def test_family_state_cap():
-    g = ring_with_chords(5)
-    pats = [pattern_of(push_sum_matrix(5, e, 0.5)) for e in g.edges]
-    rep = is_family_primitive(pats, state_cap=3)
-    assert rep.capped and not rep.family_primitive
+def _semigroup_bfs(pats):
+    """Reference decision: breadth-first search over the distinct products
+    of the family, extending words on the right, until the all-true
+    pattern is found or no new product appears."""
+    seen = {g.tobytes() for g in pats}
+    queue = deque(pats)
+    while queue:
+        cur = queue.popleft()
+        if cur.all():
+            return True
+        for g in pats:
+            nb = bool_product(cur, g)
+            if nb.tobytes() not in seen:
+                seen.add(nb.tobytes())
+                queue.append(nb)
+    return False
+
+
+def _random_allowable(rng, p, density):
+    """A random pattern holding a random permutation, so it is allowable and
+    its diagonal may be zero."""
+    pat = rng.random((p, p)) < density
+    pat[np.arange(p), rng.permutation(p)] = True
+    return pat
+
+
+def _block_permuting(rng, p, f):
+    """Members that all map the blocks of one partition of the rows onto
+    blocks by a permutation of equal-size blocks: no product is positive."""
+    q = int(rng.choice([d for d in range(2, p + 1) if p % d == 0]))
+    block = rng.permutation(np.arange(p) % q)
+    fam = []
+    for _ in range(f):
+        sigma = rng.permutation(q)
+        pat = _random_allowable(rng, p, 0.5) & (sigma[block][:, None] == block)
+        # keep the member allowable: a bijection from each block's rows onto
+        # the columns of its image block
+        for s in range(q):
+            cols = np.flatnonzero(block == sigma[s])
+            pat[np.flatnonzero(block == s), rng.permutation(cols)] = True
+        fam.append(pat)
+    return fam
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 2 ** 31 - 1),
+       st.sampled_from(["sparse", "dense", "blocks"]))
+def test_family_decision_matches_semigroup_bfs(p, f, seed, shape):
+    rng = np.random.default_rng(seed)
+    if shape == "blocks" and p > 1:
+        pats = _block_permuting(rng, p, f)
+    else:
+        pats = [_random_allowable(rng, p, 0.2 if shape == "sparse" else 0.5)
+                for _ in range(f)]
+    rep = is_family_primitive(pats)
+    assert rep.family_primitive == _semigroup_bfs(pats)
+    assert 0 < rep.states_explored <= 2 * p * p
+    if rep.family_primitive:
+        assert all(0 <= k < f for k in rep.witness_word)
+        assert replay_word(pats, rep.witness_word).all()
+    else:
+        assert rep.witness_word is None
+    if shape == "blocks" and p > 1:
+        assert not rep.family_primitive
+
+
+def test_family_wide_ring_decides_fast():
+    # p = 64 ring with 32 chords and loss 0.2: 192 members
+    g = ring_with_chords(64, chords=tuple((i, (i + 32) % 64) for i in range(0, 64, 2)))
+    pats = PushSumProcess(PushSumConfig.uniform(g, 0.5, 0.2), seed=1).pattern_family()
+    assert pats.shape == (192, 64, 64)
+    t0 = time.perf_counter()
+    rep = is_family_primitive(pats)
+    assert time.perf_counter() - t0 < 10.0
+    assert rep.family_primitive
+    assert replay_word(pats, rep.witness_word).all()
+
+
+def test_family_witness_indexes_members():
+    # p4 has a lossless edge, so member indices and pattern rows must agree
+    proc = acceptance.p4_process()
+    rep = is_family_primitive(proc.pattern_family())
+    assert rep.family_primitive
+    prod = np.eye(proc.p)
+    for k in rep.witness_word:
+        prod = prod @ proc.member(k)
+    assert (prod > 0).all()
 
 
 # -- index sampling -----------------------------------------------------------
