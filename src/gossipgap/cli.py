@@ -83,8 +83,9 @@ def _try_rate(ns, values) -> float:
 def cmd_simulate(args, cfg: ExperimentConfig) -> int:
     proc = cfg.build_process(args.seed)
     x0, w0 = cfg.build_initial(proc.p)
-    traj = consensus.run(proc, x0, w0, cfg.horizon.n,
-                         checkpoints=cfg.horizon.checkpoints)
+    h = cfg.horizon
+    traj = consensus.run(proc, x0, w0, h.n, checkpoints=consensus.make_checkpoints(
+        h.n, h.checkpoints, count=h.count))
     summary = {
         "limit_estimate": traj.limit,
         "column_stochastic": traj.column_stochastic,
@@ -151,6 +152,8 @@ def cmd_gap(args, cfg: ExperimentConfig) -> int:
     e = cfg.estimators
     if proc.p < 2:
         raise ConfigError(f"gap needs a process dimension p >= 2; got p = {proc.p}")
+    if not e.birkhoff_m:
+        raise ConfigError("gap needs at least one block length in estimators.birkhoff_m")
     _check_qr_horizon(cfg)
     est = spectrum.estimate_spectrum_qr(proc, 2, cfg.horizon.n,
                                         e.reorth_period, e.replicates, e.burn_in)
@@ -167,7 +170,7 @@ def cmd_gap(args, cfg: ExperimentConfig) -> int:
     _write_bundle(args, cfg.output.prefix, cfg.to_dict(), {"gap": (
         ("m", "birkhoff_gap", "stderr", "tau_one_fraction"), points)}, {
         "qr_gap": est.gap, "qr_gap_stderr": est.gap_stderr,
-        "birkhoff_final": points[-1][1] if points else math.nan,
+        "birkhoff_final": points[-1][1],
     })
     if args.verbose:
         print(f"qr gap={est.gap:.6g}; birkhoff sweep={[p[1] for p in points]}")

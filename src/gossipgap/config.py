@@ -27,8 +27,8 @@ which have defaults):
 
 ``estimators``
     ``k``, ``reorth_period``, ``replicates``, ``burn_in`` (null for the
-    default), ``birkhoff_m`` (list of block lengths), ``trials``,
-    ``wedge_n``.
+    default), ``birkhoff_m`` (list of block lengths; ``gap`` needs at
+    least one), ``trials``, ``wedge_n``.
 
 ``output``
     ``prefix``: basename prefix for emitted files (no path separators).

@@ -15,12 +15,16 @@ identity with only column ``i`` changed) is two row updates,
 then ``x[i] *= keep``.  Any other member is applied as the dense product
 ``A @ x``, and a member that is not row-allowable raises at the first step
 that emits it.  Column-stochasticity comes from the process's per-member
-``stochastic`` flags.  Every step then shares one bookkeeping (the joint
-rescale, the envelope check and the checkpoint snapshots), and the results
-are those of iterating :func:`step`: bit for bit for dense members and for
-column edits whose off-diagonal entry is a power of two (``a x[i]`` is
-then exact), otherwise to rounding (a dense matrix-vector product may fuse
-the multiply-add).
+``stochastic`` flags.  Each step then only does what must be sequential:
+the joint rescale by ``max(w)``, whose rounding feeds the next step, and
+appending the mantissas to the block's buffers.  The ratios, the envelope,
+the envelope check and the checkpoint snapshots are taken once per block in
+one numpy pass over its ``(steps, p)`` arrays; they are elementwise IEEE
+operations and exact minima and maxima, so they equal a per-step check bit
+for bit.  The results are those of iterating :func:`step`: bit for bit for
+dense members and for column edits whose off-diagonal entry is a power of
+two (``a x[i]`` is then exact), otherwise to rounding (a dense
+matrix-vector product may fuse the multiply-add).
 
 Recorded diagnostics per checkpoint: the min/max ratio envelope (over nodes
 with positive weight), the total-variation distance of the simplex
@@ -196,43 +200,43 @@ def run(proc: MatrixProcess, x0, w0, n: int, checkpoints=None) -> Trajectory:
     One step loop serves every kind: each step looks its ``block_events``
     member index up in ``proc.updates`` and applies the column edit
     (``x[j] += a x[i]``, then ``x[i] *= keep``, and the same for ``w``)
-    or the dense product ``A @ x``, then does the bookkeeping of
-    :func:`step`: the joint rescale by ``max(w)`` and the envelope check.
-    Envelope monotonicity is monitored from the first step at which all
-    weights are positive, where the monotone-envelope argument applies;
-    violations beyond the floating slack are counted.  Checkpoints keep
-    ``(x, w)`` snapshots, from which the TV and Hilbert columns are
-    computed after the loop.  The result equals iterating :func:`step` bit
-    for bit for dense members and power-of-two ``a``, otherwise to
-    rounding (see the module docstring).
+    or the dense product ``A @ x``, then rescales both by ``max(w)`` as
+    :func:`step` does and appends them to the block's buffers.  After each
+    ``EVENT_BLOCK``-step block one numpy pass takes the ratios and their
+    min/max envelope per step (nodes of zero weight are left out), checks
+    each step's envelope against the last one before it at which all
+    weights were positive (carried across blocks), where the
+    monotone-envelope argument applies, and counts violations beyond the
+    floating slack.  Checkpoints keep ``(x, w)`` snapshots, from which the
+    TV and Hilbert columns are computed after the loop.  The result equals
+    iterating :func:`step` bit for bit for dense members and power-of-two
+    ``a``, otherwise to rounding (see the module docstring).
     """
     state = ConsensusState.from_initial(x0, w0)
     n = int(n)
     if checkpoints is None:
         cps = make_checkpoints(n)
-    elif isinstance(checkpoints, str):
-        cps = make_checkpoints(n, checkpoints)
     else:
         cps = _sorted_distinct(list(checkpoints))
         if len(cps) == 0 or cps[0] < 1 or cps[-1] > n:
             raise ValueError("checkpoints must lie in [1, n]")
     if proc.p != state.p:
         raise ValueError(f"dimension mismatch: process p={proc.p}, state p={state.p}")
-    cp_set = set(cps.tolist())
 
+    p = state.p
     x, w = state.x.tolist(), state.w.tolist()
     log_scale = 0.0
     table, stoch = proc.updates, proc.stochastic
     col_stoch = True
-    prev_env = None
+    prev_env = None         # last envelope at which every weight was positive
     violations = 0
     violation_max = 0.0
-    rows_env, snap_x, snap_w = [], [], []
+    rows_min, rows_max, snap_x, snap_w = [], [], [], []
 
-    t = 0
     for done in range(0, n, EVENT_BLOCK):
         keys = proc.block_events(min(EVENT_BLOCK, n - done))
         col_stoch = col_stoch and bool(stoch[keys].all())
+        xs, ws = [], []
         for k in keys.tolist():
             i, keep, j, a = table[k]
             if i is not None:
@@ -244,35 +248,52 @@ def run(proc: MatrixProcess, x0, w0, n: int, checkpoints=None) -> Trajectory:
             elif a is None:
                 raise ValueError("update matrix must be row-allowable")
             else:
-                x[:] = (a @ x).tolist()
-                w[:] = (a @ w).tolist()
-            t += 1
+                x = (a @ x).tolist()
+                w = (a @ w).tolist()
             c = max(w)
             if not c > 0:
                 raise ValueError("weight vector vanished; update matrix must keep w nonzero")
-            if c != 1.0:        # v / 1.0 == v: skip the exact-identity rescale
-                x[:] = [v / c for v in x]
-                w[:] = [v / c for v in w]
-            log_scale += math.log(c)
-            r = [xv / wv for xv, wv in zip(x, w) if wv > 0]
-            mn, mx = min(r), max(r)
-            if prev_env is not None:
-                scale = max(abs(prev_env[0]), abs(prev_env[1]))
-                slack = ENVELOPE_SLACK * scale
-                excess = max(prev_env[0] - mn, mx - prev_env[1])
-                if excess > slack:
-                    violations += 1
-                    violation_max = max(violation_max, excess - slack)
-            if len(r) == len(w):
-                prev_env = (mn, mx)
-            if t in cp_set:
-                rows_env.append((mn, mx))
-                snap_x.append(x[:])
-                snap_w.append(w[:])
+            if c != 1.0:        # v / 1.0 == v and log(1.0) == 0.0: skip both
+                x = [v / c for v in x]
+                w = [v / c for v in w]
+                log_scale += math.log(c)
+            xs += x
+            ws += w
 
-    env_min, env_max = np.array(rows_env).T
+        # the rest of the bookkeeping, once per block: row t is step done+t+1
+        m = len(keys)
+        X, W = np.array(xs).reshape(m, p), np.array(ws).reshape(m, p)
+        pos = W > 0         # zero-weight nodes leave the envelope
+        full = pos.all(axis=1)
+        R = np.divide(X, W, out=np.full((m, p), np.inf), where=pos)
+        mn = R.min(axis=1)
+        mx = np.where(pos, R, -np.inf).max(axis=1)
+        # step t is checked against the last full envelope before it: entry
+        # 0 carries the previous block's, forward-filled over full steps
+        lo, hi = prev_env or (np.nan, np.nan)
+        env_mn, env_mx = np.concatenate(([lo], mn)), np.concatenate(([hi], mx))
+        has = np.concatenate(([prev_env is not None], full))
+        last = np.maximum.accumulate(np.where(has, np.arange(m + 1), -1))
+        if last[-1] >= 0:
+            prev_env = (env_mn[last[-1]], env_mx[last[-1]])
+        ref = last[:-1]
+        checked = ref >= 0
+        p_mn, p_mx = env_mn[ref[checked]], env_mx[ref[checked]]
+        slack = ENVELOPE_SLACK * np.maximum(np.abs(p_mn), np.abs(p_mx))
+        excess = np.maximum(p_mn - mn[checked], mx[checked] - p_mx)
+        over = excess > slack
+        if over.any():
+            violations += int(over.sum())
+            violation_max = max(violation_max, float((excess - slack)[over].max()))
+        at = cps[(cps > done) & (cps <= done + m)] - done - 1
+        rows_min.append(mn[at])
+        rows_max.append(mx[at])
+        snap_x.append(X[at])
+        snap_w.append(W[at])
+
+    env_min, env_max = np.concatenate(rows_min), np.concatenate(rows_max)
     mid = 0.5 * (env_min + env_max)
-    X, W = np.array(snap_x), np.array(snap_w)
+    X, W = np.concatenate(snap_x), np.concatenate(snap_w)
     tv = np.full(len(cps), np.nan)
     if np.all(state.x >= 0) and np.any(state.x > 0):
         sx = X.sum(axis=1)

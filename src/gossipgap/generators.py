@@ -401,7 +401,8 @@ class PushSumProcess(MatrixProcess):
 
     def _block(self, k: np.ndarray) -> np.ndarray:
         m = len(k)
-        blk = np.broadcast_to(self._eye, (m, self.p, self.p)).copy()
+        blk = np.zeros((m, self.p, self.p))
+        blk.reshape(m, self.p * self.p)[:, ::self.p + 1] = 1.0     # identity stack
         s, i = np.arange(m), self._col[k]
         blk[s, i, i] = self._keep[k]
         blk[s, self._row[k], i] = self._off[k]

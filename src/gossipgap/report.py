@@ -6,9 +6,9 @@ runs with identical configuration produce byte-identical tables on the
 same platform/numpy build (digest equality is the determinism check;
 bit-exactness across platforms additionally requires identical BLAS/libm
 rounding).  Missing values are empty fields.  Every bundle carries a
-``<prefix>_manifest.json`` listing each emitted file with its SHA-256
-digest and the subcommand that wrote it; timestamps live only in the
-manifest so the tables stay reproducible.
+``<prefix>_manifest.json`` listing each emitted file with the SHA-256
+digest of the bytes written and the subcommand that wrote it; timestamps
+live only in the manifest so the tables stay reproducible.
 """
 
 from __future__ import annotations
@@ -41,15 +41,18 @@ def format_value(v) -> str:
     return str(v)
 
 
-def write_table(path: Path, header, rows) -> None:
+def write_table(path: Path, header, rows) -> str:
+    """Write a table and return the SHA-256 hex digest of its bytes."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(format_value(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    Path(path).write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
-def write_summary(path: Path, items: dict) -> None:
-    write_table(path, ("key", "value"), items.items())
+def write_summary(path: Path, items: dict) -> str:
+    return write_table(path, ("key", "value"), items.items())
 
 
 def sha256_of(path: Path) -> str:
@@ -64,25 +67,20 @@ class ReportBundle:
     prefix: str
     config_echo: dict
     command: str | None = None
-    files: list = field(default_factory=list)
+    digests: dict = field(default_factory=dict)     # path -> SHA-256 written
 
     def __post_init__(self):
         self.outdir = Path(self.outdir)
         self.outdir.mkdir(parents=True, exist_ok=True)
 
-    def _register(self, path: Path):
-        self.files.append(path)
-
     def add_table(self, name: str, header, rows) -> Path:
         path = self.outdir / f"{self.prefix}_{name}.csv"
-        write_table(path, header, rows)
-        self._register(path)
+        self.digests[path] = write_table(path, header, rows)
         return path
 
     def add_summary(self, items: dict) -> Path:
         path = self.outdir / f"{self.prefix}_summary.csv"
-        write_summary(path, items)
-        self._register(path)
+        self.digests[path] = write_summary(path, items)
         return path
 
     def write_manifest(self) -> Path:
@@ -91,8 +89,8 @@ class ReportBundle:
             "command": self.command,
             "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "config": self.config_echo,
-            "outputs": [{"path": p.name, "sha256": sha256_of(p)}
-                        for p in sorted(self.files)],
+            "outputs": [{"path": p.name, "sha256": d}
+                        for p, d in sorted(self.digests.items())],
         }
         path = self.outdir / f"{self.prefix}_manifest.json"
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gossipgap import consensus
 from gossipgap.acceptance import _envelope_configs, p4_process
 from gossipgap.consensus import (ENVELOPE_SLACK, EVENT_BLOCK, ConsensusState,
                                  fit_rate, make_checkpoints, rate_window, run,
@@ -175,7 +176,7 @@ def test_run_checkpoint_validation():
     with pytest.raises(ValueError, match="checkpoints"):
         run(noloss5(1), np.ones(5), np.ones(5), 100, checkpoints=[0, 5])
     with pytest.raises(ValueError, match="schedule"):
-        run(noloss5(1), np.ones(5), np.ones(5), 100, checkpoints="cubic")
+        make_checkpoints(100, "cubic")
     proc = lossy5(2)
     with pytest.raises(ValueError, match="checkpoints"):
         run(proc, np.ones(5), np.ones(5), 100, checkpoints=[5, 101])
@@ -276,6 +277,48 @@ def test_run_after_single_steps_equal_to_dense_recursion(k, lead):
 def test_run_share_03_matches_dense_recursion():
     # ring3 at share 0.3: a*x[i] rounds, and the dense product may fuse it
     check_against_dense(4, 3 * EVENT_BLOCK + 17, rtol=1e-12)
+
+
+@pytest.mark.parametrize("k", [0, 5, 7])
+def test_run_counts_violations_like_dense_recursion(monkeypatch, k):
+    # a negative slack flags every step whose envelope shrinks by less than
+    # 1e-3 of its scale, in both paths, across block boundaries
+    monkeypatch.setattr(consensus, "ENVELOPE_SLACK", -1e-3)
+    monkeypatch.setitem(globals(), "ENVELOPE_SLACK", -1e-3)
+    (proc, x0, w0), (twin, _, _) = _envelope_configs()[k], _envelope_configs()[k]
+    n = 3 * EVENT_BLOCK + 17
+    compare_with_dense(proc, twin, x0, w0, n, rtol=0)
+    traj = run(_envelope_configs()[k][0], x0, w0, n)
+    assert 0 < traj.envelope_violations < n and traj.envelope_violation_max > 0
+
+
+def late_weight_family(seed=9):
+    """Node 1 starts without weight and gets some only at the first draw of
+    the rare second member: step 805 at seed 9."""
+    return IIDFamilyProcess([np.eye(2), push_sum_matrix(2, (0, 1), 0.5)],
+                            [0.998, 0.002], seed)
+
+
+@pytest.mark.parametrize("x1", [0.7, 0.0, -0.7])
+def test_run_zero_weight_phase_longer_than_a_block(x1):
+    # the weightless node's ratio x1 / 0 (inf, nan or -inf) stays out of
+    # the envelope
+    first = int(np.argmax(late_weight_family().block_events(4 * EVENT_BLOCK) == 1)) + 1
+    assert EVENT_BLOCK < first <= 2 * EVENT_BLOCK
+    compare_with_dense(late_weight_family(), late_weight_family(), [0.3, x1],
+                       [1.0, 0.0], 3 * EVENT_BLOCK + 17, rtol=0)
+
+
+def test_run_checkpoints_at_block_edges():
+    cps = [EVENT_BLOCK, EVENT_BLOCK + 1, 2 * EVENT_BLOCK]
+    n = 3 * EVENT_BLOCK + 17
+    (proc, x0, w0), (twin, _, _) = _envelope_configs()[0], _envelope_configs()[0]
+    traj = run(proc, x0, w0, n, checkpoints=cps)
+    cols = dense_reference(twin, x0, w0, n)[0]
+    at = np.array(cps) - 1
+    for name, ref in cols.items():
+        np.testing.assert_array_equal(getattr(traj, name), ref[at], err_msg=name)
+    assert not np.isnan(traj.tv).any() and not np.isnan(traj.hilbert).any()
 
 
 def test_member_table_classifies_family_members():

@@ -116,6 +116,12 @@ def test_format_value():
     assert float(format_value(0.1)) == 0.1
 
 
+def test_write_table_returns_digest_of_its_bytes(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = [(1, 0.1, math.nan, math.inf, -0.0), (True, "a,b", None)]
+    assert write_table(path, ("a", "b"), rows) == sha256_of(path)
+
+
 # -- CLI end-to-end ---------------------------------------------------------------
 
 
@@ -130,6 +136,19 @@ def test_cli_simulate_writes_bundle(cfg_path, tmp_path):
     header = traj.read_text().splitlines()[0]
     assert header == "n,max_ratio_error,tv,envelope_min,envelope_max,hilbert,limit_estimate"
     assert verify_manifest(manifest)
+
+
+def test_cli_simulate_linear_count_sets_rows(tmp_path):
+    cfg = json.loads(json.dumps(PUSH_SUM_CFG))
+    cfg["horizon"] = {"n": 600, "checkpoints": "linear", "count": 50}
+    path = tmp_path / "lin.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    rows = (out / "demo_trajectory.csv").read_text().splitlines()[1:]
+    assert len(rows) == 50
+    assert [int(r.split(",")[0]) for r in rows] == \
+        consensus.make_checkpoints(600, "linear", count=50).tolist()
 
 
 def test_cli_simulate_deterministic(cfg_path, tmp_path):
@@ -378,6 +397,25 @@ def test_cli_short_horizon_is_config_error(tmp_path, capsys, monkeypatch, cmd,
     assert not out.exists()
 
 
+def test_cli_gap_without_block_lengths_is_config_error(tmp_path, capsys,
+                                                      monkeypatch):
+    from gossipgap import cli as cli_mod
+
+    cfg = json.loads(json.dumps(PUSH_SUM_CFG))
+    cfg["estimators"]["birkhoff_m"] = []
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    with monkeypatch.context() as mp:
+        mp.setattr(cli_mod.spectrum, "estimate_spectrum_qr", _no_estimation)
+        out = tmp_path / "o"
+        assert main(["gap", "--config", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: gap needs") and "birkhoff_m" in err
+    assert "Traceback" not in err and not out.exists()
+    # spectrum never reads the block lengths
+    assert main(["spectrum", "--config", str(p), "--out", str(tmp_path / "s")]) == 0
+
+
 def test_cli_gap_on_one_node_is_config_error(tmp_path, capsys, monkeypatch):
     from gossipgap import cli as cli_mod
 
@@ -407,7 +445,9 @@ def test_trajectory_table_same_as_from_numpy_scalars(cfg_path, tmp_path):
     cfg = load_config(cfg_path)
     proc = cfg.build_process(None)
     traj = consensus.run(proc, *cfg.build_initial(proc.p), cfg.horizon.n,
-                         checkpoints=cfg.horizon.checkpoints)
+                         checkpoints=consensus.make_checkpoints(
+                             cfg.horizon.n, cfg.horizon.checkpoints,
+                             count=cfg.horizon.count))
     write_table(tmp_path / "ref.csv", traj.TABLE_HEADER, _numpy_scalar_rows(traj))
     assert (out / "demo_trajectory.csv").read_bytes() == \
         (tmp_path / "ref.csv").read_bytes()
