@@ -39,7 +39,9 @@ the constant kind consumes no draws).  ``next_matrix``, ``dense_block``
 and the indices themselves (``block_events`` for a block of steps,
 ``step_events`` one step at a time) are served from one look-ahead buffer
 of drawn but not yet emitted indices, so any interleaving of them consumes
-the stream exactly like single steps.  ``member(k)`` builds member ``k``,
+the stream exactly like single steps; ``draw_ahead`` fills that buffer
+with a long run of steps in one sampler call without serving any of them.
+``member(k)`` builds member ``k``,
 and the read-only table ``updates[k]`` says what it does to a vector:
 ``(i, keep, j, a)`` when it is the identity with only column ``i``
 changed to ``keep = A[i, i] > 0`` and at most one off-diagonal
@@ -227,7 +229,11 @@ class MatrixProcess:
     ``dense_block``, ``block_events`` and ``step_events`` all serve the
     indices of one look-ahead buffer, pending ones first; ``next_matrix``
     and ``step_events`` refill it with ``_LOOKAHEAD`` steps when it is
-    empty.  ``steps_emitted`` counts emissions served, not drawn, and
+    empty, and ``draw_ahead(m)`` tops it up to at least ``m`` pending
+    steps in one ``_draw`` call, so a caller that knows how many steps it
+    will take pays one sampler call for all of them.  Drawing ahead
+    serves nothing: the stream is drawn in the same order either way.
+    ``steps_emitted`` counts emissions served, not drawn, and
     ``last_index`` is the member index of the last one; nothing else about
     served emissions is kept.  ``spawn`` derives an independent but
     reproducible stream for replicate work.
@@ -308,6 +314,20 @@ class MatrixProcess:
         self.steps_emitted += m
         return idx
 
+    def draw_ahead(self, m: int) -> None:
+        """Make at least ``m`` steps pending in the look-ahead without
+        serving them: ``steps_emitted``, ``last_index`` and every later
+        emission stay as they were."""
+        m = int(m)
+        if m < 0:
+            raise ValueError("step count must be nonnegative")
+        ahead, at = self._ahead, self._at
+        pending = len(ahead) - at
+        if m > pending:
+            lo = max(at - 1, 0)     # keep the last served index for last_index
+            self._ahead = np.concatenate((ahead[lo:], self._draw(m - pending)))
+            self._at = at - lo
+
     def next_matrix(self) -> np.ndarray:
         """Emit ``A_n`` as a fresh ``(p, p)`` float array and advance the
         internal cursor."""
@@ -362,8 +382,16 @@ class MatrixProcess:
 
     def pattern_family(self) -> np.ndarray:
         """Zero/nonzero patterns of the members as an ``(f, p, p)`` boolean
-        stack: row ``k`` is ``member(k) > 0``."""
-        return self._block(np.arange(self.family_size)) > 0
+        stack: row ``k`` is ``member(k) > 0``, read from ``updates`` (only a
+        member with a zero row is built as floats)."""
+        pats = np.zeros((self.family_size, self.p, self.p), dtype=bool)
+        pats.reshape(len(pats), -1)[:, ::self.p + 1] = True     # identity stack
+        for k, (i, _, j, a) in enumerate(self.updates):
+            if i is None:
+                pats[k] = (self.member(k) if a is None else a) > 0
+            elif j is not None:     # the kept diagonal A[i, i] > 0 stays true
+                pats[k, j, i] = a > 0
+        return pats
 
 
 class PushSumProcess(MatrixProcess):

@@ -332,19 +332,21 @@ def _birkhoff_draw_len(trials: int, p: int) -> int:
     return max(_BIRKHOFF_SEGMENT, fit - fit % _BIRKHOFF_SEGMENT)
 
 
-def _segment_products(steps: np.ndarray, seg: int):
+def _segment_products(steps: np.ndarray, seg: int, patterns: bool):
     """Products ``C`` (later factors on the left) and 0/1 patterns ``P``
     (clipped products of the step patterns, i.e. boolean products) of the
     consecutive ``seg``-step runs of the step-major ``(n * seg, T, p, p)``
-    ``steps``, each ``(n, T, p, p)``: one batched matmul per step position."""
+    ``steps``, each ``(n, T, p, p)``: one batched matmul per step position.
+    ``P`` is None, and no pattern is formed, unless ``patterns``."""
     runs = steps.reshape(-1, seg, *steps.shape[1:])
     C = np.ascontiguousarray(np.broadcast_to(np.eye(steps.shape[-1]),
                                              runs[:, 0].shape))
-    P = C.copy()
+    P = C.copy() if patterns else None
     for s in range(seg):
         A = runs[:, s]
         C = A @ C
-        P = np.minimum((A > 0).astype(float) @ P, 1.0)
+        if patterns:
+            P = np.minimum((A > 0).astype(float) @ P, 1.0)
     return C, P
 
 
@@ -367,14 +369,19 @@ def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstima
     ``tau_zero_fraction``; the estimate is nan if every positive trial is
     censored.
 
-    Each trial draws its ``m`` emissions through ``dense_block`` in runs of
-    as many whole 16-step segments as fit a step-major ``(steps, trials,
-    p, p)`` buffer of about 2 MiB (at least one segment).  The 16-step
-    products and patterns of all segments of a draw are formed together,
-    one batched matmul per step position, and then folded into the
-    factors segment by segment; ``phi`` is evaluated for all positive
-    trials at once.  Neither changes a result: every trial's stream and
-    every segment's arithmetic are those of one draw per segment and a
+    Each trial draws the member indices of up to ``p**2`` buffer lengths
+    of steps in one ``draw_ahead`` call (so the indices of all trials take
+    no more memory than the buffer), then builds its emissions through
+    ``dense_block`` in runs of as many whole 16-step segments as fit a
+    step-major ``(steps, trials, p, p)`` buffer of about 2 MiB (at least
+    one segment).  The 16-step products and patterns of all segments of a
+    draw are formed together, one batched matmul per step position, and
+    then folded into the factors segment by segment; ``phi`` is evaluated
+    for all positive trials at once.  Once every trial's running pattern
+    is all-true and every member is row-allowable, no more patterns are
+    formed: an all-true pattern times a row-allowable one stays all-true.
+    None of this changes a result: every trial's stream and every
+    segment's arithmetic are those of one draw per segment and a
     step-by-step product.
     """
     if proc.p < 2:
@@ -389,11 +396,17 @@ def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstima
     Vh = U.copy()
     lognorm = np.zeros((T, p))
     pat = U.copy()                      # 0/1 pattern of the running product
+    # a zero-row member is the table's only (None, 0.0, None, None) entry
+    row_allowable = all(a is not None for _, _, _, a in proc.updates)
+    track = True                        # pat may still gain a true entry
     draw_len = _birkhoff_draw_len(T, p)
+    run = p * p * draw_len              # steps per draw_ahead: indices <= buf bytes
     buf = np.empty((min(draw_len, m), T, p, p))    # step-major: buf[s] is (T, p, p)
     for done in range(0, m, draw_len):
         drawn = min(draw_len, m - done)
         for t, pr in enumerate(procs):
+            if done % run == 0:
+                pr.draw_ahead(min(run, m - done))
             buf[:drawn, t] = pr.dense_block(drawn)
         full = drawn - drawn % _BIRKHOFF_SEGMENT
         # the whole segments of the draw, then the partial one ending it
@@ -401,8 +414,11 @@ def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstima
             if lo == hi:
                 continue
             seg = min(hi - lo, _BIRKHOFF_SEGMENT)
-            for C, P in zip(*_segment_products(buf[lo:hi], seg)):
-                pat = np.minimum(P @ pat, 1.0)
+            Cs, Ps = _segment_products(buf[lo:hi], seg, track)
+            for s, C in enumerate(Cs):
+                if track:
+                    pat = np.minimum(Ps[s] @ pat, 1.0)
+                    track = not (row_allowable and pat.all())
                 B = (C @ U) * np.exp(lognorm)[:, None, :]
                 U, sv, wh = np.linalg.svd(B)
                 with np.errstate(divide="ignore"):

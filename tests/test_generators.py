@@ -187,6 +187,23 @@ def test_pattern_family_per_kind():
             np.testing.assert_array_equal(pats[k], proc.member(k) > 0)
 
 
+def test_pattern_family_of_every_table_entry_form():
+    # a column edit with and without its off-diagonal entry, a dense
+    # row-allowable member and one with a zero row
+    fam = [np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.25, 1.0]]),
+           np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.3]]),
+           np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]),
+           np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 0.0]])]
+    proc = IIDFamilyProcess(fam, [0.25] * 4, seed=1)
+    assert [u[:3] for u in proc.updates[:2]] == [(1, 0.5, 2), (2, 0.3, None)]
+    assert proc.updates[2][0] is None and proc.updates[2][3] is not None
+    assert proc.updates[3] == (None, 0.0, None, None)
+    pats = proc.pattern_family()
+    assert pats.dtype == bool and pats.shape == (4, 3, 3)
+    for k, a in enumerate(fam):
+        np.testing.assert_array_equal(pats[k], a > 0)
+
+
 def test_spawn_streams_differ_and_reproduce():
     base = PushSumProcess(lossy_cfg(), seed=42)
     a = base.spawn(1).dense_block(100)
@@ -399,6 +416,68 @@ def test_emission_paths_interleave_like_single_steps(build, seed):
                 np.array([child.next_matrix() for _ in range(70)]),
                 build((4, 2)).dense_block(70))
     np.testing.assert_array_equal(np.concatenate(got), build((0,)).dense_block(total))
+
+
+@_EACH_KIND
+@pytest.mark.parametrize("served", [0, 1, 63, 64, 65])
+def test_draw_ahead_serves_nothing(build, served):
+    # drawing ahead, before or after steps were served, moves neither the
+    # served count, the last index nor any later emission; topping up to
+    # at most the pending steps draws nothing
+    proc, fresh = build((0,)), build((0,))
+    blocks = [proc.dense_block(served)]
+    for m, take in ((100, 30), (70, 0), (40, 1), (0, 0), (700, 512), (5, 300)):
+        cursor = (proc.steps_emitted, proc.last_index)
+        pending = len(proc._ahead) - proc._at
+        ahead, rng = proc._ahead, proc._rng.bit_generator.state
+        proc.draw_ahead(m)
+        assert (proc.steps_emitted, proc.last_index) == cursor
+        assert len(proc._ahead) - proc._at == max(m, pending)
+        if m <= pending:
+            assert proc._ahead is ahead and proc._rng.bit_generator.state == rng
+        blocks.append(proc.dense_block(take))
+    np.testing.assert_array_equal(np.concatenate(blocks),
+                                  fresh.dense_block(proc.steps_emitted))
+    assert proc.last_index == fresh.last_index
+
+
+@_EACH_KIND
+def test_draw_ahead_under_a_live_step_events_iterator(build):
+    # a step_events iterator kept alive across draw_ahead calls, mixed with
+    # the other emission paths, serves the stream next_matrix serves
+    proc, ref = build((0,)), build((0,))
+    live = proc.step_events()
+    got = []
+    for m, path, take in ((0, "steps", 3), (200, "steps", 100), (5, "steps", 1),
+                          (1000, "block", 64), (1000, "steps", 900),
+                          (1, "next", 2), (64, "steps", 70)):
+        proc.draw_ahead(m)
+        if path == "steps":
+            got += list(islice(live, take))
+        elif path == "block":
+            got += proc.block_events(take).tolist()
+        else:
+            for _ in range(take):
+                proc.next_matrix()
+                got.append(proc.last_index)
+        want = []
+        for _ in range(take):
+            ref.next_matrix()
+            want.append(ref.last_index)
+        assert got[-take:] == want
+        assert proc.steps_emitted == ref.steps_emitted
+        assert proc.last_index == ref.last_index
+
+
+@_EACH_KIND
+def test_draw_ahead_refuses_a_negative_count(build):
+    proc = build((0,))
+    proc.next_matrix()
+    ahead = proc._ahead
+    with pytest.raises(ValueError, match="nonnegative"):
+        proc.draw_ahead(-1)
+    assert proc._ahead is ahead and proc.steps_emitted == 1
+    np.testing.assert_array_equal(proc.dense_block(2), build((0,)).dense_block(3)[1:])
 
 
 @_EACH_KIND

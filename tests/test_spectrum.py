@@ -401,10 +401,22 @@ _FAM3_IID = IIDFamilyProcess(
      np.eye(3) + 0.5], [0.4, 0.4, 0.2], seed=31)
 
 
+# member 2 has a zero row: a positive running product can turn non-positive
+# again, so pattern tracking never stops
+_FAM3_ZERO_ROW = IIDFamilyProcess(
+    [np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]),
+     np.eye(3) + 0.5,
+     np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 0.0]])],
+    [0.45, 0.35, 0.2], seed=12)
+
+
 @pytest.mark.parametrize("draw", [80, 64, 48, 32, 16])
 @pytest.mark.parametrize("proc", [
     lossy5(), _FAM3_IID, acceptance._envelope_configs()[7][0], ConstantProcess(A2),
-], ids=["push_sum", "iid", "markov", "constant"])
+    _FAM3_ZERO_ROW,
+    # p = 2: index runs of 4 * draw steps, so m = 500 draws ahead more than once
+    two_node(0.25),
+], ids=["push_sum", "iid", "markov", "constant", "zero_row", "index_runs"])
 def test_birkhoff_matches_per_segment_reference(proc, draw, monkeypatch):
     # multi-segment draws into the step-major buffer change no bit of the
     # result, whatever draw length the buffer cap allows
@@ -418,6 +430,60 @@ def test_birkhoff_matches_per_segment_reference(proc, draw, monkeypatch):
             got = (g.value, g.stderr, g.diagnostics["tau_one_fraction"],
                    g.diagnostics["tau_zero_fraction"])
             np.testing.assert_array_equal(got, _birkhoff_per_segment(proc, m, 6))
+
+
+def test_birkhoff_draws_each_index_run_once(monkeypatch):
+    # one draw_ahead per trial per p^2 * draw_len steps, the last one short
+    monkeypatch.setattr(spectrum, "_BIRKHOFF_BUFFER_BYTES", 16 * 3 * 2 ** 2 * 8)
+    calls = []
+    real = PushSumProcess.draw_ahead
+    monkeypatch.setattr(PushSumProcess, "draw_ahead",
+                        lambda self, m: calls.append(m) or real(self, m))
+    estimate_gap_birkhoff(two_node(0.25), 150, 3)
+    assert calls == [64] * 3 + [64] * 3 + [22] * 3
+
+
+def _steps_to_positive(proc, m, trials):
+    """Per trial, the least number of steps whose running pattern product
+    is all-true (``m + 1`` if none), one step at a time."""
+    out = []
+    for t in range(trials):
+        pr = proc.spawn((spectrum._BIRKHOFF_STREAM, m, t))
+        pat = np.eye(proc.p, dtype=bool)
+        for s, a in enumerate(pr.dense_block(m), 1):
+            pat = (a > 0).astype(int) @ pat > 0
+            if pat.all():
+                break
+        out.append(s if pat.all() else m + 1)
+    return out
+
+
+@pytest.mark.parametrize("proc", [
+    ConstantProcess(np.ones((3, 3))), lossy5(), _FAM3_IID, _FAM3_ZERO_ROW,
+], ids=["positive", "push_sum", "iid", "zero_row"])
+def test_birkhoff_forms_no_pattern_after_every_trial_is_positive(proc, monkeypatch):
+    # one segment per draw: _segment_products forms patterns for exactly the
+    # segments up to the one in which the last trial turned positive, and
+    # for every segment when a member has a zero row
+    m, T = 500, 6
+    monkeypatch.setattr(spectrum, "_BIRKHOFF_BUFFER_BYTES", 16 * T * proc.p ** 2 * 8)
+    flags = []
+    real = spectrum._segment_products
+    monkeypatch.setattr(spectrum, "_segment_products",
+                        lambda steps, seg, patterns:
+                        flags.append(patterns) or real(steps, seg, patterns))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        estimate_gap_birkhoff(proc, m, T)
+    segments = -(-m // 16)
+    if proc is _FAM3_ZERO_ROW:
+        assert flags == [True] * segments
+        return
+    last = max(_steps_to_positive(proc, m, T))
+    assert last <= m
+    tracked = (last - 1) // 16 + 1
+    assert flags == [True] * tracked + [False] * (segments - tracked)
+    assert tracked < segments
 
 
 def test_birkhoff_draw_length():
