@@ -44,8 +44,10 @@ def _check_owner(args, prefix: str) -> None:
     Rerunning the same subcommand overwrites its own bundle."""
     manifest = Path(args.out or Path.cwd()) / f"{prefix}_manifest.json"
     try:
-        owner = (json.loads(manifest.read_text(encoding="utf-8")).get("command")
-                 if manifest.exists() else args.command)
+        with open(manifest, encoding="utf-8") as f:
+            owner = json.load(f).get("command")
+    except FileNotFoundError:
+        owner = args.command
     except (ValueError, AttributeError):
         owner = None
     except OSError as e:

@@ -275,7 +275,10 @@ def sample_backward_indices(proc: MatrixProcess, count: int,
     independent): each end point draws the next ``spacing`` member indices
     with one ``block_events`` call into a history of the last ``cap``
     indices, which starts empty at the call, and the walk takes that
-    history newest first, as ``sample_backward_index`` does.
+    history newest first, as ``sample_backward_index`` does.  The indices
+    of up to 256 end points are drawn ahead in one sampler call; drawing
+    ahead serves nothing, so the samples, ``steps_emitted`` and the steps
+    served after a cap error are those of one draw per end point.
     """
     out = np.empty(int(count), dtype=np.int64)
     edits, word = _column_edits(proc), deque(maxlen=int(cap))
@@ -283,6 +286,8 @@ def sample_backward_indices(proc: MatrixProcess, count: int,
     steps = proc.step_events() if iid else None
     for s in range(len(out)):
         if not iid:
+            if s % 256 == 0:
+                proc.draw_ahead(spacing * min(256, len(out) - s))
             word.extend(proc.block_events(spacing).tolist())
         out[s] = _column_walk(edits, proc.p, steps if iid else reversed(word), cap)
     return out

@@ -5,10 +5,16 @@ endings, ``.`` decimal separator and 17-significant-digit floats, so two
 runs with identical configuration produce byte-identical tables on the
 same platform/numpy build (digest equality is the determinism check;
 bit-exactness across platforms additionally requires identical BLAS/libm
-rounding).  Missing values are empty fields.  Every bundle carries a
-``<prefix>_manifest.json`` listing each emitted file with the SHA-256
-digest of the bytes written and the subcommand that wrote it; timestamps
-live only in the manifest so the tables stay reproducible.
+rounding).  Missing values are empty fields.  A text field that holds a
+comma, a double quote, CR or LF is quoted as RFC 4180 says, inner quotes
+doubled; numbers, bools and empty fields never need it.  A table whose
+every column is all exact ``int`` or all ``float`` (subclasses included)
+is rendered through one ``%`` template, which gives ``format_value``'s
+bytes; any other table is rendered a row at a time.  Every bundle carries
+a ``<prefix>_manifest.json``, compact JSON with sorted keys, listing each
+emitted file with the SHA-256 digest of the bytes written and the
+subcommand that wrote it; timestamps live only in the manifest so the
+tables stay reproducible.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,12 +48,44 @@ def format_value(v) -> str:
     return str(v)
 
 
+def _spec(types) -> str | None:
+    """The ``%`` spec that formats values of every type in ``types`` as
+    ``format_value`` does, NaN aside; None when one of them needs
+    ``format_value`` (``None``, ``bool``, ``str``, numpy ints, ``np.float32``)."""
+    if all(t is int for t in types):
+        return "%d"
+    if all(issubclass(t, float) for t in types):
+        return "%.17g"
+    return None
+
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
+
+
+def _quote(s: str) -> str:
+    """``s`` as a CSV field: quoted when it holds a comma, a quote, CR or LF."""
+    return '"' + s.replace('"', '""') + '"' if _NEEDS_QUOTES(s) else s
+
+
+def _render(rows: list) -> str:
+    """``rows`` (tuples) as LF-terminated CSV lines: through one template
+    when every column is all exact ints or all floats, else each row as a
+    one-row table, and a row that fails that too one field at a time."""
+    if len(set(map(len, rows))) == 1:
+        specs = [_spec(set(map(type, col))) for col in zip(*rows)]
+        if None not in specs:
+            # a body of %d and %.17g fields holds "nan" only as a whole NaN field
+            return ("\n".join(map(",".join(specs).__mod__, rows))
+                    + "\n").replace("nan", "")
+    if len(rows) == 1:
+        return ",".join(_quote(format_value(v)) for v in rows[0]) + "\n"
+    return "".join(_render([row]) for row in rows)
+
+
 def write_table(path: Path, header, rows) -> str:
     """Write a table and return the SHA-256 hex digest of its bytes."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    data = ("\n".join(lines) + "\n").encode("utf-8")
+    data = (",".join(map(_quote, header)) + "\n"
+            + _render(list(map(tuple, rows)))).encode("utf-8")
     Path(path).write_bytes(data)
     return hashlib.sha256(data).hexdigest()
 
@@ -93,17 +132,19 @@ class ReportBundle:
                         for p, d in sorted(self.digests.items())],
         }
         path = self.outdir / f"{self.prefix}_manifest.json"
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+        path.write_text(json.dumps(manifest, sort_keys=True) + "\n",
                         encoding="utf-8", newline="\n")
         return path
 
 
 def verify_manifest(manifest_path) -> bool:
-    """True iff every listed output exists with a matching digest."""
+    """True iff the manifest is a JSON object whose every listed output
+    exists with a matching digest; False for an unreadable, truncated or
+    malformed manifest too."""
     manifest_path = Path(manifest_path)
-    data = json.loads(manifest_path.read_text(encoding="utf-8"))
-    for entry in data.get("outputs", []):
-        p = manifest_path.parent / entry["path"]
-        if not p.exists() or sha256_of(p) != entry["sha256"]:
-            return False
-    return True
+    try:
+        data = json.loads(manifest_path.read_text(encoding="utf-8"))
+        return all(sha256_of(manifest_path.parent / entry["path"]) == entry["sha256"]
+                   for entry in data.get("outputs", []))
+    except (OSError, ValueError, AttributeError, KeyError, TypeError):
+        return False

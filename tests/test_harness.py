@@ -1,11 +1,14 @@
+import csv
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gossipgap import cli, consensus
+from gossipgap import acceptance, cli, consensus, report
 from gossipgap.cli import main
 from gossipgap.config import ConfigError, ExperimentConfig, load_config
 from gossipgap.report import format_value, sha256_of, verify_manifest, write_table
@@ -120,6 +123,83 @@ def test_write_table_returns_digest_of_its_bytes(tmp_path):
     path = tmp_path / "t.csv"
     rows = [(1, 0.1, math.nan, math.inf, -0.0), (True, "a,b", None)]
     assert write_table(path, ("a", "b"), rows) == sha256_of(path)
+
+
+def _reference_csv(header, rows) -> bytes:
+    """One ``format_value`` per field, RFC 4180 quoting of the text."""
+    def field(v):
+        s = format_value(v)
+        return '"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s
+    return "".join(",".join(map(field, r)) + "\n" for r in [header, *rows]).encode()
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324,
+                   -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308]
+_TEXT = st.text(alphabet='an,"\r\n é1', max_size=6)
+_CELLS = {
+    "float": st.floats(allow_subnormal=True) | st.sampled_from(_SPECIAL_FLOATS),
+    "float64": (st.floats() | st.sampled_from(_SPECIAL_FLOATS)).map(np.float64),
+    "float32": st.floats(width=32).map(np.float32),
+    "int": st.integers(-2 ** 70, 2 ** 70) | st.sampled_from([2 ** 63, -2 ** 63 - 1]),
+    "int64": st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    "bool": st.booleans(),
+    "bool_": st.booleans().map(np.bool_),
+    "none": st.none(),
+    "text": _TEXT,
+}
+_ANY_CELL = st.one_of(*_CELLS.values())
+
+
+@st.composite
+def _tables(draw):
+    """A header and rows whose columns each keep one kind of value, apart
+    from a few cells of any kind and, sometimes, rows cut short."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=5))
+    rows = [[draw(_CELLS[k]) for k in kinds] for _ in range(draw(st.integers(0, 8)))]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(_ANY_CELL)
+    if rows and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        del row[draw(st.integers(0, len(row) - 1)):]
+    header = draw(st.lists(_TEXT, min_size=len(kinds), max_size=len(kinds)))
+    return header, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tables())
+def test_write_table_bytes_equal_reference_join(tmp_path_factory, table):
+    header, rows = table
+    path = tmp_path_factory.mktemp("t") / "t.csv"
+    digest = write_table(path, header, (r for r in rows))
+    assert path.read_bytes() == _reference_csv(header, rows)
+    assert digest == sha256_of(path)
+
+
+def _ring5_trajectory():
+    """The trajectory table of the benchmark's ring5-lossy simulate call."""
+    proc = acceptance.ring5_process(True, 2024)
+    x0 = np.random.default_rng(3).uniform(0.1, 1.0, proc.p)
+    return consensus.run(proc, x0, np.ones(proc.p), 600,
+                         checkpoints=consensus.make_checkpoints(600, "linear", count=200))
+
+
+def test_trajectory_table_takes_the_template_path(tmp_path, monkeypatch):
+    traj = _ring5_trajectory()
+    want = _reference_csv(traj.TABLE_HEADER, traj.rows())
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return format_value(v)
+
+    monkeypatch.setattr(report, "format_value", counted)
+    write_table(tmp_path / "t.csv", traj.TABLE_HEADER, traj.rows())
+    assert (tmp_path / "t.csv").read_bytes() == want
+    assert calls == []
+    # the counter sees a table that cannot take the template
+    write_table(tmp_path / "u.csv", ("a", "b"), [(1, 0.5), (2, None)])
+    assert calls
 
 
 # -- CLI end-to-end ---------------------------------------------------------------
@@ -586,6 +666,29 @@ def test_manifest_detects_missing_file(cfg_path, tmp_path):
     assert not verify_manifest(out / "demo_manifest.json")
 
 
+def _truncated(text):
+    return text[:len(text) // 2]
+
+
+def _non_object(text):
+    return json.dumps(json.loads(text)["outputs"])
+
+
+def _entry_without_digest(text):
+    data = json.loads(text)
+    del data["outputs"][0]["sha256"]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("damage", [_truncated, _non_object, _entry_without_digest])
+def test_malformed_manifest_does_not_verify(cfg_path, tmp_path, damage):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    manifest = out / "demo_manifest.json"
+    manifest.write_text(damage(manifest.read_text(encoding="utf-8")), encoding="utf-8")
+    assert verify_manifest(manifest) is False
+
+
 def test_cli_acceptance_exit_codes(monkeypatch, tmp_path, capsys):
     from gossipgap import acceptance as acc_mod
     from gossipgap import cli as cli_mod
@@ -603,3 +706,14 @@ def test_cli_acceptance_exit_codes(monkeypatch, tmp_path, capsys):
                         lambda verbose=False: [acc_mod.CriterionResult(
                             1, "stub ok", True, 0.0, "fine")])
     assert main(["acceptance"]) == 0
+
+
+def test_cli_acceptance_quotes_text_fields(monkeypatch, tmp_path):
+    detail = 'l1=0.5 (tol 1e-6), say "ok"\nruntime<1s=True\r\nend'
+    monkeypatch.setattr(cli.acceptance, "run_all", lambda verbose=False: [
+        acceptance.CriterionResult(1, "a, b", True, 0.25, detail)])
+    assert main(["acceptance", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "acceptance_criteria.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    assert rows == [{"id": "1", "name": "a, b", "passed": "True",
+                     "runtime_s": "0.25", "details": detail}]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipgap import acceptance
+from gossipgap import acceptance, primitivity
 from gossipgap.acceptance import ring5_process
 from gossipgap.generators import (ConstantProcess, Digraph, IIDFamilyProcess,
                                   MarkovFamilyProcess, MatrixProcess,
@@ -523,6 +523,36 @@ def test_backward_walk_grid_reaches_both_errors():
     assert not n0 and "exhausted" in e0
     assert len(n1) > 0 and "cap=12" in e1
     assert len(n2) == 300 and e2 is None
+
+
+def _one_draw_per_end_point(proc, count, cap, spacing):
+    """The Markov branch of ``sample_backward_indices`` with one
+    ``block_events`` per end point and no draw ahead."""
+    edits, word, out = primitivity._column_edits(proc), deque(maxlen=cap), []
+    for _ in range(count):
+        word.extend(proc.block_events(spacing).tolist())
+        out.append(primitivity._column_walk(edits, proc.p, reversed(word), cap))
+    return out
+
+
+@pytest.mark.parametrize("count", [1, 255, 256, 257, 1000])
+def test_backward_draw_ahead_matches_one_draw_per_end_point(count):
+    proc, ref = _WALK_FAMILIES["fam3"](), _WALK_FAMILIES["fam3"]()
+    got = sample_backward_indices(proc, count)
+    assert got.tolist() == _one_draw_per_end_point(ref, count, DEFAULT_INDEX_CAP, 64)
+    assert proc.steps_emitted == ref.steps_emitted == 64 * count
+    assert proc.last_index == ref.last_index
+    np.testing.assert_array_equal(proc.block_events(300), ref.block_events(300))
+
+
+def test_backward_draw_ahead_after_cap_error_serves_the_reference_steps():
+    proc, ref = _WALK_FAMILIES["ring3"](), _WALK_FAMILIES["ring3"]()
+    with pytest.raises(RuntimeError, match="cap=12"):
+        sample_backward_indices(proc, 300, cap=12, spacing=40)
+    with pytest.raises(RuntimeError, match="cap=12"):
+        _one_draw_per_end_point(ref, 300, 12, 40)
+    assert 0 < proc.steps_emitted == ref.steps_emitted < 256 * 40
+    np.testing.assert_array_equal(proc.block_events(500), ref.block_events(500))
 
 
 def test_backward_walk_consumes_only_its_end_points():
