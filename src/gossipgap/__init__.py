@@ -7,9 +7,8 @@ value/weight ratios, via three independent routes: re-orthonormalized frame
 products, wedge-product growth, and Birkhoff contraction asymptotics.
 """
 
-from .core import (birkhoff_phi, birkhoff_tau, extreme_entries,
-                   hilbert_distance, is_allowable, is_row_allowable,
-                   log_abs_det, normalize_simplex, tv_distance,
+from .core import (birkhoff_phi, birkhoff_tau, hilbert_distance,
+                   is_allowable, is_row_allowable, log_abs_det, tv_distance,
                    wedge_magnitude)
 from .generators import (ConstantProcess, Digraph, IIDFamilyProcess,
                          MarkovFamilyProcess, MatrixProcess, PushSumConfig,
@@ -22,10 +21,9 @@ from .primitivity import (PrimitivityReport, bool_product,
                           sample_backward_index, sample_backward_indices,
                           sample_forward_index, sample_forward_indices,
                           survival_loglinear_fit)
-from .spectrum import (GapEstimate, RankOneResidual, SpectrumEstimate,
-                       check_det_identity, estimate_gap_birkhoff,
-                       estimate_gap_wedge, estimate_spectrum_qr,
-                       estimate_sum_top2_wedge, rank1_residual)
+from .spectrum import (GapEstimate, SpectrumEstimate, check_det_identity,
+                       estimate_gap_birkhoff, estimate_spectrum_qr,
+                       estimate_sum_top2_wedge)
 from .consensus import (ConsensusState, Trajectory, fit_rate, make_checkpoints,
                         rate_window, run, step, weighted_ratio)
 from .config import ConfigError, ExperimentConfig, load_config

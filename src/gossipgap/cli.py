@@ -19,7 +19,6 @@ import functools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -141,14 +140,6 @@ def cmd_spectrum(args, cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _gap_point(payload):
-    cfg_dict, seed, m, trials = payload
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    proc = cfg.build_process(seed)
-    g = spectrum.estimate_gap_birkhoff(proc, m, trials)
-    return (m, g.value, g.stderr, g.diagnostics["tau_one_fraction"])
-
-
 def cmd_gap(args, cfg: ExperimentConfig) -> int:
     proc = cfg.build_process(args.seed)
     e = cfg.estimators
@@ -159,16 +150,10 @@ def cmd_gap(args, cfg: ExperimentConfig) -> int:
     _check_qr_horizon(cfg)
     est = spectrum.estimate_spectrum_qr(proc, 2, cfg.horizon.n,
                                         e.reorth_period, e.replicates, e.burn_in)
-    payloads = [(cfg.to_dict(), args.seed, int(m), e.trials)
-                for m in e.birkhoff_m]
-    # the fork start method launches every worker up front: one per task at most
-    workers = min(args.threads, len(payloads))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_gap_point, payloads))
-    else:
-        points = [_gap_point(p) for p in payloads]
-    points.sort(key=lambda r: r[0])
+    points = []
+    for m in sorted(map(int, e.birkhoff_m)):
+        g = spectrum.estimate_gap_birkhoff(proc, m, e.trials)
+        points.append((m, g.value, g.stderr, g.diagnostics["tau_one_fraction"]))
     _write_bundle(args, cfg.output.prefix, cfg.to_dict(), {"gap": (
         ("m", "birkhoff_gap", "stderr", "tau_one_fraction"), points)}, {
         "qr_gap": est.gap, "qr_gap_stderr": est.gap_stderr,
@@ -248,9 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the config base seed")
         p.add_argument("--out", default=None, help="output directory")
         if name in ("gap", "spectrum"):
-            p.add_argument("--threads", type=int, default=1, help=(
-                "worker processes for the Birkhoff sweep" if name == "gap" else
-                "ignored; accepted so spectrum and gap share one command line"))
+            p.add_argument("--threads", type=int, default=1,
+                           help="ignored; kept for existing command lines")
         p.add_argument("--verbose", action="store_true")
     return ap
 

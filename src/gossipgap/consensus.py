@@ -144,15 +144,10 @@ class Trajectory:
     envelope_violations: int
     envelope_violation_max: float
     final_state: ConsensusState
-    x0: np.ndarray
-    w0: np.ndarray
 
     def max_ratio_error(self) -> np.ndarray:
         """``max_i |ratio_i - limit|`` per checkpoint (limit inside envelope)."""
         return np.maximum(self.env_max - self.limit, self.limit - self.env_min)
-
-    def envelope_width(self) -> np.ndarray:
-        return self.env_max - self.env_min
 
     TABLE_HEADER = ("n", "max_ratio_error", "tv", "envelope_min",
                     "envelope_max", "hilbert", "limit_estimate")
@@ -310,7 +305,7 @@ def run(proc: MatrixProcess, x0, w0, n: int, checkpoints=None) -> Trajectory:
         limit = float(mid[-1])
     final = ConsensusState(n, np.array(x), np.array(w), log_scale)
     return Trajectory(cps, env_min, env_max, tv, hilbert, mid, limit, col_stoch,
-                      violations, violation_max, final, state.x, state.w)
+                      violations, violation_max, final)
 
 
 def weighted_ratio(state: ConsensusState, q) -> float:

@@ -33,13 +33,10 @@ __all__ = [
     "PROB_TOL",
     "is_allowable",
     "is_row_allowable",
-    "extreme_entries",
-    "normalize_simplex",
     "tv_distance",
     "hilbert_distance",
     "birkhoff_phi",
     "birkhoff_tau",
-    "log_birkhoff_tau",
     "log_tau_from_phi",
     "wedge_magnitude",
     "log_abs_det",
@@ -60,29 +57,6 @@ def is_allowable(A) -> bool:
 def is_row_allowable(A) -> bool:
     """True iff every row of ``A`` has a positive entry."""
     return bool((np.asarray(A, dtype=float) > 0).any(axis=1).all())
-
-
-def extreme_entries(A) -> tuple[float, float]:
-    """Minimal positive entry and maximal entry of ``A``.
-
-    Raises ``ValueError`` if the matrix has no positive entry.
-    """
-    a = np.asarray(A, dtype=float)
-    pos = a[a > 0]
-    if pos.size == 0:
-        raise ValueError("no positive entry")
-    return float(pos.min()), float(a.max())
-
-
-def normalize_simplex(v) -> np.ndarray:
-    """Scale a nonnegative vector to sum 1."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v < 0):
-        raise ValueError("simplex normalization requires a nonnegative vector")
-    s = float(v.sum())
-    if not s > 0:
-        raise ValueError("degenerate normalization: vector sums to zero")
-    return v / s
 
 
 def _per_row(d: np.ndarray):
@@ -169,11 +143,6 @@ def log_tau_from_phi(phi: float) -> float:
         return math.log(x) - x * x / 3.0
     q = math.exp(-2.0 * x)
     return math.log1p(-q) - math.log1p(q)
-
-
-def log_birkhoff_tau(A) -> float:
-    """``log tau(A)``, computed stably even when ``tau`` rounds to 1."""
-    return log_tau_from_phi(birkhoff_phi(A))
 
 
 def wedge_magnitude(x, y) -> float:

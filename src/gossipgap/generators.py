@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import is_row_allowable
+from .core import PROB_TOL, is_row_allowable
 
 __all__ = [
     "Digraph",
@@ -82,7 +82,6 @@ __all__ = [
     "complete_digraph",
 ]
 
-_PROB_TOL = 1e-12
 _LOOKAHEAD = 64     # steps next_matrix and step_events draw into an empty look-ahead
 
 
@@ -178,7 +177,7 @@ def column_sums(A) -> np.ndarray:
     return np.asarray(A, dtype=float).sum(axis=0)
 
 
-def is_column_stochastic(A, tol: float = _PROB_TOL) -> bool:
+def is_column_stochastic(A, tol: float = PROB_TOL) -> bool:
     return bool(np.all(np.abs(column_sums(A) - 1.0) <= tol))
 
 
@@ -198,7 +197,7 @@ class PushSumConfig:
         object.__setattr__(self, "loss_prob", tuple(float(r) for r in self.loss_prob))
         if len(self.edge_prob) != ne or len(self.share) != ne or len(self.loss_prob) != ne:
             raise ValueError("edge_prob, share and loss_prob must have one entry per edge")
-        if any(q < 0 for q in self.edge_prob) or not abs(sum(self.edge_prob) - 1.0) <= _PROB_TOL:
+        if any(q < 0 for q in self.edge_prob) or not abs(sum(self.edge_prob) - 1.0) <= PROB_TOL:
             raise ValueError("edge probabilities must be nonnegative and sum to 1")
         if any(not 0.0 < s < 1.0 for s in self.share):
             raise ValueError("shares must lie strictly inside (0, 1)")
@@ -493,7 +492,7 @@ class IIDFamilyProcess(_FamilyProcess):
         probs = np.array(probs, dtype=float)
         if probs.ndim != 1 or len(probs) != len(matrices):
             raise ValueError("one probability per family member required")
-        if np.any(probs < 0) or not abs(float(probs.sum()) - 1.0) <= _PROB_TOL:
+        if np.any(probs < 0) or not abs(float(probs.sum()) - 1.0) <= PROB_TOL:
             raise ValueError("probabilities must be nonnegative and sum to 1")
         self.probs = probs
         self._cum = np.cumsum(probs)
@@ -526,7 +525,7 @@ class MarkovFamilyProcess(_FamilyProcess):
         f = len(matrices)
         if P.shape != (f, f):
             raise ValueError("transition matrix must be square with one row per member")
-        if np.any(P < 0) or not np.all(np.abs(P.sum(axis=1) - 1.0) <= _PROB_TOL):
+        if np.any(P < 0) or not np.all(np.abs(P.sum(axis=1) - 1.0) <= PROB_TOL):
             raise ValueError("transition matrix must be row-stochastic")
         pattern = Digraph(f, tuple((i, j) for i in range(f) for j in range(f)
                                    if i != j and P[i, j] > 0))

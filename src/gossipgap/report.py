@@ -137,14 +137,21 @@ class ReportBundle:
         return path
 
 
+def _is_file_name(name) -> bool:
+    """True for a plain file name: no directory part, not ``.`` or ``..``."""
+    return isinstance(name, str) and name not in ("", ".", "..") and Path(name).name == name
+
+
 def verify_manifest(manifest_path) -> bool:
-    """True iff the manifest is a JSON object whose every listed output
-    exists with a matching digest; False for an unreadable, truncated or
-    malformed manifest too."""
+    """True iff the manifest is a JSON object whose every listed output is
+    a plain file name (no directory part) that exists in the manifest's
+    directory with a matching digest; False for an unreadable, truncated
+    or malformed manifest too."""
     manifest_path = Path(manifest_path)
     try:
         data = json.loads(manifest_path.read_text(encoding="utf-8"))
-        return all(sha256_of(manifest_path.parent / entry["path"]) == entry["sha256"]
+        return all(_is_file_name(entry["path"]) and
+                   sha256_of(manifest_path.parent / entry["path"]) == entry["sha256"]
                    for entry in data.get("outputs", []))
     except (OSError, ValueError, AttributeError, KeyError, TypeError):
         return False

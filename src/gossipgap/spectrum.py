@@ -34,13 +34,10 @@ from .generators import MatrixProcess
 __all__ = [
     "SpectrumEstimate",
     "GapEstimate",
-    "RankOneResidual",
     "estimate_spectrum_qr",
     "estimate_sum_top2_wedge",
-    "estimate_gap_wedge",
     "estimate_gap_birkhoff",
     "check_det_identity",
-    "rank1_residual",
 ]
 
 # Stream namespaces for replicate spawning; distinct leading components keep
@@ -49,7 +46,6 @@ _QR_STREAM = 1
 _WEDGE_STREAM = 2
 _BIRKHOFF_STREAM = 3
 _DET_STREAM = 6
-_RESIDUAL_STREAM = 7
 
 _BLOCK = 512
 _BIRKHOFF_SEGMENT = 16                 # steps between re-factorizations
@@ -76,20 +72,10 @@ class SpectrumEstimate:
 class GapEstimate:
     """A spectral-gap estimate with its method tag and fit diagnostics."""
 
-    method: str                # qr_spectrum | wedge_minus_top | birkhoff_asymptotic
-    value: float               # >= 0; negative raw estimates are clamped with a warning
+    method: str                # "birkhoff_asymptotic"
+    value: float               # 0 if no trial is positive; nan if all saturated
     stderr: float
     diagnostics: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_qr(cls, est: SpectrumEstimate) -> "GapEstimate":
-        raw = est.gap
-        value = raw
-        if raw < 0:
-            warnings.warn(f"raw qr gap estimate {raw:.3g} < 0; clamping to 0")
-            value = 0.0
-        return cls("qr_spectrum", value, est.gap_stderr,
-                   {"raw": raw, "lambdas": est.lambdas.copy()})
 
 
 def _run_frames(procs, k: int, n_count: int, reorth_period: int,
@@ -245,25 +231,6 @@ def estimate_sum_top2_wedge(proc: MatrixProcess, x, w, n: int,
             logs.append(math.log(s))
         done += len(blk)
     return math.fsum(logs) / n
-
-
-def estimate_gap_wedge(proc: MatrixProcess, x, w, n: int,
-                       replicates: int = 8, reorth_period: int = 1,
-                       burn_in: int | None = None) -> GapEstimate:
-    """Gap via ``2 lambda_1 - (lambda_1 + lambda_2)`` with the wedge sum."""
-    top = estimate_spectrum_qr(proc, 1, n, reorth_period, replicates, burn_in)
-    sums = np.array([estimate_sum_top2_wedge(proc, x, w, n, stream=r)
-                     for r in range(replicates)])
-    gaps = 2.0 * top.samples[:, 0] - sums
-    value = float(gaps.mean())
-    stderr = (float(gaps.std(ddof=1)) / math.sqrt(replicates)
-              if replicates > 1 else 0.0)
-    diagnostics = {"top": top.samples[:, 0].copy(), "wedge_sums": sums}
-    if value < 0:
-        warnings.warn(f"raw wedge gap estimate {value:.3g} < 0; clamping to 0")
-        diagnostics["raw"] = value
-        value = 0.0
-    return GapEstimate("wedge_minus_top", value, stderr, diagnostics)
 
 
 def _phi_from_factors(U: np.ndarray, lognorm: np.ndarray, Vh: np.ndarray) -> float:
@@ -475,38 +442,3 @@ def check_det_identity(proc: MatrixProcess, n: int, qr_n: int | None = None,
     est = estimate_spectrum_qr(proc, proc.p, qr_n if qr_n is not None else n,
                                reorth_period, replicates, burn_in)
     return lhs, est.sum()
-
-
-@dataclass
-class RankOneResidual:
-    """Per-checkpoint second-to-first singular growth of the product."""
-
-    ns: np.ndarray
-    log_ratio: np.ndarray      # log(sigma_2 / sigma_1), always finite
-
-    @property
-    def ratio(self) -> np.ndarray:
-        """``sigma_2 / sigma_1``; may underflow to 0 for long horizons."""
-        return np.exp(self.log_ratio)
-
-
-def rank1_residual(proc: MatrixProcess, n_checkpoints) -> RankOneResidual:
-    """Second-to-first singular growth ratio of the running product.
-
-    Maintains the usual re-orthonormalized 2-frame; the reported log-ratio
-    ``acc_2 - acc_1`` decays with slope ``-(lambda_1 - lambda_2)`` once the
-    product is effectively rank one.  The log form is the primary output
-    because the plain ratio underflows once the product has contracted by
-    more than ~700 nats.
-    """
-    ns = np.asarray(list(n_checkpoints), dtype=np.int64)
-    if len(ns) == 0:
-        raise ValueError("need at least one checkpoint")
-    if np.any(ns < 1) or np.any(np.diff(ns) <= 0):
-        raise ValueError("checkpoints must be strictly increasing positive steps")
-    if proc.p < 2:
-        raise ValueError("rank-1 residual needs p >= 2")
-    pr = proc.spawn((_RESIDUAL_STREAM, 0))
-    _, snaps = _run_frames([pr], 2, int(ns[-1]), 1, 0, record=ns)
-    log_ratio = np.array([snaps[int(n)][0, 1] - snaps[int(n)][0, 0] for n in ns])
-    return RankOneResidual(ns, log_ratio)

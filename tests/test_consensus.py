@@ -119,7 +119,7 @@ def test_run_equal_vectors_zero_error():
     traj = run(lossy5(4), x0, x0, 500)
     np.testing.assert_allclose(traj.max_ratio_error(), 0.0, atol=1e-12)
     np.testing.assert_allclose(traj.tv, 0.0, atol=1e-12)
-    np.testing.assert_allclose(traj.envelope_width(), 0.0, atol=1e-12)
+    np.testing.assert_allclose(traj.env_max - traj.env_min, 0.0, atol=1e-12)
 
 
 def test_run_constant_left_perron_limit():

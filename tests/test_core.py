@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipgap.core import (birkhoff_phi, birkhoff_tau, extreme_entries,
-                            hilbert_distance, is_allowable, is_row_allowable,
-                            log_abs_det, log_birkhoff_tau, log_tau_from_phi,
-                            normalize_simplex, tv_distance, wedge_magnitude)
+from gossipgap.core import (birkhoff_phi, birkhoff_tau, hilbert_distance,
+                            is_allowable, is_row_allowable, log_abs_det,
+                            log_tau_from_phi, tv_distance, wedge_magnitude)
 from gossipgap.consensus import ConsensusState, step
 
 
@@ -62,29 +61,7 @@ def test_nonneg_matrix_validation():
         step(s, [[np.inf, 1.0], [0.0, 1.0]])
 
 
-def test_extreme_entries():
-    assert extreme_entries([[0.5, 0.0], [0.5, 1.0]]) == (0.5, 1.0)
-    assert extreme_entries(np.eye(4)) == (1.0, 1.0)
-    assert extreme_entries([[2, 0.1], [0.1, 2]]) == (0.1, 2.0)
-
-
-def test_extreme_entries_all_zero():
-    with pytest.raises(ValueError, match="no positive entry"):
-        extreme_entries(np.zeros((3, 3)))
-
-
 # -- simplex / tv -------------------------------------------------------------
-
-
-def test_normalize_simplex():
-    np.testing.assert_allclose(normalize_simplex([2, 2]), [0.5, 0.5])
-    np.testing.assert_allclose(normalize_simplex([1, 3]), [0.25, 0.75])
-    np.testing.assert_allclose(normalize_simplex([0, 5]), [0.0, 1.0])
-
-
-def test_normalize_simplex_zero():
-    with pytest.raises(ValueError, match="degenerate"):
-        normalize_simplex([0.0, 0.0])
 
 
 def test_tv_distance_examples():
@@ -204,8 +181,9 @@ def test_tau_scaling_invariance(m, c, d):
 @settings(max_examples=150)
 @given(positive_vectors())
 def test_tv_hilbert_bound(v):
-    xi = normalize_simplex(np.asarray(v))
-    eta = normalize_simplex(np.asarray(v)[::-1].copy())
+    v = np.asarray(v)
+    xi = v / v.sum()
+    eta = v[::-1] / v[::-1].sum()
     assert tv_distance(xi, eta) <= 0.5 * (math.exp(hilbert_distance(xi, eta)) - 1.0) + 1e-12
 
 
@@ -213,7 +191,7 @@ def test_log_birkhoff_tau_stable_for_large_phi():
     # entries spanning ~1e30 make tanh(phi/4) round to 1, but the log must not be 0
     a = np.array([[1e30, 1e-30], [1e-30, 1e30]])
     assert birkhoff_tau(a) == 1.0 or birkhoff_tau(a) < 1.0  # float may round
-    lt = log_birkhoff_tau(a)
+    lt = log_tau_from_phi(birkhoff_phi(a))
     assert -1e-10 < lt < 0.0
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipgap import acceptance, cli, consensus, report
+from gossipgap import acceptance, cli, consensus, report, spectrum
 from gossipgap.cli import main
 from gossipgap.config import ConfigError, ExperimentConfig, load_config
 from gossipgap.report import format_value, sha256_of, verify_manifest, write_table
@@ -272,35 +272,37 @@ def test_cli_spectrum(cfg_path, tmp_path):
     assert float(summary["gap"]) > 0
 
 
-def test_cli_gap_parallel_matches_serial(cfg_path, tmp_path):
-    out1, out2 = tmp_path / "g1", tmp_path / "g2"
-    assert main(["gap", "--config", str(cfg_path), "--out", str(out1)]) == 0
-    assert main(["gap", "--config", str(cfg_path), "--out", str(out2),
-                 "--threads", "2"]) == 0
-    assert sha256_of(out1 / "demo_gap.csv") == sha256_of(out2 / "demo_gap.csv")
+def test_cli_gap_rows_match_birkhoff_estimator(tmp_path):
+    # the sweep runs on the process the subcommand built, sorted by m
+    cfg = json.loads(json.dumps(PUSH_SUM_CFG))
+    cfg["estimators"]["birkhoff_m"] = [32, 8, 16]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "g"
+    assert main(["gap", "--config", str(path), "--out", str(out), "--seed", "7"]) == 0
+    proc = load_config(path).build_process(7)
+    rows = []
+    for m in (8, 16, 32):
+        g = spectrum.estimate_gap_birkhoff(proc, m, cfg["estimators"]["trials"])
+        rows.append((m, g.value, g.stderr, g.diagnostics["tau_one_fraction"]))
+    want = write_table(tmp_path / "want.csv",
+                       ("m", "birkhoff_gap", "stderr", "tau_one_fraction"), rows)
+    assert sha256_of(out / "demo_gap.csv") == want
 
 
-def test_cli_gap_pool_never_exceeds_tasks(cfg_path, tmp_path, monkeypatch):
-    # a recorder stands in for the pool, so no worker is ever started
-    seen = []
-
-    class Recorder:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
-    assert main(["gap", "--config", str(cfg_path), "--out", str(tmp_path / "g"),
-                 "--threads", "4096"]) == 0
-    assert seen == [len(PUSH_SUM_CFG["estimators"]["birkhoff_m"])]
+@pytest.mark.parametrize("cmd", ["spectrum", "gap"])
+def test_cli_estimators_ignore_threads(cfg_path, tmp_path, cmd):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main([cmd, "--config", str(cfg_path), "--out", str(out1)]) == 0
+    assert main([cmd, "--config", str(cfg_path), "--out", str(out2),
+                 "--threads", "3"]) == 0
+    names = sorted(f.name for f in out1.iterdir())
+    assert names == sorted(f.name for f in out2.iterdir())
+    for name in names:
+        a, b = ((out / name).read_bytes() for out in (out1, out2))
+        if name.endswith("_manifest.json"):     # only created_utc may differ
+            a, b = ({**json.loads(t), "created_utc": None} for t in (a, b))
+        assert a == b, name
 
 
 def test_cli_primitivity(tmp_path):
@@ -686,6 +688,22 @@ def test_malformed_manifest_does_not_verify(cfg_path, tmp_path, damage):
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
     manifest = out / "demo_manifest.json"
     manifest.write_text(damage(manifest.read_text(encoding="utf-8")), encoding="utf-8")
+    assert verify_manifest(manifest) is False
+
+
+@pytest.mark.parametrize("listed", ["absolute", "../outside.txt"])
+def test_manifest_lists_only_bundle_files(cfg_path, tmp_path, listed):
+    # a file outside the bundle directory fails even when its digest matches
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    manifest = out / "demo_manifest.json"
+    assert verify_manifest(manifest)
+    outside = tmp_path / "outside.txt"
+    outside.write_text("not in the bundle\n", encoding="utf-8")
+    data = json.loads(manifest.read_text(encoding="utf-8"))
+    data["outputs"].append({"path": str(outside) if listed == "absolute" else listed,
+                            "sha256": sha256_of(outside)})
+    manifest.write_text(json.dumps(data), encoding="utf-8")
     assert verify_manifest(manifest) is False
 
 
