@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from gossipgap import (PushSumConfig, PushSumProcess, estimate_gap_birkhoff,
-                       estimate_spectrum_qr, ring_with_chords)
+from gossipgap.generators import PushSumConfig, PushSumProcess, ring_with_chords
 from gossipgap.report import write_table
+from gossipgap.spectrum import estimate_gap_birkhoff, estimate_spectrum_qr
 
 
 def main() -> int:

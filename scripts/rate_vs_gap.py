@@ -17,10 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from gossipgap import (Digraph, PushSumConfig, PushSumProcess, complete_digraph,
-                       estimate_spectrum_qr, fit_rate, rate_window, ring,
-                       ring_with_chords, run)
+from gossipgap.consensus import fit_rate, rate_window, run
+from gossipgap.generators import (Digraph, PushSumConfig, PushSumProcess,
+                                  complete_digraph, ring, ring_with_chords)
 from gossipgap.report import write_table
+from gossipgap.spectrum import estimate_spectrum_qr
 
 
 def topologies():

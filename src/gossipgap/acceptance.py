@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import consensus, primitivity, spectrum
-from .core import (birkhoff_phi, birkhoff_tau, hilbert_distance, log_abs_det,
-                   tv_distance)
+from .core import birkhoff_tau, hilbert_distance, log_abs_det, tv_distance
 from .generators import (ConstantProcess, Digraph, IIDFamilyProcess,
                          MarkovFamilyProcess, PushSumConfig, PushSumProcess,
                          push_sum_matrix, ring_with_chords)

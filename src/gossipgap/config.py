@@ -33,9 +33,9 @@ which have defaults):
 ``output``
     ``prefix``: basename prefix for emitted files (no path separators).
 
-Integer fields (``horizon.n``/``count`` and the estimator sizes) must be
-JSON integers, not booleans: at least 1, or at least 0 for ``burn_in``,
-``process.seed`` and ``initial.sub_seed``.
+Integer fields (``horizon.n``/``count``, estimator sizes, ``process.p``, edge
+endpoints) are JSON integers, not booleans: at least 1, or at least 0 for
+``burn_in``, seeds and endpoints.  Probabilities and shares are JSON numbers.
 
 Unknown keys anywhere are rejected, so typos fail fast instead of being
 silently ignored.
@@ -44,7 +44,7 @@ silently ignored.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,6 +80,13 @@ def _check_int(where: str, name: str, v, minimum: int) -> None:
         raise ConfigError(f"{where}: {name} must be >= {minimum}, got {v}")
 
 
+# process kind -> (required, optional) keys besides ``kind`` and ``seed``
+_PROCESS_KEYS = {"push_sum": (("p", "edges"), ("edge_prob", "share", "loss_prob")),
+                 "iid_family": (("matrices", "probs"), ()),
+                 "markov_family": (("matrices", "transition"), ("initial_dist",)),
+                 "constant": (("matrix",), ())}
+
+
 @dataclass
 class ProcessSpec:
     kind: str
@@ -97,24 +104,25 @@ class ProcessSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProcessSpec":
-        kind = d.get("kind")
-        if kind == "push_sum":
-            _take(d, "process", ("kind", "seed", "p", "edges"),
-                  ("edge_prob", "share", "loss_prob"))
-        elif kind == "iid_family":
-            _take(d, "process", ("kind", "seed", "matrices", "probs"))
-        elif kind == "markov_family":
-            _take(d, "process", ("kind", "seed", "matrices", "transition"),
-                  ("initial_dist",))
-        elif kind == "constant":
-            _take(d, "process", ("kind", "seed", "matrix"))
-        else:
-            raise ConfigError(f"process: unknown kind {kind!r}")
-        try:
-            spec = cls(**{k: v for k, v in d.items()})
-        except TypeError as e:
-            raise ConfigError(f"process: {e}") from e
+        kind = d.get("kind") if isinstance(d, dict) else None
+        if kind not in _PROCESS_KEYS:
+            raise ConfigError(f"process: unknown kind {kind!r} (expected an object "
+                              f"with kind one of {sorted(_PROCESS_KEYS)})")
+        required, optional = _PROCESS_KEYS[kind]
+        spec = cls(**_take(d, "process", ("kind", "seed") + required, optional))
         _check_int("process", "seed", spec.seed, 0)
+        if kind == "push_sum":
+            _check_int("process", "p", spec.p, 1)
+            if not (isinstance(spec.edges, list)
+                    and all(isinstance(e, list) and len(e) == 2 for e in spec.edges)):
+                raise ConfigError("process: edges must be a list of [i, j] pairs")
+            for v in sum(spec.edges, []):
+                _check_int("process", "edge endpoint", v, 0)
+            for name in ("edge_prob", "share", "loss_prob"):
+                v = getattr(spec, name)     # a number, a list of them, or null
+                for x in v if isinstance(v, list) else [] if v is None else [v]:
+                    if isinstance(x, bool) or not isinstance(x, (int, float)):
+                        raise ConfigError(f"process: {name} must hold numbers, got {x!r}")
         return spec
 
     def to_dict(self) -> dict:
@@ -137,15 +145,11 @@ class ProcessSpec:
         seed = int(self.seed if seed_override is None else seed_override)
         try:
             if self.kind == "push_sum":
-                g = Digraph(int(self.p), tuple(tuple(e) for e in self.edges))
-                ne = len(g.edges)
-                q = (tuple(self.edge_prob) if self.edge_prob is not None
-                     else (1.0 / ne,) * ne)
-                share = (tuple(self.share) if isinstance(self.share, (list, tuple))
-                         else (float(self.share),) * ne)
-                loss = (tuple(self.loss_prob) if isinstance(self.loss_prob, (list, tuple))
-                        else (float(self.loss_prob),) * ne)
-                return PushSumProcess(PushSumConfig(g, q, share, loss), seed)
+                cfg = PushSumConfig.uniform(Digraph(self.p, self.edges),
+                                            self.share, self.loss_prob)
+                if self.edge_prob is not None:
+                    cfg = PushSumConfig(cfg.graph, self.edge_prob, cfg.share, cfg.loss_prob)
+                return PushSumProcess(cfg, seed)
             if self.kind == "iid_family":
                 return IIDFamilyProcess([np.array(m, dtype=float) for m in self.matrices],
                                         np.array(self.probs, dtype=float), seed)

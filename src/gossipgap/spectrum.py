@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import birkhoff_phi, log_abs_det, log_tau_from_phi, wedge_magnitude
+from .core import birkhoff_phi, log_tau_from_phi, wedge_magnitude
 from .generators import MatrixProcess
 
 __all__ = [

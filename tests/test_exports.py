@@ -1,15 +1,19 @@
 """Every public name the package advertises must resolve and be used.
 
-A stale ``__all__`` entry only fails on ``from module import *``, and a
-stale re-export only on importing the package, so both are checked here.
-A public name that no program calls is dead code, so each one must be
-referenced by the package itself, a script or the benchmark harness.
+A stale ``__all__`` entry only fails on ``from module import *``, so it is
+checked here.  A public name that no program calls is dead code, so each one
+must be referenced by the package itself, a script or the benchmark harness;
+an import that its file never uses is checked the same way.  The package
+itself re-exports nothing, so a fresh ``import gossipgap`` stays cheap.
 """
 
 import ast
 import functools
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,17 +68,42 @@ def test_module_all_is_used(name):
                         "module, script or benchmark file uses")
 
 
-def test_package_reexports_are_public():
-    tree = ast.parse(Path(gossipgap.__file__).read_text(encoding="utf-8"))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        mod = importlib.import_module(f"gossipgap.{node.module}")
-        for alias in node.names:
-            assert hasattr(gossipgap, alias.name)
-            assert alias.name in mod.__all__, (
-                f"gossipgap re-exports {alias.name}, which is not in "
-                f"gossipgap.{node.module}.__all__")
+COLD_START = """\
+import sys
+import gossipgap
+from gossipgap.config import load_config
+load_config(sys.argv[1]).build_process(1).next_matrix()
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "gossipgap")))
+"""
+
+
+def test_cold_start_loads_only_what_a_process_needs():
+    # a fresh interpreter that builds one emission from a config compiles
+    # no estimator module: the package's __init__ imports nothing
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    cfg = ROOT / "perfbench" / "configs" / "tiny" / "ring5-lossy" / "simulate.json"
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(cfg)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["gossipgap", "gossipgap.config",
+                                   "gossipgap.core", "gossipgap.generators"]
+
+
+@pytest.mark.parametrize("path", sorted(
+    [f for f in Path(gossipgap.__file__).parent.glob("*.py") if f.name != "__init__.py"]
+    + list((ROOT / "scripts").glob("*.py"))), ids=lambda f: f"{f.parent.name}/{f.name}")
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not imported - used, f"{path.name} never uses {sorted(imported - used)}"
 
 
 @pytest.mark.parametrize("name", ["consensus", "primitivity", "spectrum"])

@@ -67,6 +67,8 @@ def test_config_missing_required():
         ExperimentConfig.from_dict({"process": {"kind": "push_sum", "seed": 1}})
     with pytest.raises(ConfigError, match="unknown kind"):
         ExperimentConfig.from_dict({"process": {"kind": "pull_sum", "seed": 1}})
+    with pytest.raises(ConfigError, match="expected an object"):
+        ExperimentConfig.from_dict({"process": [{"kind": "push_sum", "seed": 1}]})
 
 
 def test_config_builds_each_kind():
@@ -361,6 +363,8 @@ def test_cli_config_error_exit_code(tmp_path):
     ("estimators", "burn_in", -1),
     ("estimators", "birkhoff_m", [8, 2.5]),
     ("horizon", "n", "100"),
+    ("process", "p", 5.9),
+    ("process", "p", "5"),
 ])
 def test_cli_bad_integer_field_is_config_error(tmp_path, capsys, section, key, value):
     cfg = json.loads(json.dumps(PUSH_SUM_CFG))
@@ -372,6 +376,31 @@ def test_cli_bad_integer_field_is_config_error(tmp_path, capsys, section, key, v
     assert main(["spectrum", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,value,match", [
+    ("edges", [[0.0, 1.7], [1, 2], [2, 3], [3, 0], [0, 2]], "edge endpoint"),
+    ("edges", [[0, 1], [1, 2.0], [2, 3], [3, 0], [0, 2]], "edge endpoint"),
+    ("edges", 5, r"\[i, j\] pairs"),
+    ("loss_prob", ["0.1", "0.2", "0.4", "0.1", "0.3"], "loss_prob"),
+    ("loss_prob", "0.1", "loss_prob"),
+    ("share", True, "share"),
+    ("edge_prob", ["0.2"] * 5, "edge_prob"),
+])
+def test_cli_push_sum_field_not_a_number_is_config_error(tmp_path, capsys, key,
+                                                         value, match):
+    # the manifest echoes the config as written, so a float endpoint must not
+    # run truncated (edge [0.0, 1.7] as (0, 1)) nor a string run as a number
+    cfg = json.loads(json.dumps(PUSH_SUM_CFG))
+    cfg["process"][key] = value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    with pytest.raises(ConfigError, match=match):
+        load_config(p)
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("section,key,value", [

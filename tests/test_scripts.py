@@ -1,5 +1,7 @@
-"""Smoke test of the experiment scripts at small sizes."""
+"""Smoke test of the experiment scripts at small sizes, and of the README's
+library example."""
 
+import ast
 import csv
 import math
 import os
@@ -44,3 +46,14 @@ def test_rate_vs_gap_script(tmp_path):
     for r in rows:
         assert float(r["gap"]) > 0
         assert math.isfinite(float(r["minus_fitted_rate"]))
+
+
+def test_readme_quick_start_imports_resolve():
+    # only the example's imports run: a moved or renamed name fails here
+    # without paying for its 100k-step estimate
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    tree = ast.parse(block.split("```", 1)[0])
+    imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert any(getattr(node, "module", "").startswith("gossipgap.") for node in imports)
+    exec(compile(ast.Module(body=imports, type_ignores=[]), "README.md", "exec"), {})
