@@ -117,12 +117,12 @@ def cmd_spectrum(args, cfg: ExperimentConfig) -> int:
         raise ConfigError(f"estimators.k = {e.k} exceeds the process dimension "
                           f"p = {proc.p}")
     _check_qr_horizon(cfg)
+    x0, w0 = cfg.build_initial(proc.p)         # config errors before estimation
     est = spectrum.estimate_spectrum_qr(proc, e.k, cfg.horizon.n,
                                         e.reorth_period, e.replicates, e.burn_in)
     lhs, rhs = spectrum.check_det_identity(
         proc, cfg.horizon.n, replicates=e.replicates,
         reorth_period=e.reorth_period, burn_in=e.burn_in)
-    x0, w0 = cfg.build_initial(proc.p)
     try:
         wedge = spectrum.estimate_sum_top2_wedge(proc, x0, w0, e.wedge_n)
     except ValueError:

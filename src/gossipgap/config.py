@@ -35,7 +35,8 @@ which have defaults):
 
 Integer fields (``horizon.n``/``count``, estimator sizes, ``process.p``, edge
 endpoints) are JSON integers, not booleans: at least 1, or at least 0 for
-``burn_in``, seeds and endpoints.  Probabilities and shares are JSON numbers.
+``burn_in``, seeds and endpoints.  Probabilities, shares, matrix entries and
+listed ``x0``/``w0`` entries are JSON numbers, not strings or booleans.
 
 Unknown keys anywhere are rejected, so typos fail fast instead of being
 silently ignored.
@@ -80,6 +81,16 @@ def _check_int(where: str, name: str, v, minimum: int) -> None:
         raise ConfigError(f"{where}: {name} must be >= {minimum}, got {v}")
 
 
+def _check_numbers(where: str, name: str, v) -> None:
+    """Every leaf of the nested JSON lists ``v`` must be a JSON number, not
+    a string or a boolean: the manifest echoes the config as written."""
+    if isinstance(v, list):
+        for x in v:
+            _check_numbers(where, name, x)
+    elif isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{where}: {name} entries must be numbers, got {v!r}")
+
+
 # process kind -> (required, optional) keys besides ``kind`` and ``seed``
 _PROCESS_KEYS = {"push_sum": (("p", "edges"), ("edge_prob", "share", "loss_prob")),
                  "iid_family": (("matrices", "probs"), ()),
@@ -118,11 +129,10 @@ class ProcessSpec:
                 raise ConfigError("process: edges must be a list of [i, j] pairs")
             for v in sum(spec.edges, []):
                 _check_int("process", "edge endpoint", v, 0)
-            for name in ("edge_prob", "share", "loss_prob"):
-                v = getattr(spec, name)     # a number, a list of them, or null
-                for x in v if isinstance(v, list) else [] if v is None else [v]:
-                    if isinstance(x, bool) or not isinstance(x, (int, float)):
-                        raise ConfigError(f"process: {name} must hold numbers, got {x!r}")
+        for name in ("edge_prob", "share", "loss_prob", "matrices", "probs",
+                     "transition", "initial_dist", "matrix"):
+            if getattr(spec, name) is not None:     # null: not given
+                _check_numbers("process", name, getattr(spec, name))
         return spec
 
     def to_dict(self) -> dict:
@@ -177,6 +187,9 @@ class InitialSpec:
         _take(d, "initial", (), ("x0", "w0", "sub_seed"))
         spec = cls(**d)
         _check_int("initial", "sub_seed", spec.sub_seed, 0)
+        for name in ("x0", "w0"):
+            if not isinstance(getattr(spec, name), str):
+                _check_numbers("initial", name, getattr(spec, name))
         return spec
 
     def to_dict(self) -> dict:

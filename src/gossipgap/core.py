@@ -12,8 +12,10 @@ Conventions used throughout the package:
   ``h(x, y) = log max_{k,l} (x_k/y_k) / (x_l/y_l)``;
 * the Birkhoff contraction coefficient is ``tau(A) = tanh(phi(A)/4)`` where
   ``phi(A)`` is the largest Hilbert distance between two rows of ``A``;
-* wedge magnitudes use the Gram-determinant convention
-  ``|x ^ y| = sqrt(|x|^2 |y|^2 - <x,y>^2)``.
+* the wedge magnitude ``|x ^ y|`` is the square root of the Gram
+  determinant ``|x|^2 |y|^2 - <x,y>^2``, computed as
+  ``||x y^T - y x^T||_F / sqrt(2)`` so that nearly collinear pairs keep
+  their digits.
 
 ``phi`` is ``+inf`` as soon as the matrix has a zero entry in a column that
 is not entirely zero: such a matrix maps some pairs of positive vectors to
@@ -146,13 +148,18 @@ def log_tau_from_phi(phi: float) -> float:
 
 
 def wedge_magnitude(x, y) -> float:
-    """Gram-determinant magnitude ``sqrt(|x|^2 |y|^2 - <x,y>^2)`` of ``x ^ y``."""
+    """Magnitude ``||x y^T - y x^T||_F / sqrt(2)`` of ``x ^ y``.
+
+    It equals ``sqrt(|x|^2 |y|^2 - <x,y>^2)``, but each entry
+    ``x_i y_j - y_i x_j`` cancels on its own, so a nearly collinear pair
+    keeps its digits where the Gram form would cancel to zero.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError("dimension mismatch")
-    gram = float(x @ x) * float(y @ y) - float(x @ y) ** 2
-    return math.sqrt(max(gram, 0.0))
+    v = (np.outer(x, y) - np.outer(y, x)).ravel()
+    return math.sqrt(float(v @ v) / 2.0)
 
 
 def log_abs_det(A) -> float:

@@ -134,6 +134,11 @@ def is_family_primitive(patterns) -> PrimitivityReport:
     positive product leads every pair to every pair, so a failed search
     proves the family is not primitive.  ``states_explored`` counts the
     pairs both searches reached.
+
+    The searches run on the distinct non-identity patterns only, each under
+    its first index in ``patterns``: an identity member leads no pair
+    anywhere new, and a repeat leads where its first occurrence does, so
+    the report is that of a search over every member.
     """
     if len(patterns) == 0:
         raise ValueError("empty family")
@@ -146,13 +151,19 @@ def is_family_primitive(patterns) -> PrimitivityReport:
         if not is_allowable(g):
             raise ValueError("family members must be allowable patterns")
 
-    stack = np.stack(pats)
+    keep, seen = [], {np.eye(shape[0], dtype=bool).tobytes()}
+    for k, g in enumerate(pats):
+        if g.tobytes() not in seen:
+            seen.add(g.tobytes())
+            keep.append(k)
+    keep = keep or [0]                  # only identity members: search on one
+    stack = np.stack([pats[k] for k in keep])
     w, prod, states = _merge_word(stack, np.eye(shape[0], dtype=bool))
     if w is None:
         return PrimitivityReport(False, None, states)
     v, _, more = _merge_word(stack.transpose(0, 2, 1), np.diag(prod.all(axis=0)))
     # p = 1: both words are empty and every member is positive
-    witness = None if v is None else tuple(w + v[::-1]) or (0,)
+    witness = None if v is None else tuple(keep[k] for k in w + v[::-1]) or (0,)
     return PrimitivityReport(witness is not None, witness, states + more)
 
 

@@ -15,9 +15,11 @@ A burn-in window (not counted in the averages) lets the frame align with
 the top Oseledec directions first; without it the alignment transient
 contributes an ``O(1/n)`` bias to the exponents.
 
-No raw product of more than ``reorth_period`` factors is ever formed, and
-all magnitudes are tracked through log-scale accumulators, so estimates
-stay finite for any horizon.
+No raw product of more than ``reorth_period`` factors is ever formed in
+the frame method, and all magnitudes are tracked through log-scale
+accumulators, so estimates stay finite for any horizon.  The wedge
+estimate of ``lambda_1 + lambda_2`` forms products of up to 512 steps,
+each certified against a rounding budget before it is used.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ _BIRKHOFF_STREAM = 3
 _DET_STREAM = 6
 
 _BLOCK = 512
+_WEDGE_BUDGET = 10.0                   # nats of log |M|_F^2 - log s per wedge product
 _BIRKHOFF_SEGMENT = 16                 # steps between re-factorizations
 _BIRKHOFF_BUFFER_BYTES = 2 << 20       # cap on the emission buffer and the phi spread
 
@@ -189,20 +192,48 @@ def estimate_spectrum_qr(proc: MatrixProcess, k: int, n: int,
     return SpectrumEstimate(lambdas, stderr, gap, gap_stderr, n, replicates, samples)
 
 
+def _step_products(steps: np.ndarray, P: int) -> np.ndarray:
+    """Products of the consecutive ``P``-step runs of the step-major
+    ``(m, ..., p, p)`` block ``steps``, later factors on the left, as an
+    ``(ceil(m / P), ..., p, p)`` stack.  ``P`` is a power of two; a short
+    last run is padded with identities, which multiply exactly.  Each run
+    is reduced by a pairwise tree, one batched matmul per level."""
+    pad = -len(steps) % P
+    if pad:
+        eye = np.broadcast_to(np.eye(steps.shape[-1]), (pad, *steps.shape[1:]))
+        steps = np.concatenate([steps, eye])
+    c = steps.reshape(-1, P, *steps.shape[1:])
+    while c.shape[1] > 1:
+        c = c[:, 1::2] @ c[:, ::2]
+    return c[:, 0]
+
+
 def estimate_sum_top2_wedge(proc: MatrixProcess, x, w, n: int,
                             stream: int = 0) -> float:
     """Estimate ``lambda_1 + lambda_2`` from the growth of ``M_n x ^ M_n w``.
 
-    The wedge is carried as the antisymmetric matrix ``x w^T - w x^T`` and
-    updated by ``A . A^T`` conjugation with per-step renormalization; the
-    per-step log growth factors are summed exactly (``math.fsum``), so the
-    estimate neither under- nor overflows and loses no digits over long
-    runs, even when the two trajectories become numerically collinear.
-    Each step keeps only the antisymmetric part of the product: rounding
-    leaves a symmetric residue that grows like ``exp(2 lambda_1)`` against
-    the wedge's ``exp(lambda_1 + lambda_2)`` and would otherwise take over
-    after about ``36 / gap`` steps.  Accuracy is ``O(1/n)``; use ``n`` of
-    at least a thousand steps.
+    The wedge is carried as the antisymmetric matrix ``x w^T - w x^T``,
+    renormalized after every update, and the log growth factors are summed
+    exactly (``math.fsum``), so the estimate neither under- nor overflows
+    and loses no digits over long runs, even when the two trajectories
+    become numerically collinear.  Accuracy is ``O(1/n)``; use ``n`` of at
+    least a thousand steps.
+
+    Each 512-step ``dense_block`` draw is reduced to products ``M`` of ``P``
+    consecutive steps (``_step_products``), and the wedge takes one
+    ``M . M^T`` conjugation per product, keeping only its antisymmetric
+    part.  Each ``M`` is first scaled by a power of two, which is exact,
+    so that the conjugation can neither over- nor underflow; the exponent
+    goes into the log sum as an integer.  Rounding leaves a symmetric
+    residue of about ``eps |M|_F^2`` against the wedge growth ``s`` of the
+    product, so a product is certified before it is accepted:
+    ``log |M|_F^2 - log s`` (at least ``log(s_1/s_2)`` of ``M``) must stay
+    within ``_WEDGE_BUDGET`` nats.  A product that fails, overflows or
+    gives ``s = 0`` halves ``P`` and the rest of the draw is redone from
+    the copy in memory; a draw whose products all stay within half the
+    budget doubles ``P`` for the next one (at most 512).  At ``P = 1`` the
+    update is the per-step conjugation, so a collapsed wedge is reported at
+    the step where it happens.
     """
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -215,22 +246,43 @@ def estimate_sum_top2_wedge(proc: MatrixProcess, x, w, n: int,
         raise ValueError("collinear trajectory: initial pair has zero wedge")
     omega = (np.outer(x, w) - np.outer(w, x)) / mag0
     logs = [math.log(mag0)]             # summed exactly by fsum at the end
+    twos = 0                            # plus twos * log 2 from the scalings
     pr = proc.spawn((_WEDGE_STREAM, stream))
-    done = 0
     sqrt8 = math.sqrt(8.0)
+    P = _BLOCK
+    done = 0
     while done < n:
         blk = pr.dense_block(min(_BLOCK, n - done))
-        for a in blk:
-            m = a @ omega @ a.T
-            omega = m - m.T                 # twice the antisymmetric part
-            v = omega.ravel()
-            s = math.sqrt(float(v @ v)) / sqrt8     # wedge magnitude of m
-            if s == 0.0:
-                raise ValueError("collinear trajectory: wedge collapsed to zero")
-            omega /= 2.0 * s
-            logs.append(math.log(s))
+        lo, worst = 0, -math.inf
+        while lo < len(blk):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                Ms = _step_products(blk[lo:], P)
+                # exact power-of-two scaling: largest entry of each M in [1/2, 1)
+                shifts = np.frexp(np.abs(Ms).max(axis=(1, 2)))[1]
+                Ms = np.ldexp(Ms, -shifts[:, None, None])
+                lognorms = np.log(np.einsum("kij,kij->k", Ms, Ms)).tolist()
+                for M, lognorm, shift in zip(Ms, lognorms, shifts.tolist()):
+                    m = M @ omega @ M.T
+                    om = m - m.T                    # twice the antisymmetric part
+                    v = om.ravel()
+                    s = math.sqrt(float(v @ v)) / sqrt8     # wedge magnitude of m
+                    excess = (lognorm - math.log(s) if 0.0 < s < math.inf
+                              else math.inf)
+                    if not excess <= _WEDGE_BUDGET and P > 1:
+                        P //= 2
+                        break
+                    if not 0.0 < s < math.inf:
+                        raise ValueError("collinear trajectory: wedge collapsed to zero"
+                                         if s == 0.0 else "wedge growth is not finite")
+                    worst = max(worst, excess)
+                    omega = om / (2.0 * s)
+                    logs.append(math.log(s))
+                    twos += 2 * shift
+                    lo += P
+        if worst <= _WEDGE_BUDGET / 2 and P < _BLOCK:
+            P *= 2
         done += len(blk)
-    return math.fsum(logs) / n
+    return (math.fsum(logs) + twos * math.log(2.0)) / n
 
 
 def _phi_from_factors(U: np.ndarray, lognorm: np.ndarray, Vh: np.ndarray) -> float:

@@ -247,6 +247,15 @@ def test_wedge_example():
     assert wedge_magnitude([1, 0], [1, 1]) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("sep", [1e-4, 1e-8, 1e-12])
+def test_wedge_nearly_collinear_keeps_its_digits(sep):
+    # x = w + d e_1, so |x ^ w| = |d| |e_1 ^ w| = |d| sqrt(|w|^2 - w_1^2);
+    # the Gram form |x|^2 |w|^2 - <x, w>^2 cancels to 0.0 at sep = 1e-8
+    x, w = np.array([1.0, 1.0 + sep, 0.5]), np.array([1.0, 1.0, 0.5])
+    d = x[1] - 1.0                      # exact: the operands are within 2x
+    assert wedge_magnitude(x, w) == pytest.approx(d * math.sqrt(1.25), rel=1e-12)
+
+
 @settings(max_examples=150)
 @given(positive_vectors(), st.integers(0, 2 ** 31 - 1))
 def test_wedge_symmetry_and_frobenius(v, seed):

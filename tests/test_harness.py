@@ -403,6 +403,57 @@ def test_cli_push_sum_field_not_a_number_is_config_error(tmp_path, capsys, key,
     assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 
+def _write(tmp_path, cfg):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    return p
+
+
+FAMILY_CFGS = {
+    "iid_family": {"kind": "iid_family", "seed": 1,
+                   "matrices": [[[0.5, 0.0], [0.5, 1.0]], [[1.0, 0.5], [0.0, 0.5]]],
+                   "probs": [0.5, 0.5]},
+    "markov_family": {"kind": "markov_family", "seed": 1,
+                      "matrices": [[[0.5, 0.0], [0.5, 1.0]], [[1.0, 0.5], [0.0, 0.5]]],
+                      "transition": [[0.5, 0.5], [0.5, 0.5]],
+                      "initial_dist": [0.5, 0.5]},
+    "constant": {"kind": "constant", "seed": 1, "matrix": [[0.5, 0.25], [0.5, 0.75]]},
+}
+
+
+@pytest.mark.parametrize("kind,section,key,path,value", [
+    ("iid_family", "process", "probs", (0,), "0.5"),
+    ("iid_family", "process", "matrices", (1, 0, 1), "0.5"),
+    ("iid_family", "process", "matrices", (0, 1, 1), True),
+    ("markov_family", "process", "transition", (1, 0), "0.5"),
+    ("markov_family", "process", "initial_dist", (1,), False),
+    ("markov_family", "process", "matrices", (0, 0, 0), None),
+    ("constant", "process", "matrix", (0, 1), "0.25"),
+    ("constant", "initial", "x0", (0,), "1"),
+    ("constant", "initial", "x0", (1,), True),
+    ("iid_family", "initial", "w0", (0,), True),
+])
+def test_cli_family_field_not_a_number_is_config_error(tmp_path, capsys, kind, section,
+                                                       key, path, value):
+    cfg = {"process": json.loads(json.dumps(FAMILY_CFGS[kind])),
+           "initial": {"x0": [1.0, 2.0], "w0": [1.0, 1.0]},
+           "horizon": {"n": 50, "checkpoints": "geometric"}}
+    assert main(["simulate", "--config", str(_write(tmp_path, cfg)),
+                 "--out", str(tmp_path / "ok")]) == 0
+    field = cfg[section]
+    for i in (key,) + path[:-1]:
+        field = field[i]
+    field[path[-1]] = value
+    p = _write(tmp_path, cfg)
+    with pytest.raises(ConfigError, match=key):
+        load_config(p)
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"config error: {section}: {key}")
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("process", "seed", "abc"),
     ("process", "seed", -1),
@@ -506,6 +557,24 @@ def test_cli_short_horizon_is_config_error(tmp_path, capsys, monkeypatch, cmd,
     err = capsys.readouterr().err
     assert err.startswith("config error: horizon.n") and "reorth_period" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key,vector", [("w0", [-1, 1, 1, 1]), ("x0", [1.0, 2.0])])
+def test_cli_spectrum_bad_initial_pair_is_config_error_before_estimation(
+        tmp_path, capsys, monkeypatch, key, vector):
+    from gossipgap import cli as cli_mod
+
+    cfg = json.loads(json.dumps(PUSH_SUM_CFG))
+    cfg["initial"][key] = vector
+    p = _write(tmp_path, cfg)
+    for name in ("estimate_spectrum_qr", "check_det_identity",
+                 "estimate_sum_top2_wedge"):
+        monkeypatch.setattr(cli_mod.spectrum, name, _no_estimation)
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: initial")
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_cli_gap_without_block_lengths_is_config_error(tmp_path, capsys,

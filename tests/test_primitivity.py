@@ -12,7 +12,8 @@ from gossipgap.acceptance import ring5_process
 from gossipgap.generators import (ConstantProcess, Digraph, IIDFamilyProcess,
                                   MarkovFamilyProcess, MatrixProcess,
                                   PushSumConfig, PushSumProcess,
-                                  push_sum_matrix, ring, ring_with_chords)
+                                  complete_digraph, push_sum_matrix, ring,
+                                  ring_with_chords)
 from gossipgap.primitivity import (DEFAULT_INDEX_CAP, bool_product,
                                    is_family_primitive,
                                    ks_critical_distance, ks_distance,
@@ -221,6 +222,42 @@ def test_family_witness_indexes_members():
     for k in rep.witness_word:
         prod = prod @ proc.member(k)
     assert (prod > 0).all()
+
+
+def _report_over_every_member(patterns):
+    """``is_family_primitive`` as it searched before dropping identity and
+    repeated members: both row-pair searches over the whole stack."""
+    stack = np.stack([np.asarray(g, dtype=bool) for g in patterns])
+    w, prod, states = primitivity._merge_word(stack, np.eye(stack.shape[1], dtype=bool))
+    if w is None:
+        return primitivity.PrimitivityReport(False, None, states)
+    v, _, more = primitivity._merge_word(stack.transpose(0, 2, 1),
+                                         np.diag(prod.all(axis=0)))
+    witness = None if v is None else tuple(w + v[::-1]) or (0,)
+    return primitivity.PrimitivityReport(witness is not None, witness, states + more)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ring5_process(True),
+    lambda: acceptance.p4_process(),
+    lambda: acceptance.p2_process(0.5),
+    lambda: PushSumProcess(PushSumConfig.uniform(complete_digraph(6), 0.5, 0.2), seed=1),
+    lambda: acceptance._envelope_configs()[7][0],
+    lambda: ConstantProcess(np.eye(3), seed=0),
+    lambda: ConstantProcess(np.ones((1, 1)), seed=0),
+], ids=["ring5", "p4", "p2", "complete6", "fam3", "identity", "p1"])
+def test_family_report_same_as_search_over_every_member(build):
+    pats = build().pattern_family()
+    assert is_family_primitive(pats) == _report_over_every_member(pats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2 ** 31 - 1))
+def test_family_report_with_repeats_and_identities(p, f, seed):
+    rng = np.random.default_rng(seed)
+    base = [_random_allowable(rng, p, 0.3) for _ in range(f)] + [np.eye(p, dtype=bool)]
+    pats = [base[k] for k in rng.integers(0, len(base), 2 * f + 1)]
+    assert is_family_primitive(pats) == _report_over_every_member(pats)
 
 
 # -- index sampling -----------------------------------------------------------

@@ -291,6 +291,83 @@ def test_gap_wedge_method():
     assert (2.0 * top.samples[:, 0] - sums).mean() > 0
 
 
+def _sum_top2_wedge_per_step(proc, x, w, n, stream=0):
+    """The wedge loop as it was written before the certified products: one
+    ``a . a^T`` conjugation, antisymmetrisation and log per step."""
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(w, dtype=float)
+    mag0 = wedge_magnitude(x, w)
+    omega = (np.outer(x, w) - np.outer(w, x)) / mag0
+    logs = [math.log(mag0)]
+    pr = proc.spawn((spectrum._WEDGE_STREAM, stream))
+    done = 0
+    while done < n:
+        blk = pr.dense_block(min(512, n - done))
+        for a in blk:
+            m = a @ omega @ a.T
+            omega = m - m.T
+            v = omega.ravel()
+            s = math.sqrt(float(v @ v)) / math.sqrt(8.0)
+            if s == 0.0:
+                raise ValueError("collinear trajectory: wedge collapsed to zero")
+            omega /= 2.0 * s
+            logs.append(math.log(s))
+        done += len(blk)
+    return math.fsum(logs) / n
+
+
+@pytest.mark.parametrize("i", range(8))
+def test_wedge_matches_per_step_reference(i):
+    # the eight envelope configs cover every process kind: push-sum with and
+    # without loss, constant, i.i.d. and Markov-modulated families
+    proc, x, w = acceptance._envelope_configs()[i]
+    for n, stream in ((10_000, 0), (1_337, 3)):
+        got = estimate_sum_top2_wedge(proc, x, w, n, stream=stream)
+        want = _sum_top2_wedge_per_step(proc, x, w, n, stream=stream)
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("share,loss", [(0.5, 0.5), (0.5, 0.0), (0.3, 0.2)])
+def test_wedge_two_node_push_sum_is_exact(share, loss):
+    # every p = 2 push-sum emission, delivered or lost, has det 1 - a, and a
+    # 2x2 matrix scales the wedge by its det: the sum is log(1 - a) exactly
+    g = Digraph(2, ((0, 1), (1, 0)))
+    proc = PushSumProcess(PushSumConfig.uniform(g, share, loss), seed=11)
+    x, w = np.array([1.0, 0.2]), np.array([0.3, 1.0])
+    n = 20_000
+    s = estimate_sum_top2_wedge(proc, x, w, n)
+    exact = math.log(1.0 - share) + math.log(wedge_magnitude(x, w)) / n
+    assert abs(s - exact) <= 1e-12
+
+
+def test_wedge_rare_rank_one_member_collapses():
+    # the rank-one member kills the wedge at whichever step first emits it
+    proc = IIDFamilyProcess([A2, np.outer([1.0, 2.0], [1.0, 1.0])], (0.995, 0.005),
+                            seed=3)
+    x, w = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    for fn in (estimate_sum_top2_wedge, _sum_top2_wedge_per_step):
+        with pytest.raises(ValueError, match="collapsed"):
+            fn(proc, x, w, 5_000)
+
+
+def test_wedge_accepts_nearly_collinear_pair():
+    x, w = np.array([1.0, 1.0 + 1e-8, 0.5]), np.array([1.0, 1.0, 0.5])
+    s = estimate_sum_top2_wedge(ConstantProcess(np.eye(3), seed=0), x, w, 10)
+    assert s == pytest.approx(math.log((x[1] - 1.0) * math.sqrt(1.25)) / 10, rel=1e-12)
+
+
+@pytest.mark.parametrize("m,P", [(512, 64), (512, 1), (37, 8), (7, 16), (12, 4)])
+def test_step_products_match_sequential_products(m, P):
+    steps = np.random.default_rng(m + P).uniform(0.0, 1.0, (m, 2, 3, 3))
+    got = spectrum._step_products(steps, P)
+    assert got.shape == (-(-m // P), 2, 3, 3)
+    for j, prod in enumerate(got):
+        want = np.broadcast_to(np.eye(3), (2, 3, 3))
+        for a in steps[j * P:(j + 1) * P]:
+            want = a @ want                 # later factors on the left
+        np.testing.assert_allclose(prod, want, rtol=1e-12)
+
+
 # -- birkhoff gap ---------------------------------------------------------------
 
 
