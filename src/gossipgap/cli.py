@@ -4,7 +4,8 @@ Subcommands: ``simulate`` (one consensus trajectory with fitted rates),
 ``spectrum`` (Lyapunov exponents, wedge cross-check, determinant identity),
 ``gap`` (Birkhoff block-length sweep against the qr gap), ``primitivity``
 (family decision plus forward/backward index statistics) and ``acceptance``
-(the full acceptance suite).
+(the full acceptance suite).  Each subcommand imports the estimator
+modules it uses when it runs, so ``simulate`` loads none of them.
 
 Exit codes: 0 success, 1 command-line or configuration error or unusable
 output location (any ``OSError`` while creating or writing the bundle, or
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance, consensus, primitivity, spectrum
+from . import consensus
 from .config import ConfigError, ExperimentConfig, load_config
 from .report import ReportBundle
 
@@ -111,6 +112,7 @@ def _check_qr_horizon(cfg: ExperimentConfig) -> None:
 
 
 def cmd_spectrum(args, cfg: ExperimentConfig) -> int:
+    from . import spectrum
     proc = cfg.build_process(args.seed)
     e = cfg.estimators
     if e.k > proc.p:
@@ -141,6 +143,7 @@ def cmd_spectrum(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_gap(args, cfg: ExperimentConfig) -> int:
+    from . import spectrum
     proc = cfg.build_process(args.seed)
     e = cfg.estimators
     if proc.p < 2:
@@ -153,9 +156,11 @@ def cmd_gap(args, cfg: ExperimentConfig) -> int:
     points = []
     for m in sorted(map(int, e.birkhoff_m)):
         g = spectrum.estimate_gap_birkhoff(proc, m, e.trials)
-        points.append((m, g.value, g.stderr, g.diagnostics["tau_one_fraction"]))
+        points.append((m, g.value, g.stderr, g.diagnostics["tau_one_fraction"],
+                       g.diagnostics["tau_zero_fraction"]))
     _write_bundle(args, cfg.output.prefix, cfg.to_dict(), {"gap": (
-        ("m", "birkhoff_gap", "stderr", "tau_one_fraction"), points)}, {
+        ("m", "birkhoff_gap", "stderr", "tau_one_fraction", "tau_zero_fraction"),
+        points)}, {
         "qr_gap": est.gap, "qr_gap_stderr": est.gap_stderr,
         "birkhoff_final": points[-1][1],
     })
@@ -165,6 +170,7 @@ def cmd_gap(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_primitivity(args, cfg: ExperimentConfig) -> int:
+    from . import primitivity
     proc = cfg.build_process(args.seed)
     rep = primitivity.is_family_primitive(proc.pattern_family())
     if not rep.family_primitive:
@@ -197,6 +203,7 @@ def cmd_primitivity(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_acceptance(args, cfg=None) -> int:
+    from . import acceptance
     results = acceptance.run_all(verbose=True)
     if args.out:
         _write_bundle(args, "acceptance", {}, {"criteria": (

@@ -40,7 +40,10 @@ and the indices themselves (``block_events`` for a block of steps,
 ``step_events`` one step at a time) are served from one look-ahead buffer
 of drawn but not yet emitted indices, so any interleaving of them consumes
 the stream exactly like single steps; ``draw_ahead`` fills that buffer
-with a long run of steps in one sampler call without serving any of them.
+with a long run of steps in one sampler call without serving any of them,
+and ``draw_ahead_lanes`` does so for many spawned replicates at once (a
+Markov family walks the chains of ``_WALK_LANES`` or more replicates
+together, one numpy gather per step, instead of one Python walk each).
 ``member(k)`` builds member ``k``,
 and the read-only table ``updates[k]`` says what it does to a vector:
 ``(i, keep, j, a)`` when it is the identity with only column ``i``
@@ -73,6 +76,7 @@ __all__ = [
     "IIDFamilyProcess",
     "MarkovFamilyProcess",
     "ConstantProcess",
+    "draw_ahead_lanes",
     "push_sum_matrix",
     "is_strongly_connected",
     "column_sums",
@@ -83,6 +87,12 @@ __all__ = [
 ]
 
 _LOOKAHEAD = 64     # steps next_matrix and step_events draw into an empty look-ahead
+# Markov chains are walked together, one numpy gather per step, from this
+# many lanes on, and one by one in a Python loop below it.  Per lane-step on
+# the fam3 chain (2 vCPU, numpy 2.4.6, min of 9 runs of 2016 steps): the
+# Python loop took 88-96 ns at 16-128 lanes; the numpy loop 155-163 ns at
+# 16 lanes, 95-101 ns at 32, 85-87 ns at 40 and 56-58 ns at 128.
+_WALK_LANES = 40
 
 
 @dataclass(frozen=True)
@@ -232,6 +242,11 @@ class MatrixProcess:
     steps in one ``_draw`` call, so a caller that knows how many steps it
     will take pays one sampler call for all of them.  Drawing ahead
     serves nothing: the stream is drawn in the same order either way.
+    ``draw_ahead_lanes`` does ``draw_ahead(m)`` for many spawns of one
+    process in lockstep at once (the replicates of an estimator), each
+    lane drawing from its own stream.  Only a Markov family draws its
+    lanes together, because only its sampler loops in Python per step;
+    the lane count at which that pays (``_WALK_LANES``) was measured.
     ``steps_emitted`` counts emissions served, not drawn, and
     ``last_index`` is the member index of the last one; nothing else about
     served emissions is kept.  ``spawn`` derives an independent but
@@ -320,12 +335,27 @@ class MatrixProcess:
         m = int(m)
         if m < 0:
             raise ValueError("step count must be nonnegative")
-        ahead, at = self._ahead, self._at
-        pending = len(ahead) - at
+        pending = len(self._ahead) - self._at
         if m > pending:
-            lo = max(at - 1, 0)     # keep the last served index for last_index
-            self._ahead = np.concatenate((ahead[lo:], self._draw(m - pending)))
-            self._at = at - lo
+            self._extend(self._draw(m - pending))
+
+    def _extend(self, fresh: np.ndarray) -> None:
+        """Append drawn indices to the look-ahead, keeping the last served
+        index for ``last_index``; an empty look-ahead takes ``fresh`` as it
+        is, without a copy."""
+        ahead, at = self._ahead, self._at
+        if not len(ahead):
+            self._ahead = fresh
+            return
+        lo = max(at - 1, 0)
+        self._ahead = np.concatenate((ahead[lo:], fresh))
+        self._at = at - lo
+
+    def _draw_ahead_lanes(self, lanes: list, m: int) -> None:
+        """``draw_ahead(m)`` on each of ``lanes``, spawns of this process
+        in lockstep (see ``draw_ahead_lanes``)."""
+        for pr in lanes:
+            pr.draw_ahead(m)
 
     def next_matrix(self) -> np.ndarray:
         """Emit ``A_n`` as a fresh ``(p, p)`` float array and advance the
@@ -391,6 +421,33 @@ class MatrixProcess:
             elif j is not None:     # the kept diagonal A[i, i] > 0 stays true
                 pats[k, j, i] = a > 0
         return pats
+
+
+def draw_ahead_lanes(lanes, m: int) -> None:
+    """``draw_ahead(m)`` on every process of ``lanes`` at once.
+
+    The lanes must be spawns of one process (they share its member table)
+    and in lockstep: the same number of steps pending in each look-ahead,
+    as for replicates that have served the same steps.  Each lane then
+    draws from its own stream exactly what its own ``draw_ahead(m)`` would
+    draw, and is left as that call would leave it.  A Markov family walks
+    the chains of ``_WALK_LANES`` or more lanes together (see
+    ``MarkovFamilyProcess._walk``); every other kind draws lane by lane,
+    its sampler being vectorised already.
+    """
+    lanes = list(lanes)
+    m = int(m)
+    if m < 0:
+        raise ValueError("step count must be nonnegative")
+    if not lanes:
+        return
+    first = lanes[0]
+    if any(type(pr) is not type(first) or pr.updates is not first.updates
+           for pr in lanes):
+        raise ValueError("lanes must be spawns of one process")
+    if len({len(pr._ahead) - pr._at for pr in lanes}) > 1:
+        raise ValueError("lanes must be in lockstep: their pending step counts differ")
+    first._draw_ahead_lanes(lanes, m)
 
 
 class PushSumProcess(MatrixProcess):
@@ -514,7 +571,10 @@ class MarkovFamilyProcess(_FamilyProcess):
     cumulative rows fixes how many of each row's breakpoints lie at or below
     ``u``, so one ``searchsorted`` per draw and a ``(state, bin)`` next-state
     table, shared with spawned copies, give the states a per-row
-    ``searchsorted`` gives.
+    ``searchsorted`` gives.  One walker, ``_walk``, serves both a single
+    draw and ``draw_ahead_lanes`` over many spawns: the lane count alone
+    decides whether it walks each chain in a Python loop or all chains
+    together in a numpy loop (``_WALK_LANES``).
     """
 
     kind = "markov_family"
@@ -544,13 +604,16 @@ class MarkovFamilyProcess(_FamilyProcess):
         self._cum_init = np.cumsum(np.clip(self.initial_dist, 0.0, None))
         # _next[s][b]: the state after s when the step's uniform u falls in
         # bin b = searchsorted(_edges, u, "right") of the merged breakpoints
-        # (sorted distinct values without np.unique, which imports numpy.ma)
+        # (sorted distinct values without np.unique, which imports numpy.ma);
+        # _next_array is the same table for the walk over many lanes
         cum_rows = np.cumsum(P, axis=1)
         self._edges = np.array(sorted(set(cum_rows.flat)))
         self._next = tuple(
             (0, *np.minimum(np.searchsorted(row, self._edges, side="right"),
                             f - 1).tolist())
             for row in cum_rows)
+        self._next_array = np.array(self._next, dtype=np.intp)
+        self._bin_dtype = np.min_scalar_type(len(self._edges))
         super().__init__(matrices, seed, stream)
 
     @staticmethod
@@ -567,19 +630,60 @@ class MarkovFamilyProcess(_FamilyProcess):
         self._state: int | None = None     # chain state after the last draw
 
     def _draw(self, m: int) -> np.ndarray:
-        u = self._rng.random(m)
-        s, idx = self._state, []
-        if s is None and m:     # the first draw places the chain by its initial law
-            s = int(min(np.searchsorted(self._cum_init, u[0], side="right"),
-                        self.family_size - 1))
-            idx.append(s)
-            u = u[1:]
-        table = self._next
-        for b in np.searchsorted(self._edges, u, side="right").tolist():
-            s = table[s][b]
-            idx.append(s)
-        self._state = s
-        return np.array(idx, dtype=np.intp)
+        return self._walk((self,), m)[0]
+
+    def _draw_ahead_lanes(self, lanes: list, m: int) -> None:
+        k = m - (len(self._ahead) - self._at)
+        if k > 0:
+            for pr, fresh in zip(lanes, self._walk(lanes, k)):
+                pr._extend(fresh)
+
+    def _walk(self, lanes, k: int) -> list[np.ndarray]:
+        """The next ``k`` states of the chain of every process in ``lanes``
+        (this process or spawns of it), one ``intp`` array per lane.
+
+        Each lane takes ``k`` uniforms from its own generator.  A chain not
+        yet placed is placed by its first uniform through the initial law;
+        every other uniform moves the chain through ``_next`` by its bin
+        among ``_edges``.  Below ``_WALK_LANES`` lanes each chain is walked
+        on its own in a Python loop over ``_next``.  From there on the bins
+        are stored in ``_bin_dtype``, all chains are walked together into
+        one step-major ``(k, lanes)`` array, one numpy gather per step, and
+        each lane gets a column of it.
+        """
+        if not k:
+            return [np.zeros(0, dtype=np.intp) for _ in lanes]
+        together = len(lanes) >= _WALK_LANES
+        if together:
+            out = np.empty((k, len(lanes)), dtype=np.intp)
+            bins = np.empty(out.shape, dtype=self._bin_dtype)
+        walks, table = [], self._next
+        for t, pr in enumerate(lanes):
+            u = pr._rng.random(k)
+            b = np.searchsorted(self._edges, u, side="right")
+            s = pr._state
+            if s is None:       # the first draw places the chain by its initial law
+                s = int(min(np.searchsorted(self._cum_init, u[0], side="right"),
+                            self.family_size - 1))
+            else:
+                s = table[s][b[0]]
+            if together:
+                out[0, t] = s
+                bins[:, t] = b
+                continue
+            idx = [s]
+            for c in b[1:].tolist():
+                s = table[s][c]
+                idx.append(s)
+            pr._state = s
+            walks.append(np.array(idx, dtype=np.intp))
+        if together:
+            for i in range(1, k):
+                out[i] = self._next_array[out[i - 1], bins[i]]
+            for pr, s in zip(lanes, out[-1].tolist()):
+                pr._state = s
+            walks = list(out.T)
+        return walks
 
 
 class ConstantProcess(_FamilyProcess):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import birkhoff_phi, log_tau_from_phi, wedge_magnitude
-from .generators import MatrixProcess
+from .generators import MatrixProcess, draw_ahead_lanes
 
 __all__ = [
     "SpectrumEstimate",
@@ -388,9 +388,10 @@ def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstima
     ``tau_zero_fraction``; the estimate is nan if every positive trial is
     censored.
 
-    Each trial draws the member indices of up to ``p**2`` buffer lengths
-    of steps in one ``draw_ahead`` call (so the indices of all trials take
-    no more memory than the buffer), then builds its emissions through
+    All trials draw the member indices of up to ``p**2`` buffer lengths of
+    steps in one ``draw_ahead_lanes`` call (so the indices of all trials
+    take no more memory than the buffer; a Markov family walks the chains
+    of all trials together), then each trial builds its emissions through
     ``dense_block`` in runs of as many whole 16-step segments as fit a
     step-major ``(steps, trials, p, p)`` buffer of about 2 MiB (at least
     one segment).  The 16-step products and patterns of all segments of a
@@ -423,9 +424,9 @@ def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstima
     buf = np.empty((min(draw_len, m), T, p, p))    # step-major: buf[s] is (T, p, p)
     for done in range(0, m, draw_len):
         drawn = min(draw_len, m - done)
+        if done % run == 0:
+            draw_ahead_lanes(procs, min(run, m - done))
         for t, pr in enumerate(procs):
-            if done % run == 0:
-                pr.draw_ahead(min(run, m - done))
             buf[:drawn, t] = pr.dense_block(drawn)
         full = drawn - drawn % _BIRKHOFF_SEGMENT
         # the whole segments of the draw, then the partial one ending it

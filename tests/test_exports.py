@@ -77,18 +77,40 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "gossipgap"))
 """
 
 
-def test_cold_start_loads_only_what_a_process_needs():
-    # a fresh interpreter that builds one emission from a config compiles
-    # no estimator module: the package's __init__ imports nothing
+CLI_COLD_START = """\
+import sys
+from gossipgap import cli
+assert cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "gossipgap")))
+"""
+
+TINY_RING5 = ROOT / "perfbench" / "configs" / "tiny" / "ring5-lossy" / "simulate.json"
+
+
+def _loaded_modules(script, *args):
+    """The ``gossipgap`` modules a fresh interpreter has loaded after
+    running ``script`` with ``args``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    cfg = ROOT / "perfbench" / "configs" / "tiny" / "ring5-lossy" / "simulate.json"
-    proc = subprocess.run([sys.executable, "-c", COLD_START, str(cfg)],
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["gossipgap", "gossipgap.config",
-                                   "gossipgap.core", "gossipgap.generators"]
+    return proc.stdout.split()
+
+
+def test_cold_start_loads_only_what_a_process_needs():
+    # a fresh interpreter that builds one emission from a config compiles
+    # no estimator module: the package's __init__ imports nothing
+    assert _loaded_modules(COLD_START, TINY_RING5) == [
+        "gossipgap", "gossipgap.config", "gossipgap.core", "gossipgap.generators"]
+
+
+def test_cli_simulate_loads_no_estimator_module(tmp_path):
+    # each subcommand imports the estimator modules it uses when it runs
+    assert _loaded_modules(CLI_COLD_START, TINY_RING5, tmp_path) == [
+        "gossipgap", "gossipgap.cli", "gossipgap.config", "gossipgap.consensus",
+        "gossipgap.core", "gossipgap.generators", "gossipgap.report"]
 
 
 @pytest.mark.parametrize("path", sorted(

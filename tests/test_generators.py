@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipgap import acceptance
+from gossipgap import acceptance, generators
+from gossipgap.config import load_config
 from gossipgap.core import is_row_allowable
 from gossipgap.generators import (ConstantProcess, Digraph, IIDFamilyProcess,
                                   MarkovFamilyProcess, PushSumConfig,
@@ -320,12 +323,17 @@ def test_markov_table_walk_matches_per_row_walk(f, weights, short_rows, pool, ta
 
 _FAM2 = [np.eye(2), np.array([[1.0, 1.0], [1.0, 0.0]])]
 
+_MARKOV20 = ([np.eye(2) * (k + 1) for k in range(20)],
+             np.random.default_rng(20).dirichlet(np.ones(20), size=20))
+
 _EACH_KIND = pytest.mark.parametrize("build", [
     lambda stream: PushSumProcess(lossy_cfg(), 9, stream),
     lambda stream: IIDFamilyProcess(_FAM2, [0.4, 0.6], 9, stream),
     lambda stream: MarkovFamilyProcess(_FAM2, [[0.3, 0.7], [0.6, 0.4]], 9, stream),
     lambda stream: ConstantProcess(np.ones((2, 2)), 9, stream),
-], ids=["push_sum", "iid", "markov", "constant"])
+    # 20 states with 400 distinct row breakpoints: bins need more than a byte
+    lambda stream: MarkovFamilyProcess(*_MARKOV20, 9, stream),
+], ids=["push_sum", "iid", "markov", "constant", "markov20"])
 
 
 @_EACH_KIND
@@ -478,6 +486,74 @@ def test_draw_ahead_refuses_a_negative_count(build):
         proc.draw_ahead(-1)
     assert proc._ahead is ahead and proc.steps_emitted == 1
     np.testing.assert_array_equal(proc.dense_block(2), build((0,)).dense_block(3)[1:])
+
+
+def _lanes_in_state(build, lanes, state):
+    """``lanes`` spawns of one process, fresh or part-way through their
+    streams with a served step and a pending look-ahead."""
+    parent = build((0,))
+    out = [parent.spawn((5, t)) for t in range(lanes)]
+    if state == "part_way":
+        for pr in out:
+            pr.dense_block(70)
+            pr.draw_ahead(100)
+            pr.dense_block(1)
+    return out
+
+
+@_EACH_KIND
+@pytest.mark.parametrize("lanes", [1, 2, 6, generators._WALK_LANES + 1])
+@pytest.mark.parametrize("state", ["fresh", "part_way"])
+def test_draw_ahead_lanes_is_each_lanes_own_draw_ahead(build, lanes, state):
+    # one multi-stream draw leaves every lane as its own draw_ahead(m)
+    # would: same served count, last index and later emissions, whether
+    # the lanes are walked one by one or, past _WALK_LANES, together
+    for m in (1, 2, 63, 64, 65, 300):
+        got = _lanes_in_state(build, lanes, state)
+        want = _lanes_in_state(build, lanes, state)
+        generators.draw_ahead_lanes(got, m)
+        for g, w in zip(got, want):
+            w.draw_ahead(m)
+            assert len(g._ahead) - g._at == len(w._ahead) - w._at
+            assert (g.steps_emitted, g.last_index) == (w.steps_emitted, w.last_index)
+            np.testing.assert_array_equal(g.dense_block(m + 5), w.dense_block(m + 5))
+            assert (g.steps_emitted, g.last_index) == (w.steps_emitted, w.last_index)
+
+
+def test_markov20_bins_take_two_bytes():
+    proc = MarkovFamilyProcess(*_MARKOV20, 9)
+    assert len(proc._edges) > 255 and proc._bin_dtype == np.uint16
+
+
+@_EACH_KIND
+def test_draw_ahead_lanes_refuses_lanes_out_of_lockstep(build):
+    lanes = _lanes_in_state(build, 3, "fresh")
+    lanes[1].draw_ahead(5)      # five steps pending, against none
+    rngs, aheads = [pr._rng.bit_generator.state for pr in lanes], [pr._ahead for pr in lanes]
+    with pytest.raises(ValueError, match="lockstep"):
+        generators.draw_ahead_lanes(lanes, 100)
+    with pytest.raises(ValueError, match="spawns of one process"):
+        generators.draw_ahead_lanes([build((0,)), build((0,))], 100)
+    with pytest.raises(ValueError, match="nonnegative"):
+        generators.draw_ahead_lanes(lanes[:1], -1)
+    assert [pr._rng.bit_generator.state for pr in lanes] == rngs
+    assert all(pr._ahead is a for pr, a in zip(lanes, aheads))
+
+
+def test_draw_ahead_lanes_peak_memory_is_the_index_array():
+    # 128 fresh fam3 trials drawing 1024 steps together hold the step-major
+    # intp indices and one byte of bins per step, not a float staging array
+    cfg = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "full"
+    parent = load_config(cfg / "markov-family" / "estimate.json").build_process(5)
+    T, m = 128, 1024
+    lanes = [parent.spawn((3, m, t)) for t in range(T)]
+    tracemalloc.start()
+    try:
+        generators.draw_ahead_lanes(lanes, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * T * m * 8
 
 
 @_EACH_KIND

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipgap import acceptance, cli, consensus, report, spectrum
+from gossipgap import acceptance, consensus, primitivity, report, spectrum
 from gossipgap.cli import main
 from gossipgap.config import ConfigError, ExperimentConfig, load_config
 from gossipgap.report import format_value, sha256_of, verify_manifest, write_table
@@ -274,22 +275,47 @@ def test_cli_spectrum(cfg_path, tmp_path):
     assert float(summary["gap"]) > 0
 
 
-def test_cli_gap_rows_match_birkhoff_estimator(tmp_path):
-    # the sweep runs on the process the subcommand built, sorted by m
-    cfg = json.loads(json.dumps(PUSH_SUM_CFG))
-    cfg["estimators"]["birkhoff_m"] = [32, 8, 16]
+_TWO_NODE_CFG = {**PUSH_SUM_CFG, "process": {
+    "kind": "push_sum", "seed": 77, "p": 2, "edges": [[0, 1], [1, 0]],
+    "share": 0.5, "loss_prob": [0.5, 0.5]}}
+
+
+def _gap_rows_match_birkhoff_estimator(tmp_path, base, ms, trials):
+    """Run ``gap`` on ``base`` with block lengths ``ms``; check its table
+    against the estimator's rows and return them."""
+    cfg = json.loads(json.dumps(base))
+    cfg["estimators"]["birkhoff_m"] = ms
+    cfg["estimators"]["trials"] = trials
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     out = tmp_path / "g"
-    assert main(["gap", "--config", str(path), "--out", str(out), "--seed", "7"]) == 0
-    proc = load_config(path).build_process(7)
-    rows = []
-    for m in (8, 16, 32):
-        g = spectrum.estimate_gap_birkhoff(proc, m, cfg["estimators"]["trials"])
-        rows.append((m, g.value, g.stderr, g.diagnostics["tau_one_fraction"]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["gap", "--config", str(path), "--out", str(out), "--seed", "7"]) == 0
+        proc = load_config(path).build_process(7)
+        rows = []
+        for m in sorted(ms):
+            g = spectrum.estimate_gap_birkhoff(proc, m, trials)
+            rows.append((m, g.value, g.stderr, g.diagnostics["tau_one_fraction"],
+                         g.diagnostics["tau_zero_fraction"]))
     want = write_table(tmp_path / "want.csv",
-                       ("m", "birkhoff_gap", "stderr", "tau_one_fraction"), rows)
+                       ("m", "birkhoff_gap", "stderr", "tau_one_fraction",
+                        "tau_zero_fraction"), rows)
     assert sha256_of(out / "demo_gap.csv") == want
+    return rows
+
+
+def test_cli_gap_rows_match_birkhoff_estimator(tmp_path):
+    # the sweep runs on the process the subcommand built, sorted by m
+    rows = _gap_rows_match_birkhoff_estimator(tmp_path, PUSH_SUM_CFG, [32, 8, 16], 32)
+    assert [r[-1] for r in rows] == [0.0, 0.0, 0.0]
+
+
+def test_cli_gap_rows_count_censored_trials(tmp_path):
+    # at m = 2000 most two-node products underflow float resolution
+    # (tau = 0); the row counts the trials its mean leaves out
+    rows = _gap_rows_match_birkhoff_estimator(tmp_path, _TWO_NODE_CFG, [2000, 8], 16)
+    assert rows[0][-1] == 0.0 and rows[1][-1] > 0.5
 
 
 @pytest.mark.parametrize("cmd", ["spectrum", "gap"])
@@ -333,12 +359,10 @@ def test_cli_primitivity_non_primitive_family_fails_fast(tmp_path, capsys,
                                                          monkeypatch):
     # a family with no positive product ends the command before any
     # index is sampled
-    from gossipgap import cli as cli_mod
-
     p = tmp_path / "swap.json"
     p.write_text(json.dumps(_SWAP_CFG), encoding="utf-8")
     for name in ("sample_forward_indices", "sample_backward_indices"):
-        monkeypatch.setattr(cli_mod.primitivity, name, _no_sampling)
+        monkeypatch.setattr(primitivity, name, _no_sampling)
     out = tmp_path / "o"
     assert main(["primitivity", "--config", str(p), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -545,13 +569,11 @@ def _no_estimation(*args, **kwargs):
     ("horizon", "n", 5), ("estimators", "reorth_period", 1000)])
 def test_cli_short_horizon_is_config_error(tmp_path, capsys, monkeypatch, cmd,
                                            section, key, value):
-    from gossipgap import cli as cli_mod
-
     cfg = json.loads(json.dumps(PUSH_SUM_CFG))
     cfg[section][key] = value
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg), encoding="utf-8")
-    monkeypatch.setattr(cli_mod.spectrum, "estimate_spectrum_qr", _no_estimation)
+    monkeypatch.setattr(spectrum, "estimate_spectrum_qr", _no_estimation)
     out = tmp_path / "o"
     assert main([cmd, "--config", str(p), "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -562,14 +584,12 @@ def test_cli_short_horizon_is_config_error(tmp_path, capsys, monkeypatch, cmd,
 @pytest.mark.parametrize("key,vector", [("w0", [-1, 1, 1, 1]), ("x0", [1.0, 2.0])])
 def test_cli_spectrum_bad_initial_pair_is_config_error_before_estimation(
         tmp_path, capsys, monkeypatch, key, vector):
-    from gossipgap import cli as cli_mod
-
     cfg = json.loads(json.dumps(PUSH_SUM_CFG))
     cfg["initial"][key] = vector
     p = _write(tmp_path, cfg)
     for name in ("estimate_spectrum_qr", "check_det_identity",
                  "estimate_sum_top2_wedge"):
-        monkeypatch.setattr(cli_mod.spectrum, name, _no_estimation)
+        monkeypatch.setattr(spectrum, name, _no_estimation)
     out = tmp_path / "o"
     assert main(["spectrum", "--config", str(p), "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -579,14 +599,12 @@ def test_cli_spectrum_bad_initial_pair_is_config_error_before_estimation(
 
 def test_cli_gap_without_block_lengths_is_config_error(tmp_path, capsys,
                                                       monkeypatch):
-    from gossipgap import cli as cli_mod
-
     cfg = json.loads(json.dumps(PUSH_SUM_CFG))
     cfg["estimators"]["birkhoff_m"] = []
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg), encoding="utf-8")
     with monkeypatch.context() as mp:
-        mp.setattr(cli_mod.spectrum, "estimate_spectrum_qr", _no_estimation)
+        mp.setattr(spectrum, "estimate_spectrum_qr", _no_estimation)
         out = tmp_path / "o"
         assert main(["gap", "--config", str(p), "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -597,13 +615,11 @@ def test_cli_gap_without_block_lengths_is_config_error(tmp_path, capsys,
 
 
 def test_cli_gap_on_one_node_is_config_error(tmp_path, capsys, monkeypatch):
-    from gossipgap import cli as cli_mod
-
     cfg = {"process": {"kind": "constant", "seed": 1, "matrix": [[0.5]]},
            "horizon": {"n": 2000, "checkpoints": "geometric"}}
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg), encoding="utf-8")
-    monkeypatch.setattr(cli_mod.spectrum, "estimate_spectrum_qr", _no_estimation)
+    monkeypatch.setattr(spectrum, "estimate_spectrum_qr", _no_estimation)
     out = tmp_path / "o"
     assert main(["gap", "--config", str(p), "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -665,15 +681,13 @@ def test_cli_bundle_of_another_subcommand_is_kept(cfg_path, tmp_path, capsys):
 
 def test_cli_foreign_bundle_refused_before_estimation(cfg_path, tmp_path, capsys,
                                                      monkeypatch):
-    from gossipgap import cli as cli_mod
-
     out = tmp_path / "out"
     assert main(["spectrum", "--config", str(cfg_path), "--out", str(out)]) == 0
 
     def no_estimation(*args, **kwargs):
         raise AssertionError("estimation ran before the bundle check")
 
-    monkeypatch.setattr(cli_mod.spectrum, "estimate_spectrum_qr", no_estimation)
+    monkeypatch.setattr(spectrum, "estimate_spectrum_qr", no_estimation)
     assert main(["gap", "--config", str(cfg_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("output error: ") and "another subcommand" in err
@@ -807,18 +821,16 @@ def test_manifest_lists_only_bundle_files(cfg_path, tmp_path, listed):
 
 def test_cli_acceptance_exit_codes(monkeypatch, tmp_path, capsys):
     from gossipgap import acceptance as acc_mod
-    from gossipgap import cli as cli_mod
-
     def fake_run_all(verbose=False):
         return [acc_mod.CriterionResult(1, "stub ok", True, 0.0, "fine"),
                 acc_mod.CriterionResult(2, "stub bad", False, 0.0, "broken")]
 
-    monkeypatch.setattr(cli_mod.acceptance, "run_all", fake_run_all)
+    monkeypatch.setattr(acceptance, "run_all", fake_run_all)
     rc = main(["acceptance", "--out", str(tmp_path)])
     assert rc == 3
     assert (tmp_path / "acceptance_criteria.csv").exists()
 
-    monkeypatch.setattr(cli_mod.acceptance, "run_all",
+    monkeypatch.setattr(acceptance, "run_all",
                         lambda verbose=False: [acc_mod.CriterionResult(
                             1, "stub ok", True, 0.0, "fine")])
     assert main(["acceptance"]) == 0
@@ -826,7 +838,7 @@ def test_cli_acceptance_exit_codes(monkeypatch, tmp_path, capsys):
 
 def test_cli_acceptance_quotes_text_fields(monkeypatch, tmp_path):
     detail = 'l1=0.5 (tol 1e-6), say "ok"\nruntime<1s=True\r\nend'
-    monkeypatch.setattr(cli.acceptance, "run_all", lambda verbose=False: [
+    monkeypatch.setattr(acceptance, "run_all", lambda verbose=False: [
         acceptance.CriterionResult(1, "a, b", True, 0.25, detail)])
     assert main(["acceptance", "--out", str(tmp_path)]) == 0
     with open(tmp_path / "acceptance_criteria.csv", newline="", encoding="utf-8") as f:

@@ -3,6 +3,8 @@ library example."""
 
 import ast
 import csv
+import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -57,3 +59,64 @@ def test_readme_quick_start_imports_resolve():
     imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert any(getattr(node, "module", "").startswith("gossipgap.") for node in imports)
     exec(compile(ast.Module(body=imports, type_ignores=[]), "README.md", "exec"), {})
+
+
+def _ab_bench():
+    spec = importlib.util.spec_from_file_location("ab_bench", ROOT / "scripts" / "ab_bench.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _contract(correct=True, **values):
+    return "# table line\n" + json.dumps({
+        "correct": correct, "attempted": 10, "failed": 0 if correct else 1,
+        "metrics": {k: {"value": v, "unit": "-"} for k, v in values.items()}}) + "\n"
+
+
+def test_ab_bench_alternates_and_summarizes(tmp_path, capsys):
+    ab = _ab_bench()
+    base, change = tmp_path / "base", tmp_path / "change"
+    base.mkdir()
+    (base / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.25},
+        {"name": "secs", "unit": "s", "better": "lower", "bound": 0.25}]}))
+    # change: rate +10 on seeds 0-2 and a tie on seed 3; secs lower only on seed 1
+    table = {("base", s): (100.0 + s, 2.0) for s in range(4)}
+    table.update({("change", s): (110.0 + s if s < 3 else 103.0, 1.0 if s == 1 else 2.5)
+                  for s in range(4)})
+    calls = []
+
+    def fake_run(checkout, args, seed):
+        side = checkout.name
+        calls.append((side, seed))
+        assert (args.workload, args.seconds, args.size) == ("markov-family", 20.0, "tiny")
+        rate, secs = table[side, seed]
+        return _contract(rate=rate, secs=secs)
+
+    rc = ab.main([str(base), str(change), "--workload", "markov-family", "--pairs", "4",
+                  "--seconds", "20", "--seed", "0", "--size", "tiny"], run=fake_run)
+    assert rc == 0
+    assert calls == [("base", 0), ("change", 0), ("change", 1), ("base", 1),
+                     ("base", 2), ("change", 2), ("change", 3), ("base", 3)]
+    summary = capsys.readouterr().out.splitlines()[-2:]
+    # base rate 100..103: median 101.5, inclusive quartiles 100.75 and 102.25
+    assert summary[0].split() == [
+        "rate", "1/s", "base", "101.5", "[100.75,", "102.25]", "change", "110.5",
+        "[108.25,", "111.25]", "ratio", f"{110.5 / 101.5:.4f}", "wins", "3/4"]
+    assert summary[1].split()[-4:] == ["ratio", "1.2500", "wins", "1/4"]
+
+
+@pytest.mark.parametrize("output", [_contract(False, rate=1.0, secs=1.0), "crashed\n", ""])
+def test_ab_bench_fails_on_a_run_that_is_not_correct(tmp_path, capsys, output):
+    ab = _ab_bench()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.25}]}))
+
+    def fake_run(checkout, args, seed):
+        return output if seed == 8 else _contract(rate=1.0, secs=1.0)
+
+    rc = ab.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "2",
+                  "--seed", "7"], run=fake_run)
+    assert rc == 1
+    assert "base seed 8" in capsys.readouterr().err
