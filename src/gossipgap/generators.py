@@ -76,7 +76,6 @@ __all__ = [
     "IIDFamilyProcess",
     "MarkovFamilyProcess",
     "ConstantProcess",
-    "draw_ahead_lanes",
     "push_sum_matrix",
     "is_strongly_connected",
     "column_sums",
@@ -242,9 +241,9 @@ class MatrixProcess:
     steps in one ``_draw`` call, so a caller that knows how many steps it
     will take pays one sampler call for all of them.  Drawing ahead
     serves nothing: the stream is drawn in the same order either way.
-    ``draw_ahead_lanes`` does ``draw_ahead(m)`` for many spawns of one
-    process in lockstep at once (the replicates of an estimator), each
-    lane drawing from its own stream.  Only a Markov family draws its
+    ``draw_ahead_lanes(lanes, m)`` does ``draw_ahead(m)`` for many spawns
+    of this process in lockstep at once (the replicates of an estimator),
+    each lane drawing from its own stream.  Only a Markov family draws its
     lanes together, because only its sampler loops in Python per step;
     the lane count at which that pays (``_WALK_LANES``) was measured.
     ``steps_emitted`` counts emissions served, not drawn, and
@@ -335,27 +334,38 @@ class MatrixProcess:
         m = int(m)
         if m < 0:
             raise ValueError("step count must be nonnegative")
-        pending = len(self._ahead) - self._at
-        if m > pending:
-            self._extend(self._draw(m - pending))
-
-    def _extend(self, fresh: np.ndarray) -> None:
-        """Append drawn indices to the look-ahead, keeping the last served
-        index for ``last_index``; an empty look-ahead takes ``fresh`` as it
-        is, without a copy."""
         ahead, at = self._ahead, self._at
-        if not len(ahead):
-            self._ahead = fresh
-            return
-        lo = max(at - 1, 0)
-        self._ahead = np.concatenate((ahead[lo:], fresh))
-        self._at = at - lo
+        pending = len(ahead) - at
+        if m > pending:
+            lo = max(at - 1, 0)     # keep the last served index for last_index
+            self._ahead = np.concatenate((ahead[lo:], self._draw(m - pending)))
+            self._at = at - lo
 
-    def _draw_ahead_lanes(self, lanes: list, m: int) -> None:
-        """``draw_ahead(m)`` on each of ``lanes``, spawns of this process
-        in lockstep (see ``draw_ahead_lanes``)."""
+    def draw_ahead_lanes(self, lanes, m: int) -> None:
+        """``draw_ahead(m)`` on every process of ``lanes`` at once.
+
+        The lanes must be spawns of this process in lockstep: the same
+        number of steps pending in each look-ahead, as for replicates that
+        have served the same steps.  Each lane then draws from its own
+        stream exactly what its own ``draw_ahead(m)`` would draw, and is
+        left as that call would leave it.  Only a Markov family draws its
+        lanes together; every other kind draws lane by lane, its sampler
+        being vectorised already.
+        """
+        self._lockstep(lanes, m)
         for pr in lanes:
             pr.draw_ahead(m)
+
+    @staticmethod
+    def _lockstep(lanes, m: int) -> int:
+        """The number of steps pending in every lane's look-ahead; refuses a
+        negative ``m`` and lanes whose pending counts differ."""
+        if m < 0:
+            raise ValueError("step count must be nonnegative")
+        pending = {len(pr._ahead) - pr._at for pr in lanes}
+        if len(pending) > 1:
+            raise ValueError("lanes must be in lockstep: their pending step counts differ")
+        return pending.pop() if pending else 0
 
     def next_matrix(self) -> np.ndarray:
         """Emit ``A_n`` as a fresh ``(p, p)`` float array and advance the
@@ -421,33 +431,6 @@ class MatrixProcess:
             elif j is not None:     # the kept diagonal A[i, i] > 0 stays true
                 pats[k, j, i] = a > 0
         return pats
-
-
-def draw_ahead_lanes(lanes, m: int) -> None:
-    """``draw_ahead(m)`` on every process of ``lanes`` at once.
-
-    The lanes must be spawns of one process (they share its member table)
-    and in lockstep: the same number of steps pending in each look-ahead,
-    as for replicates that have served the same steps.  Each lane then
-    draws from its own stream exactly what its own ``draw_ahead(m)`` would
-    draw, and is left as that call would leave it.  A Markov family walks
-    the chains of ``_WALK_LANES`` or more lanes together (see
-    ``MarkovFamilyProcess._walk``); every other kind draws lane by lane,
-    its sampler being vectorised already.
-    """
-    lanes = list(lanes)
-    m = int(m)
-    if m < 0:
-        raise ValueError("step count must be nonnegative")
-    if not lanes:
-        return
-    first = lanes[0]
-    if any(type(pr) is not type(first) or pr.updates is not first.updates
-           for pr in lanes):
-        raise ValueError("lanes must be spawns of one process")
-    if len({len(pr._ahead) - pr._at for pr in lanes}) > 1:
-        raise ValueError("lanes must be in lockstep: their pending step counts differ")
-    first._draw_ahead_lanes(lanes, m)
 
 
 class PushSumProcess(MatrixProcess):
@@ -630,34 +613,57 @@ class MarkovFamilyProcess(_FamilyProcess):
         self._state: int | None = None     # chain state after the last draw
 
     def _draw(self, m: int) -> np.ndarray:
-        return self._walk((self,), m)[0]
+        out = np.empty((m, 1), dtype=np.intp)
+        self._walk((self,), out)
+        return out[:, 0]
 
-    def _draw_ahead_lanes(self, lanes: list, m: int) -> None:
-        k = m - (len(self._ahead) - self._at)
-        if k > 0:
-            for pr, fresh in zip(lanes, self._walk(lanes, k)):
-                pr._extend(fresh)
+    def draw_ahead_lanes(self, lanes, m: int) -> None:
+        """``draw_ahead(m)`` on every process of ``lanes`` (see
+        ``MatrixProcess.draw_ahead_lanes``), walking all chains in one call.
 
-    def _walk(self, lanes, k: int) -> list[np.ndarray]:
-        """The next ``k`` states of the chain of every process in ``lanes``
-        (this process or spawns of it), one ``intp`` array per lane.
-
-        Each lane takes ``k`` uniforms from its own generator.  A chain not
-        yet placed is placed by its first uniform through the initial law;
-        every other uniform moves the chain through ``_next`` by its bin
-        among ``_edges``.  Below ``_WALK_LANES`` lanes each chain is walked
-        on its own in a Python loop over ``_next``.  From there on the bins
-        are stored in ``_bin_dtype``, all chains are walked together into
-        one step-major ``(k, lanes)`` array, one numpy gather per step, and
-        each lane gets a column of it.
+        Each lane's look-ahead becomes a column of one step-major
+        ``(1 + pending + k, lanes)`` array: the lane's last served index
+        (when it has served one), its pending steps and the ``k`` new ones.
+        The old look-aheads are let go before that array is made, so the
+        indices of all lanes never take more than it.
         """
+        pending = self._lockstep(lanes, m)
+        k = int(m) - pending
+        if k <= 0:
+            return
+        served = [pr._at > 0 for pr in lanes]
+        head = np.zeros((pending + 1, len(lanes)), dtype=np.intp)
+        for t, pr in enumerate(lanes):
+            head[1:, t] = pr._ahead[pr._at:]
+            if pr._at:
+                head[0, t] = pr._ahead[pr._at - 1]
+            pr._ahead = head[:0, t]     # lets the old look-ahead go
+        out = np.empty((len(head) + k, len(lanes)), dtype=np.intp)
+        out[:len(head)] = head
+        self._walk(lanes, out[len(head):])
+        for t, pr in enumerate(lanes):
+            pr._ahead, pr._at = (out[:, t], 1) if served[t] else (out[1:, t], 0)
+
+    def _walk(self, lanes, out: np.ndarray) -> None:
+        """Write the next ``len(out)`` states of the chain of every process
+        in ``lanes`` (this process or spawns of it) into the columns of the
+        step-major ``out``, one column per lane.
+
+        Each lane takes ``len(out)`` uniforms from its own generator.  A
+        chain not yet placed is placed by its first uniform through the
+        initial law; every other uniform moves the chain through ``_next``
+        by its bin among ``_edges``.  Below ``_WALK_LANES`` lanes each chain
+        is walked on its own in a Python loop over ``_next``.  From there on
+        the bins are stored in ``_bin_dtype`` and all chains are walked
+        together, one numpy gather per step.
+        """
+        k = len(out)
         if not k:
-            return [np.zeros(0, dtype=np.intp) for _ in lanes]
+            return
         together = len(lanes) >= _WALK_LANES
         if together:
-            out = np.empty((k, len(lanes)), dtype=np.intp)
             bins = np.empty(out.shape, dtype=self._bin_dtype)
-        walks, table = [], self._next
+        table = self._next
         for t, pr in enumerate(lanes):
             u = pr._rng.random(k)
             b = np.searchsorted(self._edges, u, side="right")
@@ -676,14 +682,12 @@ class MarkovFamilyProcess(_FamilyProcess):
                 s = table[s][c]
                 idx.append(s)
             pr._state = s
-            walks.append(np.array(idx, dtype=np.intp))
+            out[:, t] = idx
         if together:
             for i in range(1, k):
                 out[i] = self._next_array[out[i - 1], bins[i]]
             for pr, s in zip(lanes, out[-1].tolist()):
                 pr._state = s
-            walks = list(out.T)
-        return walks
 
 
 class ConstantProcess(_FamilyProcess):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import birkhoff_phi, log_tau_from_phi, wedge_magnitude
-from .generators import MatrixProcess, draw_ahead_lanes
+from .generators import MatrixProcess
 
 __all__ = [
     "SpectrumEstimate",
@@ -389,7 +389,7 @@ def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstima
     censored.
 
     All trials draw the member indices of up to ``p**2`` buffer lengths of
-    steps in one ``draw_ahead_lanes`` call (so the indices of all trials
+    steps in one ``proc.draw_ahead_lanes`` call (so the indices of all trials
     take no more memory than the buffer; a Markov family walks the chains
     of all trials together), then each trial builds its emissions through
     ``dense_block`` in runs of as many whole 16-step segments as fit a
@@ -425,7 +425,7 @@ def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstima
     for done in range(0, m, draw_len):
         drawn = min(draw_len, m - done)
         if done % run == 0:
-            draw_ahead_lanes(procs, min(run, m - done))
+            proc.draw_ahead_lanes(procs, min(run, m - done))
         for t, pr in enumerate(procs):
             buf[:drawn, t] = pr.dense_block(drawn)
         full = drawn - drawn % _BIRKHOFF_SEGMENT

@@ -489,8 +489,8 @@ def test_draw_ahead_refuses_a_negative_count(build):
 
 
 def _lanes_in_state(build, lanes, state):
-    """``lanes`` spawns of one process, fresh or part-way through their
-    streams with a served step and a pending look-ahead."""
+    """A process and ``lanes`` spawns of it, fresh or part-way through
+    their streams with a served step and a pending look-ahead."""
     parent = build((0,))
     out = [parent.spawn((5, t)) for t in range(lanes)]
     if state == "part_way":
@@ -498,7 +498,7 @@ def _lanes_in_state(build, lanes, state):
             pr.dense_block(70)
             pr.draw_ahead(100)
             pr.dense_block(1)
-    return out
+    return parent, out
 
 
 @_EACH_KIND
@@ -509,9 +509,9 @@ def test_draw_ahead_lanes_is_each_lanes_own_draw_ahead(build, lanes, state):
     # would: same served count, last index and later emissions, whether
     # the lanes are walked one by one or, past _WALK_LANES, together
     for m in (1, 2, 63, 64, 65, 300):
-        got = _lanes_in_state(build, lanes, state)
-        want = _lanes_in_state(build, lanes, state)
-        generators.draw_ahead_lanes(got, m)
+        parent, got = _lanes_in_state(build, lanes, state)
+        _, want = _lanes_in_state(build, lanes, state)
+        parent.draw_ahead_lanes(got, m)
         for g, w in zip(got, want):
             w.draw_ahead(m)
             assert len(g._ahead) - g._at == len(w._ahead) - w._at
@@ -527,29 +527,35 @@ def test_markov20_bins_take_two_bytes():
 
 @_EACH_KIND
 def test_draw_ahead_lanes_refuses_lanes_out_of_lockstep(build):
-    lanes = _lanes_in_state(build, 3, "fresh")
+    parent, lanes = _lanes_in_state(build, 3, "fresh")
     lanes[1].draw_ahead(5)      # five steps pending, against none
     rngs, aheads = [pr._rng.bit_generator.state for pr in lanes], [pr._ahead for pr in lanes]
     with pytest.raises(ValueError, match="lockstep"):
-        generators.draw_ahead_lanes(lanes, 100)
-    with pytest.raises(ValueError, match="spawns of one process"):
-        generators.draw_ahead_lanes([build((0,)), build((0,))], 100)
+        parent.draw_ahead_lanes(lanes, 100)
     with pytest.raises(ValueError, match="nonnegative"):
-        generators.draw_ahead_lanes(lanes[:1], -1)
+        parent.draw_ahead_lanes(lanes[:1], -1)
     assert [pr._rng.bit_generator.state for pr in lanes] == rngs
     assert all(pr._ahead is a for pr, a in zip(lanes, aheads))
 
 
-def test_draw_ahead_lanes_peak_memory_is_the_index_array():
-    # 128 fresh fam3 trials drawing 1024 steps together hold the step-major
-    # intp indices and one byte of bins per step, not a float staging array
+@pytest.mark.parametrize("run", [1, 2])
+def test_draw_ahead_lanes_peak_memory_is_the_index_array(run):
+    # 128 fam3 trials drawing 1024 steps together hold the step-major intp
+    # indices and one byte of bins per step, not a float staging array; on
+    # a second run, after the first run's steps were served, the first
+    # run's indices (traced too) are let go before the new ones are drawn
     cfg = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "full"
     parent = load_config(cfg / "markov-family" / "estimate.json").build_process(5)
     T, m = 128, 1024
     lanes = [parent.spawn((3, m, t)) for t in range(T)]
     tracemalloc.start()
     try:
-        generators.draw_ahead_lanes(lanes, m)
+        for _ in range(run - 1):
+            parent.draw_ahead_lanes(lanes, m)
+            for pr in lanes:
+                pr.block_events(m)
+        tracemalloc.reset_peak()
+        parent.draw_ahead_lanes(lanes, m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

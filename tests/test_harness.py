@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -289,15 +288,13 @@ def _gap_rows_match_birkhoff_estimator(tmp_path, base, ms, trials):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     out = tmp_path / "g"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert main(["gap", "--config", str(path), "--out", str(out), "--seed", "7"]) == 0
-        proc = load_config(path).build_process(7)
-        rows = []
-        for m in sorted(ms):
-            g = spectrum.estimate_gap_birkhoff(proc, m, trials)
-            rows.append((m, g.value, g.stderr, g.diagnostics["tau_one_fraction"],
-                         g.diagnostics["tau_zero_fraction"]))
+    assert main(["gap", "--config", str(path), "--out", str(out), "--seed", "7"]) == 0
+    proc = load_config(path).build_process(7)
+    rows = []
+    for m in sorted(ms):
+        g = spectrum.estimate_gap_birkhoff(proc, m, trials)
+        rows.append((m, g.value, g.stderr, g.diagnostics["tau_one_fraction"],
+                     g.diagnostics["tau_zero_fraction"]))
     want = write_table(tmp_path / "want.csv",
                        ("m", "birkhoff_gap", "stderr", "tau_one_fraction",
                         "tau_zero_fraction"), rows)
