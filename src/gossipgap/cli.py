@@ -10,7 +10,8 @@ modules it uses when it runs, so ``simulate`` loads none of them.
 Exit codes: 0 success, 1 command-line or configuration error or unusable
 output location (any ``OSError`` while creating or writing the bundle, or
 a bundle of the same prefix that another subcommand wrote), 2 numerical
-failure, 3 acceptance failure.
+failure or an allocation the host refuses (``MemoryError``, such as the
+``p x p`` arrays of a huge ``process.p``), 3 acceptance failure.
 """
 
 from __future__ import annotations
@@ -265,6 +266,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (ValueError, RuntimeError, FloatingPointError, np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as e:
+        print(f"out of memory: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipgap import acceptance, consensus, primitivity, report, spectrum
+from gossipgap import acceptance, config, consensus, primitivity, report, spectrum
 from gossipgap.cli import main
-from gossipgap.config import ConfigError, ExperimentConfig, load_config
+from gossipgap.config import SIZE_MAX, ConfigError, ExperimentConfig, load_config
 from gossipgap.report import format_value, sha256_of, verify_manifest, write_table
 
 PUSH_SUM_CFG = {
@@ -399,6 +399,46 @@ def test_cli_bad_integer_field_is_config_error(tmp_path, capsys, section, key, v
     assert "config error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("section,key,name", [
+    ("horizon", "n", "n"), ("horizon", "count", "count"),
+    ("estimators", "k", "k"), ("estimators", "reorth_period", "reorth_period"),
+    ("estimators", "replicates", "replicates"), ("estimators", "burn_in", "burn_in"),
+    ("estimators", "trials", "trials"), ("estimators", "wedge_n", "wedge_n"),
+    ("estimators", "birkhoff_m", "birkhoff_m entry"), ("process", "p", "p"),
+    ("process", "edges", "edge endpoint"),
+])
+def test_cli_size_above_bound_is_config_error(tmp_path, capsys, section, key, name):
+    cmd = "spectrum" if section == "estimators" else "simulate"
+    cfg = json.loads(json.dumps(PUSH_SUM_CFG))
+    big = SIZE_MAX + 1
+    cfg[section][key] = {"birkhoff_m": [8, big], "edges": [[0, 1], [1, big]]}.get(key, big)
+    out = tmp_path / "o"
+    assert main([cmd, "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"config error: {section}: {name} must be <= 2**53")
+    assert not out.exists()
+
+
+def test_cli_seed_of_any_size_runs(tmp_path):
+    cfg = json.loads(json.dumps(PUSH_SUM_CFG))
+    cfg["process"]["seed"] = cfg["initial"]["sub_seed"] = 2**70
+    assert main(["simulate", "--config", str(_write(tmp_path, cfg)),
+                 "--out", str(tmp_path / "o")]) == 0
+
+
+def test_cli_refused_allocation_is_exit_2(tmp_path, capsys):
+    # p x p float64 arrays at p = 10**9 ask for 8 EiB, which any 64-bit host
+    # refuses at once
+    cfg = json.loads(json.dumps(PUSH_SUM_CFG))
+    cfg["process"]["p"] = 10**9
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("out of memory: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value,match", [
     ("edges", [[0.0, 1.7], [1, 2], [2, 3], [3, 0], [0, 2]], "edge endpoint"),
     ("edges", [[0, 1], [1, 2.0], [2, 3], [3, 0], [0, 2]], "edge endpoint"),
@@ -473,6 +513,26 @@ def test_cli_family_field_not_a_number_is_config_error(tmp_path, capsys, kind, s
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"config error: {section}: {key}")
     assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
+def _config_dicts():
+    for path in sorted((Path(__file__).parents[1] / "perfbench" / "configs").rglob("*.json")):
+        yield json.loads(path.read_text(encoding="utf-8"))
+    yield PUSH_SUM_CFG
+    for proc in FAMILY_CFGS.values():
+        yield {"process": proc}
+
+
+def test_config_to_dict_round_trips():
+    for d in _config_dicts():
+        echo = ExperimentConfig.from_dict(d).to_dict()
+        assert ExperimentConfig.from_dict(echo).to_dict() == echo
+
+
+def test_config_docstring_names_every_field():
+    tables = [*config._PROCESS.values(), *config._SCHEMA.values()]
+    for name in {name for rows in tables for name in rows}:
+        assert f"``{name}``" in config.__doc__, name
 
 
 @pytest.mark.parametrize("section,key,value", [
