@@ -53,7 +53,7 @@ def main() -> int:
             w0 = rng.uniform(0.05, 1.0, graph.p)
             traj = run(proc.spawn((800, r)), x0, w0, horizon, checkpoints=cps)
             ns, vals = rate_window(traj.ns, traj.max_ratio_error())
-            rates.append(fit_rate(ns, vals, window=1.0))
+            rates.append(fit_rate(ns, vals))
         med = float(np.median(rates))
         rows.append((name, graph.p, loss, est.gap, est.gap_stderr, -med,
                      abs(-med - est.gap) / est.gap))

@@ -93,7 +93,7 @@ def _fitted_rates(proc, pairs, horizon: int, use_tv: bool = False,
         traj = consensus.run(pr, x0, w0, horizon, checkpoints=cps)
         series = traj.tv if use_tv else traj.max_ratio_error()
         ns, vals = consensus.rate_window(traj.ns, series)
-        rates.append(consensus.fit_rate(ns, vals, window=1.0))
+        rates.append(consensus.fit_rate(ns, vals))
     return np.array(rates)
 
 

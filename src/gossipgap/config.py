@@ -229,9 +229,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return {name: dict(vars(getattr(self, name))) for name in _SECTIONS}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     def build_process(self, seed_override: int | None = None) -> MatrixProcess:
         s = self.process
         seed = int(s.seed if seed_override is None else seed_override)

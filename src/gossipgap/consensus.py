@@ -321,21 +321,16 @@ def weighted_ratio(state: ConsensusState, q) -> float:
     return float(q @ state.x) / den
 
 
-def fit_rate(ns, values, window: float = 0.5) -> float:
-    """Least-squares slope of ``log value`` vs ``n`` on the trailing window.
+def fit_rate(ns, values) -> float:
+    """Least-squares slope of ``log value`` vs ``n`` over the series.
 
-    ``window`` is the trailing fraction of checkpoints used.  Nonpositive
-    or non-finite values are dropped; at least 10 usable points must
-    remain.
+    Nonpositive or non-finite values are dropped; at least 10 usable
+    points must remain.  ``rate_window`` picks the informative range.
     """
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
     if ns.shape != values.shape:
         raise ValueError("series arrays must have equal length")
-    if not 0 < window <= 1:
-        raise ValueError("window must lie in (0, 1]")
-    start = len(ns) - int(math.ceil(len(ns) * window))
-    ns, values = ns[start:], values[start:]
     keep = np.isfinite(values) & (values > 0)
     ns, values = ns[keep], values[keep]
     if len(ns) < 10:

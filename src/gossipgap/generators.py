@@ -35,13 +35,15 @@ the send along edge ``e``, delivered or lost.  Each kind has one
 vectorised sampler that draws the indices of the next ``m`` steps (a
 Markov family walks the chain through a next-state table indexed by state
 and by the bin of each step's uniform among all merged row breakpoints;
-the constant kind consumes no draws).  ``next_matrix``, ``dense_block``
-and the indices themselves (``block_events`` for a block of steps,
-``step_events`` one step at a time) are served from one look-ahead buffer
-of drawn but not yet emitted indices, so any interleaving of them consumes
-the stream exactly like single steps; ``draw_ahead`` fills that buffer
-with a long run of steps in one sampler call without serving any of them,
-and ``draw_ahead_lanes`` does so for many spawned replicates at once (a
+the constant kind consumes no draws).  A process holds its generator and
+a cursor into one look-ahead buffer of drawn but not yet served indices.
+``draw_ahead`` is the one call that draws: it tops that buffer up with a
+run of steps in one sampler call without serving any of them.
+``next_matrix``, ``dense_block`` and the indices themselves
+(``block_events`` for a block of steps, ``step_events`` one step at a
+time) serve from the buffer and draw ahead when it runs short, so any
+interleaving of them consumes the stream exactly like single steps.
+``draw_ahead_lanes`` draws ahead for many spawned replicates at once (a
 Markov family walks the chains of ``_WALK_LANES`` or more replicates
 together, one numpy gather per step, instead of one Python walk each).
 ``member(k)`` builds member ``k``,
@@ -52,8 +54,8 @@ changed to ``keep = A[i, i] > 0`` and at most one off-diagonal
 for any other row-allowable member and ``(None, 0.0, None, None)`` for one
 with a zero row; ``stochastic[k]`` flags the column-stochastic members.
 Push-sum fills the table from its configuration and builds its emissions
-from it.  A process keeps no record of past emissions; a caller that needs
-one keeps the indices ``block_events`` returned.
+from it.  A process keeps no record of served emissions; a caller that
+needs one keeps the indices ``block_events`` returned.
 ``spawn`` makes a shallow copy with its own stream: the configuration
 arrays are read-only and shared, so replicate processes cost no
 re-validation.
@@ -233,23 +235,23 @@ class MatrixProcess:
     indices of the next ``m`` steps as one ``intp`` array, and two builders
     from indices: ``_block`` (an ``(m, p, p)`` block) and ``member`` (one
     emission).  Its ``updates`` table and ``stochastic`` flags (see the
-    module docstring) are built once at construction.  ``next_matrix``,
-    ``dense_block``, ``block_events`` and ``step_events`` all serve the
-    indices of one look-ahead buffer, pending ones first; ``next_matrix``
-    and ``step_events`` refill it with ``_LOOKAHEAD`` steps when it is
-    empty, and ``draw_ahead(m)`` tops it up to at least ``m`` pending
-    steps in one ``_draw`` call, so a caller that knows how many steps it
-    will take pays one sampler call for all of them.  Drawing ahead
-    serves nothing: the stream is drawn in the same order either way.
+    module docstring) are built once at construction.  The stream state is
+    the generator ``_rng`` and the look-ahead ``_ahead``, whose indices from
+    ``_at`` on are drawn but not yet served.  ``draw_ahead(m)`` alone calls
+    ``_draw``: it tops the look-ahead up to at least ``m`` pending steps in
+    one call, so a caller that knows how many steps it will take pays one
+    sampler call for all of them.  Drawing ahead serves nothing: the stream
+    is drawn in the same order either way.  ``block_events``,
+    ``dense_block``, ``next_matrix`` and ``step_events`` serve pending
+    steps first; the first two draw ahead what they lack, the last two
+    draw ``_LOOKAHEAD`` steps ahead when the look-ahead is empty.
     ``draw_ahead_lanes(lanes, m)`` does ``draw_ahead(m)`` for many spawns
     of this process in lockstep at once (the replicates of an estimator),
     each lane drawing from its own stream.  Only a Markov family draws its
     lanes together, because only its sampler loops in Python per step;
     the lane count at which that pays (``_WALK_LANES``) was measured.
-    ``steps_emitted`` counts emissions served, not drawn, and
-    ``last_index`` is the member index of the last one; nothing else about
-    served emissions is kept.  ``spawn`` derives an independent but
-    reproducible stream for replicate work.
+    ``spawn`` derives an independent but reproducible stream for replicate
+    work.
     """
 
     kind = "abstract"
@@ -268,18 +270,12 @@ class MatrixProcess:
     def family_size(self) -> int:
         return len(self.updates)
 
-    @property
-    def last_index(self) -> int | None:
-        """Member index of the last emission served (None before the first)."""
-        return int(self._ahead[self._at - 1]) if self._at else None
-
     # -- stream management -------------------------------------------------
 
     def reset(self) -> None:
         """Restart the emission sequence from step 1."""
         key = (self.seed,) + self.stream
         self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
-        self.steps_emitted = 0
         # look-ahead member indices, served from index _at on (none drawn
         # yet); rebound, never edited in place: a spawned copy starts out
         # sharing them
@@ -310,36 +306,18 @@ class MatrixProcess:
         """Member ``k`` as a fresh ``(p, p)`` float array."""
         raise NotImplementedError
 
-    def _take(self, m: int) -> np.ndarray:
-        """Member indices of the next ``m`` steps, pending look-ahead first,
-        counted as served."""
-        if m < 0:
-            raise ValueError("step count must be nonnegative")
-        ahead, at = self._ahead, self._at
-        pending = len(ahead) - at
-        if m <= pending:    # a zero-step take draws nothing
-            idx = ahead[at:at + m]
-            self._at = at + m
-        else:
-            fresh = self._draw(m - pending)
-            idx = np.concatenate((ahead[at:], fresh)) if pending else fresh
-            self._ahead, self._at = fresh, len(fresh)
-        self.steps_emitted += m
-        return idx
-
     def draw_ahead(self, m: int) -> None:
         """Make at least ``m`` steps pending in the look-ahead without
-        serving them: ``steps_emitted``, ``last_index`` and every later
-        emission stay as they were."""
+        serving them: every later emission stays as it was."""
         m = int(m)
         if m < 0:
             raise ValueError("step count must be nonnegative")
         ahead, at = self._ahead, self._at
         pending = len(ahead) - at
         if m > pending:
-            lo = max(at - 1, 0)     # keep the last served index for last_index
-            self._ahead = np.concatenate((ahead[lo:], self._draw(m - pending)))
-            self._at = at - lo
+            fresh = self._draw(m - pending)
+            self._ahead = np.concatenate((ahead[at:], fresh)) if pending else fresh
+            self._at = 0
 
     def draw_ahead_lanes(self, lanes, m: int) -> None:
         """``draw_ahead(m)`` on every process of ``lanes`` at once.
@@ -367,16 +345,18 @@ class MatrixProcess:
             raise ValueError("lanes must be in lockstep: their pending step counts differ")
         return pending.pop() if pending else 0
 
-    def next_matrix(self) -> np.ndarray:
-        """Emit ``A_n`` as a fresh ``(p, p)`` float array and advance the
-        internal cursor."""
+    def block_events(self, m: int) -> np.ndarray:
+        """Member indices of the next ``m`` steps as one ``intp`` array.
+
+        Consumes the stream exactly like ``m`` calls of ``next_matrix``.
+        The array views served look-ahead steps, so writing into it
+        changes no later emission.
+        """
+        m = int(m)
+        self.draw_ahead(m)
         at = self._at
-        if at == len(self._ahead):
-            self._ahead, at = self._draw(_LOOKAHEAD), 0
-        a = self.member(self._ahead[at])
-        self._at = at + 1
-        self.steps_emitted += 1
-        return a
+        self._at = at + m
+        return self._ahead[at:at + m]
 
     def dense_block(self, m: int) -> np.ndarray:
         """Next ``m`` emissions stacked as an ``(m, p, p)`` array.
@@ -384,7 +364,16 @@ class MatrixProcess:
         Equivalent to ``m`` calls of ``next_matrix`` (same stream
         consumption).
         """
-        return self._block(self._take(int(m)))
+        return self._block(self.block_events(m))
+
+    def next_matrix(self) -> np.ndarray:
+        """Emit ``A_n`` as a fresh ``(p, p)`` float array and advance the
+        internal cursor."""
+        if self._at == len(self._ahead):
+            self.draw_ahead(_LOOKAHEAD)
+        at = self._at
+        self._at = at + 1
+        return self.member(self._ahead[at])
 
     def step_events(self):
         """Serve the coming steps one at a time: an iterator over each
@@ -398,26 +387,15 @@ class MatrixProcess:
         ``next_matrix`` caller would.
         """
         while True:
+            if self._at == len(self._ahead):
+                self.draw_ahead(_LOOKAHEAD)
             ahead, at = self._ahead, self._at
-            if at == len(ahead):
-                ahead, at = self._draw(_LOOKAHEAD), 0
-                self._ahead = ahead
             for k in ahead[at:].tolist():
                 at += 1
                 self._at = at
-                self.steps_emitted += 1
                 yield k
                 if self._at != at or self._ahead is not ahead:
                     break       # another emission call moved the cursor
-
-    def block_events(self, m: int) -> np.ndarray:
-        """Member indices of the next ``m`` steps as one ``intp`` array.
-
-        Consumes the stream exactly like ``m`` calls of ``next_matrix``.
-        The array is a copy: the look-ahead buffer, which ``last_index``
-        reads, is not the caller's to write.
-        """
-        return self._take(int(m)).copy()
 
     def pattern_family(self) -> np.ndarray:
         """Zero/nonzero patterns of the members as an ``(f, p, p)`` boolean
@@ -622,27 +600,23 @@ class MarkovFamilyProcess(_FamilyProcess):
         ``MatrixProcess.draw_ahead_lanes``), walking all chains in one call.
 
         Each lane's look-ahead becomes a column of one step-major
-        ``(1 + pending + k, lanes)`` array: the lane's last served index
-        (when it has served one), its pending steps and the ``k`` new ones.
-        The old look-aheads are let go before that array is made, so the
-        indices of all lanes never take more than it.
+        ``(pending + k, lanes)`` array: the lane's pending steps and the
+        ``k`` new ones.  The old look-aheads are let go before that array is
+        made, so the indices of all lanes never take more than it.
         """
         pending = self._lockstep(lanes, m)
         k = int(m) - pending
         if k <= 0:
             return
-        served = [pr._at > 0 for pr in lanes]
-        head = np.zeros((pending + 1, len(lanes)), dtype=np.intp)
+        head = np.empty((pending, len(lanes)), dtype=np.intp)
         for t, pr in enumerate(lanes):
-            head[1:, t] = pr._ahead[pr._at:]
-            if pr._at:
-                head[0, t] = pr._ahead[pr._at - 1]
-            pr._ahead = head[:0, t]     # lets the old look-ahead go
-        out = np.empty((len(head) + k, len(lanes)), dtype=np.intp)
-        out[:len(head)] = head
-        self._walk(lanes, out[len(head):])
+            head[:, t] = pr._ahead[pr._at:]
+            pr._ahead, pr._at = head[:0, t], 0      # lets the old look-ahead go
+        out = np.empty((pending + k, len(lanes)), dtype=np.intp)
+        out[:pending] = head
+        self._walk(lanes, out[pending:])
         for t, pr in enumerate(lanes):
-            pr._ahead, pr._at = (out[:, t], 1) if served[t] else (out[1:, t], 0)
+            pr._ahead = out[:, t]
 
     def _walk(self, lanes, out: np.ndarray) -> None:
         """Write the next ``len(out)`` states of the chain of every process

@@ -167,20 +167,10 @@ def is_family_primitive(patterns) -> PrimitivityReport:
     return PrimitivityReport(witness is not None, witness, states + more)
 
 
-def sample_forward_index(proc: MatrixProcess, start: int | None = None,
-                         cap: int = DEFAULT_INDEX_CAP) -> int:
-    """Forward index at time ``start``: steps until the running pattern
-    ``gamma(A_{start+k-1}) ... gamma(A_start)`` becomes all-true.
-
-    ``start`` defaults to the process's next emission time; earlier starts
-    are not reachable because the stream only moves forward.
-    """
-    t_next = proc.steps_emitted + 1
-    if start is None:
-        start = t_next
-    if start < t_next:
-        raise ValueError(f"process already emitted step {start}; next is {t_next}")
-    proc.block_events(start - t_next)
+def sample_forward_index(proc: MatrixProcess, cap: int = DEFAULT_INDEX_CAP) -> int:
+    """Forward index at the process's next emission time ``t``: steps until
+    the running pattern ``gamma(A_{t+k-1}) ... gamma(A_t)`` becomes
+    all-true."""
     cur = proc.next_matrix() > 0
     k = 1
     while np.count_nonzero(cur) != cur.size:
@@ -288,8 +278,8 @@ def sample_backward_indices(proc: MatrixProcess, count: int,
     indices, which starts empty at the call, and the walk takes that
     history newest first, as ``sample_backward_index`` does.  The indices
     of up to 256 end points are drawn ahead in one sampler call; drawing
-    ahead serves nothing, so the samples, ``steps_emitted`` and the steps
-    served after a cap error are those of one draw per end point.
+    ahead serves nothing, so the samples and the steps served, after a cap
+    error too, are those of one draw per end point.
     """
     out = np.empty(int(count), dtype=np.int64)
     edits, word = _column_edits(proc), deque(maxlen=int(cap))

@@ -73,9 +73,8 @@ class SpectrumEstimate:
 
 @dataclass
 class GapEstimate:
-    """A spectral-gap estimate with its method tag and fit diagnostics."""
+    """A spectral-gap estimate with its fit diagnostics."""
 
-    method: str                # "birkhoff_asymptotic"
     value: float               # 0 if no trial is positive; nan if all saturated
     stderr: float
     diagnostics: dict = field(default_factory=dict)
@@ -299,9 +298,6 @@ def _phi_from_factors(U: np.ndarray, lognorm: np.ndarray, Vh: np.ndarray) -> flo
     v1 = Vh[0, :].copy()
     if np.all(u1 < 0):
         u1, v1 = -u1, -v1
-    elif np.all(v1 < 0) and np.all(u1 > 0):
-        # sign split between the factors: M would not be positive
-        return birkhoff_phi((U * np.exp(lognorm)) @ Vh)
     if np.any(u1 <= 0) or np.any(v1 <= 0):
         return birkhoff_phi((U * np.exp(lognorm)) @ Vh)
     eps = np.exp(lognorm[1:])
@@ -456,15 +452,15 @@ def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstima
         warnings.warn(f"all positive trials saturated float resolution at m={m}; "
                       "reduce m")
         diagnostics["flag"] = "reduce m"
-        return GapEstimate("birkhoff_asymptotic", math.nan, math.nan, diagnostics)
+        return GapEstimate(math.nan, math.nan, diagnostics)
     if not vals:
         warnings.warn(f"all {T} trials had tau = 1 at m={m}; increase m")
         diagnostics["flag"] = "increase m"
-        return GapEstimate("birkhoff_asymptotic", 0.0, 0.0, diagnostics)
+        return GapEstimate(0.0, 0.0, diagnostics)
     arr = np.array(vals)
     value = float(arr.mean())
     stderr = float(arr.std(ddof=1)) / math.sqrt(len(arr)) if len(arr) > 1 else 0.0
-    return GapEstimate("birkhoff_asymptotic", value, stderr, diagnostics)
+    return GapEstimate(value, stderr, diagnostics)
 
 
 def check_det_identity(proc: MatrixProcess, n: int, qr_n: int | None = None,

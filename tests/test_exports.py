@@ -1,19 +1,22 @@
 """Every public name the package advertises must resolve and be used.
 
 A stale ``__all__`` entry only fails on ``from module import *``, so it is
-checked here.  A public name that no program calls is dead code, so each one
-must be referenced by the package itself, a script or the benchmark harness;
-an import that its file never uses is checked the same way.  The package
+checked here.  A public name that no program calls is dead code, so each one,
+and each public method, property and dataclass field of a public class, must
+be referenced by the package itself, a script or the benchmark harness; an
+import that its file never uses is checked the same way.  The package
 itself re-exports nothing, so a fresh ``import gossipgap`` stays cheap.
 """
 
 import ast
+import dataclasses
 import functools
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -30,7 +33,7 @@ def _referenced_names() -> set[str]:
     """Names the package modules (not its ``__init__``), ``scripts/`` and
     ``perfbench/`` use: as a name, an attribute, an import, or a string
     (the benchmark tracer patches functions by name).  The ``__all__``
-    lists themselves do not count."""
+    lists and the field declarations of class bodies do not count."""
     pkg = Path(gossipgap.__file__).parent
     paths = [f for f in pkg.glob("*.py") if f.name != "__init__.py"]
     paths += [*(ROOT / "scripts").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
@@ -40,8 +43,11 @@ def _referenced_names() -> set[str]:
         listed = {id(n) for node in ast.walk(tree) if isinstance(node, ast.Assign)
                   and any(getattr(t, "id", None) == "__all__" for t in node.targets)
                   for n in ast.walk(node.value)}
+        listed |= {id(stmt.target) for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) for stmt in node.body
+                   if isinstance(stmt, ast.AnnAssign)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and id(node) not in listed:
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
@@ -60,10 +66,23 @@ def test_module_all_resolves(name):
     assert not missing, f"gossipgap.{name}.__all__ names undefined {missing}"
 
 
+def _public_members(cls) -> list[str]:
+    """The public methods, properties and dataclass fields ``cls`` defines."""
+    names = [n for n, v in vars(cls).items() if not n.startswith("_") and isinstance(
+        v, (types.FunctionType, property, classmethod, staticmethod))]
+    if dataclasses.is_dataclass(cls):
+        names += [f.name for f in dataclasses.fields(cls)]
+    return names
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_module_all_is_used(name):
     mod = importlib.import_module(f"gossipgap.{name}")
-    unused = sorted(set(getattr(mod, "__all__", ())) - _referenced_names())
+    public = getattr(mod, "__all__", ())
+    unused = sorted(set(public) - _referenced_names())
+    unused += sorted(f"{n}.{m}" for n in public if isinstance(getattr(mod, n), type)
+                     for m in _public_members(getattr(mod, n))
+                     if m not in _referenced_names())
     assert not unused, (f"gossipgap.{name}.__all__ names {unused}, which no "
                         "module, script or benchmark file uses")
 

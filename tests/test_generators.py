@@ -171,7 +171,7 @@ def test_dense_block_matches_sequential():
         seq = np.stack([p_seq.next_matrix() for _ in range(137)])
         blk = p_blk.dense_block(137)
         assert np.array_equal(seq, blk)
-        assert p_blk.steps_emitted == 137
+        np.testing.assert_array_equal(p_blk.block_events(300), p_seq.block_events(300))
 
 
 def test_pattern_family_per_kind():
@@ -225,12 +225,6 @@ def _markov_one_state():
                                np.array([[1.0]]), seed=3)
 
 
-def _chain_cursor(proc):
-    # the served chain state is the member index of the last emission;
-    # _state runs ahead with the look-ahead draws
-    return proc.last_index, proc.steps_emitted
-
-
 @pytest.mark.parametrize("build", [_markov_fam3, _markov_one_state],
                          ids=["fam3", "one-state"])
 @pytest.mark.parametrize("schedule", [
@@ -240,7 +234,7 @@ def _chain_cursor(proc):
 ], ids=["unset-16", "next-first", "unset-1"])
 def test_markov_dense_block_splits_match_next_matrix(build, schedule):
     # any split of the stream into blocks and single emissions reproduces
-    # the single-step stream bit for bit, cursor included
+    # the single-step stream bit for bit and leaves it where single steps do
     mixed, ref = build(), build()
     for op in schedule:
         n = 1 if op == "next" else op
@@ -248,7 +242,7 @@ def test_markov_dense_block_splits_match_next_matrix(build, schedule):
         want = [ref.next_matrix() for _ in range(n)]
         assert got.shape == (n, ref.p, ref.p)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert _chain_cursor(mixed) == _chain_cursor(ref)
+    np.testing.assert_array_equal(mixed.block_events(300), ref.block_events(300))
 
 
 def _per_row_walk(proc, u):
@@ -303,9 +297,8 @@ def test_markov_table_walk_matches_per_row_walk(f, weights, short_rows, pool, ta
     proc._rng = _Uniforms(u)
     got = []
     for t in takes:
-        if t == "next":
-            proc.next_matrix()
-            got.append(proc.last_index)
+        if t == "next":     # member k is (k + 1) * I
+            got.append(int(proc.next_matrix()[0, 0]) - 1)
         else:
             idx = proc.block_events(t)
             assert len(idx) == t
@@ -343,32 +336,11 @@ def test_spawn_is_a_fresh_stream_without_history(build):
         parent.next_matrix()
     rng_state = parent._rng.bit_generator.state
     child = parent.spawn((4, 2))
-    assert child.steps_emitted == 0
     assert np.array_equal(child.dense_block(40), build((4, 2)).dense_block(40))
     assert parent._rng.bit_generator.state == rng_state
-    assert parent.stream == (0,) and parent.steps_emitted == 3
-    np.testing.assert_array_equal(parent.next_matrix(),
-                                  build((0,)).dense_block(4)[3])
-
-
-@_EACH_KIND
-def test_block_events_consumes_like_next_matrix(build):
-    # m steps of block_events advance the stream like m next_matrix calls,
-    # and the indices are the member indices next_matrix serves
-    proc, ref = build((0,)), build((0,))
-    ref.next_matrix()
-    proc.next_matrix()
-    for m in (0, 1, 63, 64, 65, 300):
-        idx = proc.block_events(m)
-        want = []
-        for _ in range(m):
-            ref.next_matrix()
-            want.append(ref.last_index)
-        assert len(idx) == m
-        assert proc.steps_emitted == ref.steps_emitted
-        assert idx.tolist() == want
-        assert proc.last_index == ref.last_index
-    np.testing.assert_array_equal(proc.next_matrix(), ref.next_matrix())
+    assert parent.stream == (0,)
+    np.testing.assert_array_equal(parent.dense_block(300),
+                                  build((0,)).dense_block(303)[3:])
 
 
 def _event_matrices(proc, ks):
@@ -383,6 +355,30 @@ def _step_matrices(proc, steps):
     if proc.kind == "push_sum":
         return _event_matrices(proc, steps)
     return proc.members[steps]
+
+
+def _served(proc, m):
+    """The next ``m`` emissions of ``proc``, one ``next_matrix`` each."""
+    return np.array([proc.next_matrix() for _ in range(m)]).reshape(-1, proc.p, proc.p)
+
+
+@_EACH_KIND
+def test_block_events_consumes_like_next_matrix(build):
+    # m steps of block_events advance the stream like m next_matrix calls,
+    # and the indices are those of one block_events call over all steps,
+    # whose members are the emissions next_matrix serves
+    proc, ref = build((0,)), build((0,))
+    whole = build((0,)).block_events(1 + 493).tolist()
+    ref.next_matrix()
+    proc.next_matrix()
+    at = 1
+    for m in (0, 1, 63, 64, 65, 300):
+        idx = proc.block_events(m)
+        assert len(idx) == m and idx.dtype == np.intp
+        assert idx.tolist() == whole[at:at + m]
+        np.testing.assert_array_equal(_step_matrices(proc, idx.tolist()), _served(ref, m))
+        at += m
+    np.testing.assert_array_equal(proc.block_events(300), ref.block_events(300))
 
 
 @_EACH_KIND
@@ -414,39 +410,34 @@ def test_emission_paths_interleave_like_single_steps(build, seed):
         assert out.shape == (m, ref.p, ref.p)
         assert all(np.array_equal(g, w) for g, w in zip(out, want))
         total += m
-        assert mixed.steps_emitted == ref.steps_emitted == total
-        assert mixed.last_index == ref.last_index
         got.append(out)
         if op == 4:     # a spawn with look-ahead pending is a fresh stream
             child = mixed.spawn((4, 2))
-            assert child.steps_emitted == 0
             np.testing.assert_array_equal(
                 np.array([child.next_matrix() for _ in range(70)]),
                 build((4, 2)).dense_block(70))
     np.testing.assert_array_equal(np.concatenate(got), build((0,)).dense_block(total))
+    np.testing.assert_array_equal(mixed.block_events(300), ref.block_events(300))
 
 
 @_EACH_KIND
 @pytest.mark.parametrize("served", [0, 1, 63, 64, 65])
 def test_draw_ahead_serves_nothing(build, served):
-    # drawing ahead, before or after steps were served, moves neither the
-    # served count, the last index nor any later emission; topping up to
-    # at most the pending steps draws nothing
+    # drawing ahead, before or after steps were served, moves no later
+    # emission; topping up to at most the pending steps draws nothing
     proc, fresh = build((0,)), build((0,))
     blocks = [proc.dense_block(served)]
     for m, take in ((100, 30), (70, 0), (40, 1), (0, 0), (700, 512), (5, 300)):
-        cursor = (proc.steps_emitted, proc.last_index)
         pending = len(proc._ahead) - proc._at
         ahead, rng = proc._ahead, proc._rng.bit_generator.state
         proc.draw_ahead(m)
-        assert (proc.steps_emitted, proc.last_index) == cursor
         assert len(proc._ahead) - proc._at == max(m, pending)
         if m <= pending:
             assert proc._ahead is ahead and proc._rng.bit_generator.state == rng
         blocks.append(proc.dense_block(take))
-    np.testing.assert_array_equal(np.concatenate(blocks),
-                                  fresh.dense_block(proc.steps_emitted))
-    assert proc.last_index == fresh.last_index
+    total = sum(len(b) for b in blocks)
+    np.testing.assert_array_equal(np.concatenate(blocks), fresh.dense_block(total))
+    np.testing.assert_array_equal(proc.block_events(300), fresh.block_events(300))
 
 
 @_EACH_KIND
@@ -455,26 +446,18 @@ def test_draw_ahead_under_a_live_step_events_iterator(build):
     # the other emission paths, serves the stream next_matrix serves
     proc, ref = build((0,)), build((0,))
     live = proc.step_events()
-    got = []
     for m, path, take in ((0, "steps", 3), (200, "steps", 100), (5, "steps", 1),
                           (1000, "block", 64), (1000, "steps", 900),
                           (1, "next", 2), (64, "steps", 70)):
         proc.draw_ahead(m)
         if path == "steps":
-            got += list(islice(live, take))
+            got = _step_matrices(proc, list(islice(live, take)))
         elif path == "block":
-            got += proc.block_events(take).tolist()
+            got = _step_matrices(proc, proc.block_events(take).tolist())
         else:
-            for _ in range(take):
-                proc.next_matrix()
-                got.append(proc.last_index)
-        want = []
-        for _ in range(take):
-            ref.next_matrix()
-            want.append(ref.last_index)
-        assert got[-take:] == want
-        assert proc.steps_emitted == ref.steps_emitted
-        assert proc.last_index == ref.last_index
+            got = _served(proc, take)
+        np.testing.assert_array_equal(got, _served(ref, take))
+    np.testing.assert_array_equal(proc.block_events(300), ref.block_events(300))
 
 
 @_EACH_KIND
@@ -484,7 +467,7 @@ def test_draw_ahead_refuses_a_negative_count(build):
     ahead = proc._ahead
     with pytest.raises(ValueError, match="nonnegative"):
         proc.draw_ahead(-1)
-    assert proc._ahead is ahead and proc.steps_emitted == 1
+    assert proc._ahead is ahead
     np.testing.assert_array_equal(proc.dense_block(2), build((0,)).dense_block(3)[1:])
 
 
@@ -506,8 +489,8 @@ def _lanes_in_state(build, lanes, state):
 @pytest.mark.parametrize("state", ["fresh", "part_way"])
 def test_draw_ahead_lanes_is_each_lanes_own_draw_ahead(build, lanes, state):
     # one multi-stream draw leaves every lane as its own draw_ahead(m)
-    # would: same served count, last index and later emissions, whether
-    # the lanes are walked one by one or, past _WALK_LANES, together
+    # would: same pending count and later emissions, whether the lanes
+    # are walked one by one or, past _WALK_LANES, together
     for m in (1, 2, 63, 64, 65, 300):
         parent, got = _lanes_in_state(build, lanes, state)
         _, want = _lanes_in_state(build, lanes, state)
@@ -515,9 +498,8 @@ def test_draw_ahead_lanes_is_each_lanes_own_draw_ahead(build, lanes, state):
         for g, w in zip(got, want):
             w.draw_ahead(m)
             assert len(g._ahead) - g._at == len(w._ahead) - w._at
-            assert (g.steps_emitted, g.last_index) == (w.steps_emitted, w.last_index)
             np.testing.assert_array_equal(g.dense_block(m + 5), w.dense_block(m + 5))
-            assert (g.steps_emitted, g.last_index) == (w.steps_emitted, w.last_index)
+            np.testing.assert_array_equal(g.block_events(300), w.block_events(300))
 
 
 def test_markov20_bins_take_two_bytes():
@@ -570,9 +552,8 @@ def test_writing_into_emissions_changes_no_later_emission(build):
         proc.dense_block(70)[:] = -1.0
         proc.block_events(70)[:] = 70       # no member has index 70
         ref.dense_block(141)
-        assert proc.last_index == ref.last_index
         np.testing.assert_array_equal(proc.next_matrix(), ref.next_matrix())
-        assert proc.last_index == ref.last_index
+    np.testing.assert_array_equal(proc.block_events(300), ref.block_events(300))
 
 
 @_EACH_KIND
@@ -581,7 +562,6 @@ def test_negative_step_count_is_refused(build):
     proc.next_matrix()
     with pytest.raises(ValueError, match="nonnegative"):
         proc.dense_block(-1)
-    assert proc.steps_emitted == 1
     np.testing.assert_array_equal(proc.dense_block(2), build((0,)).dense_block(3)[1:])
 
 
@@ -724,11 +704,9 @@ def test_markov_marginal_stationary_over_time():
     reps = 4000
     counts = {1: np.zeros(3), 200: np.zeros(3)}
     for r in range(reps):
-        proc = MarkovFamilyProcess(fam, P, seed=1000, stream=(r,))
-        for t in range(1, 201):
-            proc.next_matrix()
-            if t in counts:
-                counts[t][proc.last_index] += 1
+        idx = MarkovFamilyProcess(fam, P, seed=1000, stream=(r,)).block_events(200)
+        for t in counts:
+            counts[t][idx[t - 1]] += 1
     for t, cnt in counts.items():
         for s in range(3):
             se = np.sqrt(pi[s] * (1 - pi[s]) * reps)

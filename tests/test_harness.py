@@ -42,7 +42,7 @@ def cfg_path(tmp_path):
 
 def test_config_round_trip(cfg_path):
     cfg = load_config(cfg_path)
-    again = ExperimentConfig.from_dict(json.loads(cfg.to_json()))
+    again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert again.to_dict() == cfg.to_dict()
 
 

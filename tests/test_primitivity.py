@@ -315,35 +315,6 @@ def test_backward_index_requires_history():
         sample_backward_index([FIB], [])
 
 
-def test_forward_start_in_the_past_rejected():
-    proc = ConstantProcess(np.ones((2, 2)), seed=0)
-    proc.next_matrix()
-    with pytest.raises(ValueError, match="already"):
-        sample_forward_index(proc, start=1)
-
-
-@pytest.mark.parametrize("build", [lambda: ring5_process(True),
-                                   lambda: acceptance._envelope_configs()[7][0]],
-                         ids=["push_sum", "fam3"])
-@pytest.mark.parametrize("lead", [0, 1, 65])
-def test_forward_start_skips_ahead_like_single_steps(monkeypatch, build, lead):
-    proc, twin = build(), build()
-    for _ in range(lead):
-        proc.next_matrix()
-        twin.next_matrix()
-    built = []
-    next_matrix = MatrixProcess.next_matrix
-    monkeypatch.setattr(MatrixProcess, "next_matrix",
-                        lambda self: built.append(self) or next_matrix(self))
-    k = sample_forward_index(proc, start=proc.steps_emitted + 1 + 37)
-    assert built.count(proc) == k       # the skipped steps built no matrix
-    for _ in range(37):
-        twin.next_matrix()
-    assert sample_forward_index(twin) == k
-    assert proc.steps_emitted == twin.steps_emitted == lead + 37 + k
-    np.testing.assert_array_equal(proc.next_matrix(), twin.next_matrix())
-
-
 def lossy_proc(seed):
     g = ring_with_chords(5)
     ne = len(g.edges)
@@ -398,8 +369,8 @@ _IID_KINDS = {
 
 
 def _same_stream(proc, twin):
-    assert proc.steps_emitted == twin.steps_emitted
     np.testing.assert_array_equal(proc.next_matrix(), twin.next_matrix())
+    np.testing.assert_array_equal(proc.block_events(300), twin.block_events(300))
 
 
 @pytest.mark.parametrize("cap", [DEFAULT_INDEX_CAP, 6, 12])
@@ -503,11 +474,10 @@ def _history_walk(proc, count, cap, spacing):
     each end point, then products of the buffered patterns.  Returns the
     samples taken and the error message that stopped the walk (or None)."""
     hist = deque(maxlen=cap)
-    out, end = [], proc.steps_emitted
+    out, end = [], 0
     for _ in range(count):
         end += spacing
-        while proc.steps_emitted < end:
-            hist.append(proc.next_matrix() > 0)
+        hist.extend(proc.next_matrix() > 0 for _ in range(spacing))
         cur, k = hist[-1], 1
         while not cur.all():
             if k >= cap:
@@ -577,8 +547,6 @@ def test_backward_draw_ahead_matches_one_draw_per_end_point(count):
     proc, ref = _WALK_FAMILIES["fam3"](), _WALK_FAMILIES["fam3"]()
     got = sample_backward_indices(proc, count)
     assert got.tolist() == _one_draw_per_end_point(ref, count, DEFAULT_INDEX_CAP, 64)
-    assert proc.steps_emitted == ref.steps_emitted == 64 * count
-    assert proc.last_index == ref.last_index
     np.testing.assert_array_equal(proc.block_events(300), ref.block_events(300))
 
 
@@ -588,7 +556,6 @@ def test_backward_draw_ahead_after_cap_error_serves_the_reference_steps():
         sample_backward_indices(proc, 300, cap=12, spacing=40)
     with pytest.raises(RuntimeError, match="cap=12"):
         _one_draw_per_end_point(ref, 300, 12, 40)
-    assert 0 < proc.steps_emitted == ref.steps_emitted < 256 * 40
     np.testing.assert_array_equal(proc.block_events(500), ref.block_events(500))
 
 
@@ -596,8 +563,8 @@ def test_backward_walk_consumes_only_its_end_points():
     proc, ref = _WALK_FAMILIES["fam3"](), _WALK_FAMILIES["fam3"]()
     sample_backward_indices(proc, 7, spacing=40)
     ref.dense_block(280)
-    assert proc.steps_emitted == 280 and proc.last_index == ref.last_index
     np.testing.assert_array_equal(proc.next_matrix(), ref.next_matrix())
+    np.testing.assert_array_equal(proc.block_events(300), ref.block_events(300))
 
 
 # -- statistics ---------------------------------------------------------------

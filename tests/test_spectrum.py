@@ -513,11 +513,11 @@ def test_birkhoff_matches_per_segment_reference(proc, draw, monkeypatch):
 
 
 def test_birkhoff_draws_each_index_run_once(monkeypatch):
-    # one draw_ahead per trial per p^2 * draw_len steps, the last one short
+    # one sampler call per trial per p^2 * draw_len steps, the last one short
     monkeypatch.setattr(spectrum, "_BIRKHOFF_BUFFER_BYTES", 16 * 3 * 2 ** 2 * 8)
     calls = []
-    real = PushSumProcess.draw_ahead
-    monkeypatch.setattr(PushSumProcess, "draw_ahead",
+    real = PushSumProcess._draw
+    monkeypatch.setattr(PushSumProcess, "_draw",
                         lambda self, m: calls.append(m) or real(self, m))
     estimate_gap_birkhoff(two_node(0.25), 150, 3)
     assert calls == [64] * 3 + [64] * 3 + [22] * 3
