@@ -75,10 +75,9 @@ class _Context:
     def __init__(self):
         self._cache = {}
 
-    def spectrum(self, key, proc, k, n, replicates=16):
+    def spectrum(self, key, proc, k, n):
         if key not in self._cache:
-            self._cache[key] = spectrum.estimate_spectrum_qr(
-                proc, k, n, replicates=replicates)
+            self._cache[key] = spectrum.estimate_spectrum_qr(proc, k, n, replicates=16)
         return self._cache[key]
 
 
@@ -263,9 +262,8 @@ def criterion_7(ctx: _Context) -> CriterionResult:
                            f"(worst excess {worst:.2e})")
 
 
-def _random_positive_matrix(rng, p, scale_spread=3.0):
-    logs = rng.uniform(-scale_spread, scale_spread, (p, p))
-    return np.exp(logs)
+def _random_positive_matrix(rng, p):
+    return np.exp(rng.uniform(-3.0, 3.0, (p, p)))
 
 
 def _random_allowable_matrix(rng, p):
@@ -373,7 +371,7 @@ def criterion_9(ctx: _Context) -> CriterionResult:
     psi = primitivity.sample_forward_indices(proc.spawn((500, 0)), 10_000)
     rho = primitivity.sample_backward_indices(proc.spawn((500, 1)), 10_000)
     ks = primitivity.ks_distance(psi, rho)
-    ks_crit = primitivity.ks_critical_distance(len(psi), len(rho), alpha=0.01)
+    ks_crit = primitivity.ks_critical_distance(len(psi), len(rho))
     slope, _, corr = primitivity.survival_loglinear_fit(psi)
     dt = time.perf_counter() - t0
     ok = replay_ok and ks <= ks_crit and corr <= -0.99 and slope < 0

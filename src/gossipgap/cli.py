@@ -203,7 +203,7 @@ def cmd_primitivity(args, cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_acceptance(args, cfg=None) -> int:
+def cmd_acceptance(args, cfg) -> int:
     from . import acceptance
     results = acceptance.run_all(verbose=True)
     if args.out:

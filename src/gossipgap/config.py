@@ -13,8 +13,9 @@ Top-level keys: ``process`` (required), ``initial``, ``horizon`` (absent:
       per-edge, default 0.5), ``loss_prob`` (scalar or per-edge, default 0).
     * ``iid_family``: ``matrices`` (list of row-major nested lists),
       ``probs``.
-    * ``markov_family``: ``matrices``, ``transition`` (row-stochastic),
-      optional ``initial_dist`` (defaults to the stationary distribution).
+    * ``markov_family``: ``matrices``, ``transition`` (row-stochastic and
+      irreducible); the chain always starts from its stationary
+      distribution.
     * ``constant``: ``matrix``.
 
 ``initial``
@@ -41,7 +42,7 @@ endpoints) are JSON integers, not booleans: at least 1, or at least 0 for
 at most ``2**53``, so counts stay exact as floats and ``burn_in + n`` fits
 in int64.  Probabilities, shares, matrix entries and listed ``x0``/``w0``
 entries are JSON numbers, not strings or booleans.  Null is accepted only
-where the default is null (``edge_prob``, ``initial_dist``, ``burn_in``).
+where the default is null (``edge_prob``, ``burn_in``).
 
 Unknown keys anywhere are rejected, so typos fail fast instead of being
 silently ignored.  Each section's table below gives every field's default
@@ -138,8 +139,7 @@ _PROCESS = {
     "iid_family": {**_KIND, "matrices": (_REQUIRED, _numbers),
                    "probs": (_REQUIRED, _numbers)},
     "markov_family": {**_KIND, "matrices": (_REQUIRED, _numbers),
-                      "transition": (_REQUIRED, _numbers),
-                      "initial_dist": (None, _numbers)},
+                      "transition": (_REQUIRED, _numbers)},
     "constant": {**_KIND, "matrix": (_REQUIRED, _numbers)},
 }
 _SCHEMA = {
@@ -242,11 +242,8 @@ class ExperimentConfig:
                 return IIDFamilyProcess([np.array(m, dtype=float) for m in s.matrices],
                                         np.array(s.probs, dtype=float), seed)
             if s.kind == "markov_family":
-                return MarkovFamilyProcess(
-                    [np.array(m, dtype=float) for m in s.matrices],
-                    np.array(s.transition, dtype=float), seed,
-                    initial_dist=(np.array(s.initial_dist, dtype=float)
-                                  if s.initial_dist is not None else None))
+                return MarkovFamilyProcess([np.array(m, dtype=float) for m in s.matrices],
+                                           np.array(s.transition, dtype=float), seed)
             return ConstantProcess(np.array(s.matrix, dtype=float), seed)
         except (ValueError, TypeError) as e:
             raise ConfigError(f"process: {e}") from e

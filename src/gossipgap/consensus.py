@@ -167,9 +167,9 @@ def _sorted_distinct(values) -> np.ndarray:
     return np.array(sorted(set(flat)), dtype=np.int64)
 
 
-def make_checkpoints(n: int, kind: str = "geometric", ratio: float = 1.15,
-                     count: int = 200) -> np.ndarray:
-    """Checkpoint schedule up to and including ``n``."""
+def make_checkpoints(n: int, kind: str = "geometric", count: int = 200) -> np.ndarray:
+    """Checkpoint schedule up to and including ``n``: geometric with ratio
+    1.15, or ``count`` (at most ``n``) evenly spaced steps."""
     n = int(n)
     if n < 1:
         raise ValueError("horizon must be >= 1")
@@ -178,7 +178,7 @@ def make_checkpoints(n: int, kind: str = "geometric", ratio: float = 1.15,
         v = 1.0
         while v < n:
             ks.append(int(math.ceil(v)))
-            v *= ratio
+            v *= 1.15
         ks.append(n)
         return _sorted_distinct(ks)
     if kind == "linear":
@@ -338,12 +338,11 @@ def fit_rate(ns, values) -> float:
     return float(np.polyfit(ns, np.log(values), 1)[0])
 
 
-def rate_window(ns, values, upper_rel: float = 1e-2,
-                lower_rel: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def rate_window(ns, values) -> tuple[np.ndarray, np.ndarray]:
     """Restrict a decaying series to its informative range.
 
-    Keeps points whose value lies in ``[lower_rel, upper_rel]`` relative to
-    the series maximum, cutting both the initial transient and the
+    Keeps points whose value lies in ``[1e-12, 1e-2]`` relative to the
+    series maximum, cutting both the initial transient and the
     floating-point noise floor that a fully converged trajectory sits on.
     """
     ns = np.asarray(ns, dtype=float)
@@ -351,5 +350,5 @@ def rate_window(ns, values, upper_rel: float = 1e-2,
     ref = np.nanmax(values) if np.isfinite(values).any() else np.nan
     if not np.isfinite(ref) or ref <= 0:
         raise ValueError("series has no positive values")
-    keep = np.isfinite(values) & (values >= lower_rel * ref) & (values <= upper_rel * ref)
+    keep = np.isfinite(values) & (values >= 1e-12 * ref) & (values <= 1e-2 * ref)
     return ns[keep], values[keep]

@@ -2,8 +2,9 @@
 
 Every process emits a stationary sequence ``A_1, A_2, ...`` of nonnegative
 ``p x p`` matrices, deterministically reproducible from ``(kind, parameters,
-seed, stream)``.  Each emission is a plain ``float64`` array of shape
-``(p, p)`` owned by the caller, and ``pattern_family`` returns the
+seed, stream)``.  A constructed process is on stream ``(0,)``; ``spawn`` is
+the one way to another stream.  Each emission is a plain ``float64`` array
+of shape ``(p, p)`` owned by the caller, and ``pattern_family`` returns the
 zero/nonzero patterns as an ``(f, p, p)`` ``bool`` array.  Randomness comes
 from a PCG64 generator keyed by ``SeedSequence((seed, *stream))``;
 estimators derive independent replicate streams by spawning with distinct
@@ -24,7 +25,7 @@ entrywise, every loss under ``r`` is also a loss under ``r'``, which makes
 the emitted matrices entrywise comparable step by step.
 
 Markov-modulated schedules must use an irreducible index chain; the chain
-is started from its stationary distribution so the emitted sequence is
+always starts from its stationary distribution, so the emitted sequence is
 strictly stationary.  Whether a user-supplied chain also satisfies the
 moment/mixing conditions required by the asymptotic theory is the user's
 responsibility.
@@ -79,7 +80,6 @@ __all__ = [
     "MarkovFamilyProcess",
     "ConstantProcess",
     "push_sum_matrix",
-    "is_strongly_connected",
     "column_sums",
     "is_column_stochastic",
     "ring",
@@ -137,30 +137,6 @@ def complete_digraph(p: int) -> Digraph:
     return Digraph(p, tuple((i, j) for i in range(p) for j in range(p) if i != j))
 
 
-def is_strongly_connected(g: Digraph) -> bool:
-    """Two-pass reachability: every node reaches and is reached by node 0."""
-    if g.p == 1:
-        return True
-    fwd = [[] for _ in range(g.p)]
-    bwd = [[] for _ in range(g.p)]
-    for i, j in g.edges:
-        fwd[i].append(j)
-        bwd[j].append(i)
-
-    def reach(adj):
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == g.p
-
-    return reach(fwd) and reach(bwd)
-
-
 def push_sum_matrix(p: int, edge: tuple[int, int], alpha: float,
                     loss: bool = False) -> np.ndarray:
     """One-transaction update matrix for a send along ``edge = (i, j)``.
@@ -188,8 +164,8 @@ def column_sums(A) -> np.ndarray:
     return np.asarray(A, dtype=float).sum(axis=0)
 
 
-def is_column_stochastic(A, tol: float = PROB_TOL) -> bool:
-    return bool(np.all(np.abs(column_sums(A) - 1.0) <= tol))
+def is_column_stochastic(A) -> bool:
+    return bool(np.all(np.abs(column_sums(A) - 1.0) <= PROB_TOL))
 
 
 @dataclass(frozen=True)
@@ -256,10 +232,10 @@ class MatrixProcess:
 
     kind = "abstract"
 
-    def __init__(self, p: int, seed: int, stream: tuple[int, ...] = (0,)):
+    def __init__(self, p: int, seed: int):
         self.p = int(p)
         self.seed = int(seed)
-        self.stream = tuple(int(s) for s in stream)
+        self.stream = (0,)
         # configuration arrays are shared with every spawned child
         for v in vars(self).values():
             if isinstance(v, np.ndarray):
@@ -422,7 +398,7 @@ class PushSumProcess(MatrixProcess):
 
     kind = "push_sum"
 
-    def __init__(self, config: PushSumConfig, seed: int, stream: tuple[int, ...] = (0,)):
+    def __init__(self, config: PushSumConfig, seed: int):
         self.config = config
         edges = config.graph.edges
         self.updates = tuple(u for (i, j), a in zip(edges, config.share)
@@ -436,7 +412,7 @@ class PushSumProcess(MatrixProcess):
         self._loss_p = np.array(config.loss_prob, dtype=float)
         self._cum_q = np.cumsum(np.array(config.edge_prob, dtype=float))
         self._eye = np.eye(config.graph.p)
-        super().__init__(config.graph.p, seed, stream)
+        super().__init__(config.graph.p, seed)
 
     def _draw(self, m: int) -> np.ndarray:
         u = self._rng.random((m, 2))
@@ -480,7 +456,7 @@ class _FamilyProcess(MatrixProcess):
     ``(f, p, p)`` stack ``members``, shared with spawned children, so
     ``members[k]`` is the matrix of a step whose member index is ``k``."""
 
-    def __init__(self, matrices, seed: int, stream):
+    def __init__(self, matrices, seed: int):
         stack = np.stack([np.asarray(m, dtype=float) for m in matrices])
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError("family members must be square matrices of equal size")
@@ -492,7 +468,7 @@ class _FamilyProcess(MatrixProcess):
             _column_edit(A) or (None, 0.0, None, A if is_row_allowable(A) else None)
             for A in stack)
         self.stochastic = np.array([is_column_stochastic(A) for A in stack])
-        super().__init__(stack.shape[1], seed, stream)
+        super().__init__(stack.shape[1], seed)
 
     def _block(self, idx: np.ndarray) -> np.ndarray:
         return self.members[idx]
@@ -506,7 +482,7 @@ class IIDFamilyProcess(_FamilyProcess):
 
     kind = "iid_family"
 
-    def __init__(self, matrices, probs, seed: int, stream: tuple[int, ...] = (0,)):
+    def __init__(self, matrices, probs, seed: int):
         probs = np.array(probs, dtype=float)
         if probs.ndim != 1 or len(probs) != len(matrices):
             raise ValueError("one probability per family member required")
@@ -514,7 +490,7 @@ class IIDFamilyProcess(_FamilyProcess):
             raise ValueError("probabilities must be nonnegative and sum to 1")
         self.probs = probs
         self._cum = np.cumsum(probs)
-        super().__init__(matrices, seed, stream)
+        super().__init__(matrices, seed)
 
     def _draw(self, m: int) -> np.ndarray:
         u = self._rng.random(m)
@@ -540,29 +516,22 @@ class MarkovFamilyProcess(_FamilyProcess):
 
     kind = "markov_family"
 
-    def __init__(self, matrices, transition, seed: int,
-                 stream: tuple[int, ...] = (0,), initial_dist=None):
+    def __init__(self, matrices, transition, seed: int):
         P = np.array(transition, dtype=float)
         f = len(matrices)
         if P.shape != (f, f):
             raise ValueError("transition matrix must be square with one row per member")
         if np.any(P < 0) or not np.all(np.abs(P.sum(axis=1) - 1.0) <= PROB_TOL):
             raise ValueError("transition matrix must be row-stochastic")
-        pattern = Digraph(f, tuple((i, j) for i in range(f) for j in range(f)
-                                   if i != j and P[i, j] > 0))
-        if f > 1 and not is_strongly_connected(pattern):
+        # reach[i, j]: state j is reachable from i, by squaring the one-step
+        # relation until it covers paths of f - 1 steps
+        reach = (P > 0) | np.eye(f, dtype=bool)
+        for _ in range(f.bit_length()):
+            reach = reach @ reach
+        if not reach.all():
             raise ValueError("index chain must be irreducible")
         self.transition = P
-        if initial_dist is None:
-            initial_dist = self._stationary(P)
-        self.initial_dist = np.array(initial_dist, dtype=float)
-        if self.initial_dist.shape != (f,):
-            raise ValueError(f"initial distribution must have one entry per member, "
-                             f"got shape {self.initial_dist.shape}")
-        if (not abs(float(self.initial_dist.sum()) - 1.0) <= 1e-9
-                or np.any(self.initial_dist < -1e-15)):
-            raise ValueError("initial distribution must be a probability vector")
-        self._cum_init = np.cumsum(np.clip(self.initial_dist, 0.0, None))
+        self._cum_init = np.cumsum(self._stationary(P))
         # _next[s][b]: the state after s when the step's uniform u falls in
         # bin b = searchsorted(_edges, u, "right") of the merged breakpoints
         # (sorted distinct values without np.unique, which imports numpy.ma);
@@ -575,7 +544,7 @@ class MarkovFamilyProcess(_FamilyProcess):
             for row in cum_rows)
         self._next_array = np.array(self._next, dtype=np.intp)
         self._bin_dtype = np.min_scalar_type(len(self._edges))
-        super().__init__(matrices, seed, stream)
+        super().__init__(matrices, seed)
 
     @staticmethod
     def _stationary(P: np.ndarray) -> np.ndarray:
@@ -625,7 +594,7 @@ class MarkovFamilyProcess(_FamilyProcess):
 
         Each lane takes ``len(out)`` uniforms from its own generator.  A
         chain not yet placed is placed by its first uniform through the
-        initial law; every other uniform moves the chain through ``_next``
+        stationary law; every other uniform moves the chain through ``_next``
         by its bin among ``_edges``.  Below ``_WALK_LANES`` lanes each chain
         is walked on its own in a Python loop over ``_next``.  From there on
         the bins are stored in ``_bin_dtype`` and all chains are walked
@@ -642,7 +611,7 @@ class MarkovFamilyProcess(_FamilyProcess):
             u = pr._rng.random(k)
             b = np.searchsorted(self._edges, u, side="right")
             s = pr._state
-            if s is None:       # the first draw places the chain by its initial law
+            if s is None:       # the first draw places the chain by its stationary law
                 s = int(min(np.searchsorted(self._cum_init, u[0], side="right"),
                             self.family_size - 1))
             else:
@@ -670,8 +639,8 @@ class ConstantProcess(_FamilyProcess):
 
     kind = "constant"
 
-    def __init__(self, matrix, seed: int = 0, stream: tuple[int, ...] = (0,)):
-        super().__init__([matrix], seed, stream)
+    def __init__(self, matrix, seed: int = 0):
+        super().__init__([matrix], seed)
 
     def _draw(self, m: int) -> np.ndarray:
         return np.zeros(m, dtype=np.intp)

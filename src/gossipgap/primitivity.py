@@ -307,17 +307,17 @@ def ks_distance(a, b) -> float:
     return float(np.abs(fa - fb).max())
 
 
-def ks_critical_distance(n: int, m: int, alpha: float = 0.01) -> float:
-    """Large-sample two-sample KS critical distance at level ``alpha``."""
-    c = np.sqrt(-0.5 * np.log(alpha / 2.0))
+def ks_critical_distance(n: int, m: int) -> float:
+    """Large-sample two-sample KS critical distance at level 0.01."""
+    c = np.sqrt(-0.5 * np.log(0.01 / 2.0))
     return float(c * np.sqrt((n + m) / (n * m)))
 
 
-def survival_loglinear_fit(samples, min_count: int = 10):
+def survival_loglinear_fit(samples):
     """Least-squares line through ``(x, log P(sample > x))`` on the tail.
 
     The fit range runs from the sample median up to the largest ``x`` still
-    supported by at least ``min_count`` exceedances, which is where a
+    supported by at least 10 exceedances, which is where a
     geometric tail shows up as a straight line.  Returns
     ``(slope, intercept, corr)`` with ``corr`` the Pearson correlation of
     the fitted points (close to -1 for geometric tails).
@@ -327,7 +327,7 @@ def survival_loglinear_fit(samples, min_count: int = 10):
     if n < 10:
         raise ValueError("need at least 10 samples")
     lo = int(np.median(s))
-    hi = int(s[-min_count]) if n >= min_count else int(s[-1])
+    hi = int(s[-10])
     xs = np.arange(lo, hi)
     if len(xs) < 3:
         raise ValueError("tail range too short for a line fit")

@@ -105,8 +105,8 @@ class ReportBundle:
     outdir: Path
     prefix: str
     config_echo: dict
-    command: str | None = None
-    digests: dict = field(default_factory=dict)     # path -> SHA-256 written
+    command: str
+    digests: dict = field(default_factory=dict, init=False)     # path -> SHA-256 written
 
     def __post_init__(self):
         self.outdir = Path(self.outdir)

@@ -207,8 +207,7 @@ def _step_products(steps: np.ndarray, P: int) -> np.ndarray:
     return c[:, 0]
 
 
-def estimate_sum_top2_wedge(proc: MatrixProcess, x, w, n: int,
-                            stream: int = 0) -> float:
+def estimate_sum_top2_wedge(proc: MatrixProcess, x, w, n: int) -> float:
     """Estimate ``lambda_1 + lambda_2`` from the growth of ``M_n x ^ M_n w``.
 
     The wedge is carried as the antisymmetric matrix ``x w^T - w x^T``,
@@ -246,7 +245,7 @@ def estimate_sum_top2_wedge(proc: MatrixProcess, x, w, n: int,
     omega = (np.outer(x, w) - np.outer(w, x)) / mag0
     logs = [math.log(mag0)]             # summed exactly by fsum at the end
     twos = 0                            # plus twos * log 2 from the scalings
-    pr = proc.spawn((_WEDGE_STREAM, stream))
+    pr = proc.spawn((_WEDGE_STREAM, 0))
     sqrt8 = math.sqrt(8.0)
     P = _BLOCK
     done = 0

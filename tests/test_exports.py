@@ -4,8 +4,11 @@ A stale ``__all__`` entry only fails on ``from module import *``, so it is
 checked here.  A public name that no program calls is dead code, so each one,
 and each public method, property and dataclass field of a public class, must
 be referenced by the package itself, a script or the benchmark harness; an
-import that its file never uses is checked the same way.  The package
-itself re-exports nothing, so a fresh ``import gossipgap`` stays cheap.
+import that its file never uses is checked the same way.  An option no
+program sets is dead code too, so every defaulted parameter must be passed
+by some call in the same files, unless it is kept for a stated reason.  The
+package itself re-exports nothing, so a fresh ``import gossipgap`` stays
+cheap.
 """
 
 import ast
@@ -28,17 +31,22 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(gossipgap.__path__)
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _program_files() -> list[Path]:
+    """The package modules (not its ``__init__``), ``scripts/`` and
+    ``perfbench/``: the code whose calls and names count as uses."""
+    pkg = Path(gossipgap.__file__).parent
+    paths = [f for f in pkg.glob("*.py") if f.name != "__init__.py"]
+    return paths + [*(ROOT / "scripts").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+
+
 @functools.cache
 def _referenced_names() -> set[str]:
     """Names the package modules (not its ``__init__``), ``scripts/`` and
     ``perfbench/`` use: as a name, an attribute, an import, or a string
     (the benchmark tracer patches functions by name).  The ``__all__``
     lists and the field declarations of class bodies do not count."""
-    pkg = Path(gossipgap.__file__).parent
-    paths = [f for f in pkg.glob("*.py") if f.name != "__init__.py"]
-    paths += [*(ROOT / "scripts").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
     names = set()
-    for path in paths:
+    for path in _program_files():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         listed = {id(n) for node in ast.walk(tree) if isinstance(node, ast.Assign)
                   and any(getattr(t, "id", None) == "__all__" for t in node.targets)
@@ -85,6 +93,121 @@ def test_module_all_is_used(name):
                      if m not in _referenced_names())
     assert not unused, (f"gossipgap.{name}.__all__ names {unused}, which no "
                         "module, script or benchmark file uses")
+
+
+# Defaulted parameters that no program sets but that stay, with the reason.
+KEPT_OPTIONS = {
+    "spectrum.check_det_identity.qr_n":
+        "the benchmark tracer reads it by name to count the nested qr run",
+    "spectrum._run_frames.record":
+        "the running-exponent snapshots the run bundles' metrics are to report",
+    "primitivity.sample_backward_indices.spacing":
+        "the Markov walk-back spacing a bursty-loss sweep is to vary",
+    **{f"primitivity.{name}.cap":
+       "a safety bound on one sample's length, which the error tests set small"
+       for name in ("sample_backward_index", "sample_forward_indices",
+                    "sample_backward_indices")},
+}
+
+
+def _options(tree: ast.Module, module: str):
+    """``(key, callee, name, position, default)`` for each defaulted
+    parameter of the functions, methods and dataclass fields that ``tree``
+    defines at module or class level.  ``callee`` is the name a call uses
+    (a class's for its constructor) and ``position`` the parameter's index
+    among the positional arguments of such a call (None if keyword-only)."""
+    def params(qual, callee, fn, bound):
+        a = fn.args
+        pos = [x.arg for x in a.posonlyargs + a.args]
+        named = [*zip(pos[len(pos) - len(a.defaults):], a.defaults),
+                 *((x.arg, d) for x, d in zip(a.kwonlyargs, a.kw_defaults) if d)]
+        order = pos[1:] if bound else pos
+        for name, default in named:
+            yield (f"{module}.{qual}.{name}", callee, name,
+                   order.index(name) if name in order else None, default)
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield from params(node.name, node.name, node, False)
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for fn in node.body:
+            if isinstance(fn, ast.FunctionDef):
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in fn.decorator_list)
+                callee = node.name if fn.name == "__init__" else fn.name
+                yield from params(f"{node.name}.{fn.name}", callee, fn, not static)
+        if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+            for i, f in enumerate(fields):
+                if f.value is not None and "init=False" not in ast.unparse(f.value):
+                    yield (f"{module}.{node.name}.{f.target.id}", node.name,
+                           f.target.id, i, f.value)
+
+
+def _calls(tree: ast.Module):
+    """``(callee, call)`` for each call in ``tree``: the called name, and
+    for ``super().__init__`` the first base of the class it is written in."""
+    bases = {id(fn): cls.bases[0] for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef) and cls.bases
+             for fn in ast.walk(cls)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (isinstance(f, ast.Attribute) and f.attr == "__init__"
+                and isinstance(f.value, ast.Call)
+                and getattr(f.value.func, "id", None) == "super"):
+            yield getattr(bases.get(id(node)), "id", None), node
+        else:
+            yield getattr(f, "id", None) or getattr(f, "attr", None), node
+
+
+def _sets(call: ast.Call, name: str, position, default) -> bool:
+    """True when ``call`` may pass the parameter a value, by position, by
+    keyword or through ``*args`` or ``**kwargs``, other than the literal
+    that is its default."""
+    value = None
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return position is not None and i <= position
+        if i == position:
+            value = arg
+    for kw in call.keywords:
+        if kw.arg is None:
+            return True
+        if kw.arg == name:
+            value = kw.value
+    if value is None:
+        return False
+    try:
+        given, fixed = ast.literal_eval(value), ast.literal_eval(default)
+    except ValueError:
+        return True
+    return type(given) is not type(fixed) or given != fixed
+
+
+def _unset_options() -> list[str]:
+    """Keys (``module.function.parameter``) of the package's defaulted
+    parameters that no call in the package, ``scripts/`` or ``perfbench/``
+    sets."""
+    calls = {}
+    for path in _program_files():
+        for callee, call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            calls.setdefault(callee, []).append(call)
+    pkg = Path(gossipgap.__file__).parent
+    return [key for path in sorted(pkg.glob("*.py"))
+            for key, callee, name, position, default in _options(
+                ast.parse(path.read_text(encoding="utf-8")), path.stem)
+            if not any(_sets(c, name, position, default) for c in calls.get(callee, ()))]
+
+
+def test_every_option_has_a_caller():
+    unset = set(_unset_options())
+    assert sorted(unset - set(KEPT_OPTIONS)) == [], (
+        "no module, script or benchmark file sets these defaulted parameters; "
+        "make each a constant or a required argument")
+    assert sorted(set(KEPT_OPTIONS) - unset) == [], "a caller now sets these kept options"
 
 
 COLD_START = """\

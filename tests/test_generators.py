@@ -15,8 +15,7 @@ from gossipgap.generators import (ConstantProcess, Digraph, IIDFamilyProcess,
                                   MarkovFamilyProcess, PushSumConfig,
                                   PushSumProcess, column_sums,
                                   complete_digraph, is_column_stochastic,
-                                  is_strongly_connected, push_sum_matrix,
-                                  ring, ring_with_chords)
+                                  push_sum_matrix, ring, ring_with_chords)
 from gossipgap.primitivity import _column_edits
 
 
@@ -65,12 +64,6 @@ def test_column_sums():
 # -- graphs -------------------------------------------------------------------
 
 
-def test_strong_connectivity():
-    assert is_strongly_connected(ring(4))
-    assert not is_strongly_connected(Digraph(2, ((0, 1),)))
-    assert is_strongly_connected(complete_digraph(3))
-
-
 def test_digraph_validation():
     with pytest.raises(ValueError, match="self-loop"):
         Digraph(3, ((0, 0),))
@@ -98,8 +91,6 @@ def test_nan_probabilities_rejected():
         IIDFamilyProcess(fam, [nan, 1.0], seed=0)
     with pytest.raises(ValueError, match="row-stochastic"):
         MarkovFamilyProcess(fam, [[nan, 0.5], [0.5, 0.5]], seed=0)
-    with pytest.raises(ValueError, match="probability vector"):
-        MarkovFamilyProcess(fam, [[0.5, 0.5], [0.5, 0.5]], seed=0, initial_dist=[nan, 1.0])
 
 
 # -- emission semantics ---------------------------------------------------------
@@ -247,7 +238,7 @@ def test_markov_dense_block_splits_match_next_matrix(build, schedule):
 
 def _per_row_walk(proc, u):
     """Reference Markov walk over the uniforms ``u``: the first places the
-    chain by the initial law, each later one is located by a
+    chain by the stationary law, each later one is located by a
     ``searchsorted`` in the current state's cumulative transition row."""
     f = proc.family_size
     s = int(min(np.searchsorted(proc._cum_init, u[0], side="right"), f - 1))
@@ -320,12 +311,12 @@ _MARKOV20 = ([np.eye(2) * (k + 1) for k in range(20)],
              np.random.default_rng(20).dirichlet(np.ones(20), size=20))
 
 _EACH_KIND = pytest.mark.parametrize("build", [
-    lambda stream: PushSumProcess(lossy_cfg(), 9, stream),
-    lambda stream: IIDFamilyProcess(_FAM2, [0.4, 0.6], 9, stream),
-    lambda stream: MarkovFamilyProcess(_FAM2, [[0.3, 0.7], [0.6, 0.4]], 9, stream),
-    lambda stream: ConstantProcess(np.ones((2, 2)), 9, stream),
+    lambda stream: PushSumProcess(lossy_cfg(), 9).spawn(stream),
+    lambda stream: IIDFamilyProcess(_FAM2, [0.4, 0.6], 9).spawn(stream),
+    lambda stream: MarkovFamilyProcess(_FAM2, [[0.3, 0.7], [0.6, 0.4]], 9).spawn(stream),
+    lambda stream: ConstantProcess(np.ones((2, 2)), 9).spawn(stream),
     # 20 states with 400 distinct row breakpoints: bins need more than a byte
-    lambda stream: MarkovFamilyProcess(*_MARKOV20, 9, stream),
+    lambda stream: MarkovFamilyProcess(*_MARKOV20, 9).spawn(stream),
 ], ids=["push_sum", "iid", "markov", "constant", "markov20"])
 
 
@@ -686,14 +677,13 @@ def test_markov_requires_irreducible():
     reducible = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="irreducible"):
         MarkovFamilyProcess(fam, reducible, seed=0)
-
-
-@pytest.mark.parametrize("initial", [[0.5, 0.5], [[0.5, 0.5], [0.0, 0.0]],
-                                     [[0.25, 0.25, 0.25, 0.25]]])
-def test_markov_initial_dist_needs_one_entry_per_member(initial):
-    fam = [np.eye(2), 0.5 * np.ones((2, 2)), np.diag([0.5, 1.0]), np.diag([1.0, 0.5])]
-    with pytest.raises(ValueError, match="one entry per member"):
-        MarkovFamilyProcess(fam, np.full((4, 4), 0.25), seed=0, initial_dist=initial)
+    # every state reaches the absorbing state 2, which reaches no other
+    fam3 = [np.eye(2), np.ones((2, 2)), np.diag([1.0, 0.5])]
+    absorbing = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="irreducible"):
+        MarkovFamilyProcess(fam3, absorbing, seed=0)
+    # a cycle through all states is irreducible though no row is positive
+    MarkovFamilyProcess(fam3, np.roll(np.eye(3), 1, axis=1), seed=0)
 
 
 def test_markov_marginal_stationary_over_time():
@@ -704,7 +694,7 @@ def test_markov_marginal_stationary_over_time():
     reps = 4000
     counts = {1: np.zeros(3), 200: np.zeros(3)}
     for r in range(reps):
-        idx = MarkovFamilyProcess(fam, P, seed=1000, stream=(r,)).block_events(200)
+        idx = MarkovFamilyProcess(fam, P, seed=1000).spawn((r,)).block_events(200)
         for t in counts:
             counts[t][idx[t - 1]] += 1
     for t, cnt in counts.items():

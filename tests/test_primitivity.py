@@ -326,7 +326,7 @@ def test_forward_backward_same_distribution_small():
     psi = sample_forward_indices(lossy_proc(11).spawn((50, 0)), 2000)
     rho = sample_backward_indices(lossy_proc(11).spawn((50, 1)), 2000)
     d = ks_distance(psi, rho)
-    assert d <= ks_critical_distance(2000, 2000, alpha=0.01)
+    assert d <= ks_critical_distance(2000, 2000)
 
 
 def test_backward_ring_buffer_markov():
@@ -579,7 +579,7 @@ def test_ks_distance_basics():
 
 
 def test_ks_critical_value():
-    assert ks_critical_distance(10_000, 10_000, 0.01) == pytest.approx(0.02302, abs=2e-4)
+    assert ks_critical_distance(10_000, 10_000) == pytest.approx(0.02302, abs=2e-4)
 
 
 def test_survival_fit_geometric():
