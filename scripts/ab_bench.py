@@ -6,9 +6,20 @@ both sides on seed ``seed + i``, the base first when ``i`` is even and the
 change first when it is odd, so a drift in host speed falls on both sides.
 For every end-to-end metric that the base checkout's ``BENCHMARK.json``
 lists, the script prints each side's median with its quartiles, the ratio
-of the medians (change over base) and how many pairs the change won by the
-metric's ``better`` direction; a tie counts for neither side.  It exits 1
-if any run failed or was not ``correct``.
+of the medians (change over base), how many pairs the change won by the
+metric's ``better`` direction (a tie counts for neither side) and a
+verdict:
+
+* ``gain``: the change wins at least nine tenths of the pairs, and its
+  median is better than the base median by more than the base quartile
+  spread;
+* ``worse``: the change median is worse than the base median by more than
+  the metric's ``bound`` (a fraction of the base median);
+* ``unresolved``: the base quartile spread is wider than the bound, and
+  not every change run beats every base run;
+* ``same``: any other case.
+
+It exits 1 if any run failed or was not ``correct``.
 
 Usage: python scripts/ab_bench.py BASE CHANGE --workload markov-family
                                   [--pairs 10] [--seconds 50] [--seed 901]
@@ -63,9 +74,18 @@ def summarize(metrics: list[dict], base: list[dict], change: list[dict]) -> list
         wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
         (a1, am, a3), (b1, bm, b3) = quartiles(a), quartiles(b)
         ratio = bm / am if am else float("nan")
+        gain, spread, bound = sign * (bm - am), a3 - a1, spec["bound"] * abs(am)
+        if wins >= 0.9 * len(a) and gain > spread:
+            verdict = "gain"
+        elif gain < -bound:
+            verdict = "worse"
+        elif spread > bound and not min(sign * y for y in b) > max(sign * x for x in a):
+            verdict = "unresolved"
+        else:
+            verdict = "same"
         lines.append(f"{name:<28} {spec['unit']:>4}  base {am:.6g} [{a1:.6g}, {a3:.6g}]"
                      f"  change {bm:.6g} [{b1:.6g}, {b3:.6g}]"
-                     f"  ratio {ratio:.4f}  wins {wins}/{len(a)}")
+                     f"  ratio {ratio:.4f}  wins {wins}/{len(a)}  {verdict}")
     return lines
 
 

@@ -30,8 +30,8 @@ Top-level keys: ``process`` (required), ``initial``, ``horizon`` (absent:
 
 ``estimators``
     ``k``, ``reorth_period``, ``replicates``, ``burn_in`` (null for the
-    default), ``birkhoff_m`` (list of block lengths; ``gap`` needs at
-    least one), ``trials``, ``wedge_n``.
+    default), ``birkhoff_m`` (list of distinct block lengths; ``gap``
+    needs at least one), ``trials``, ``wedge_n``.
 
 ``output``
     ``prefix``: basename prefix for emitted files (no path separators).
@@ -118,6 +118,8 @@ def _block_lengths(where: str, name: str, v) -> None:
         raise ConfigError(f"{where}: birkhoff_m must be a list of block lengths")
     for m in v:
         _check_int(where, "birkhoff_m entry", m, 1)
+    if len(set(v)) < len(v):
+        raise ConfigError(f"{where}: birkhoff_m entries must be distinct, got {v}")
 
 
 def _prefix(where: str, name: str, v) -> None:

@@ -41,7 +41,6 @@ __all__ = [
     "birkhoff_tau",
     "log_tau_from_phi",
     "wedge_magnitude",
-    "log_abs_det",
 ]
 
 # Absolute tolerance on probability-vector sums and on exact projective
@@ -160,11 +159,3 @@ def wedge_magnitude(x, y) -> float:
         raise ValueError("dimension mismatch")
     v = (np.outer(x, y) - np.outer(y, x)).ravel()
     return math.sqrt(float(v @ v) / 2.0)
-
-
-def log_abs_det(A) -> float:
-    """Natural log of ``|det A|``; ``-inf`` for singular matrices."""
-    sign, ld = np.linalg.slogdet(np.asarray(A, dtype=float))
-    if sign == 0:
-        return -math.inf
-    return float(ld)

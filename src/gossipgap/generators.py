@@ -80,7 +80,6 @@ __all__ = [
     "MarkovFamilyProcess",
     "ConstantProcess",
     "push_sum_matrix",
-    "column_sums",
     "is_column_stochastic",
     "ring",
     "ring_with_chords",
@@ -159,13 +158,9 @@ def push_sum_matrix(p: int, edge: tuple[int, int], alpha: float,
     return a
 
 
-def column_sums(A) -> np.ndarray:
-    """Per-column sums, used to classify (column-)stochasticity."""
-    return np.asarray(A, dtype=float).sum(axis=0)
-
-
 def is_column_stochastic(A) -> bool:
-    return bool(np.all(np.abs(column_sums(A) - 1.0) <= PROB_TOL))
+    sums = np.asarray(A, dtype=float).sum(axis=0)
+    return bool(np.all(np.abs(sums - 1.0) <= PROB_TOL))
 
 
 @dataclass(frozen=True)

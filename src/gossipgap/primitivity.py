@@ -2,9 +2,12 @@
 
 A finite family of nonnegative matrices is *primitive* if some finite
 product of its members (repetitions allowed) is strictly positive.  Only
-the zero/nonzero pattern matters, so the decision runs over boolean
-matrices: two breadth-first searches over ordered row pairs either build a
-positive witness word or prove that none exists (``is_family_primitive``).
+the zero/nonzero pattern ``gamma(A) = A > 0`` matters, so the decision runs
+over boolean matrices: two breadth-first searches over ordered row pairs
+either build a positive witness word or prove that none exists
+(``is_family_primitive``).  Patterns multiply with numpy's ``@``, which on
+bool arrays is the or-of-ands, so ``gamma(AB) = gamma(A) @ gamma(B)`` for
+nonnegative ``A, B``.
 
 For a stationary matrix process the *forward index* ``psi`` at time ``t``
 is the least ``k >= 1`` such that ``gamma(A_{t+k-1}) ... gamma(A_t)`` is
@@ -39,8 +42,6 @@ from .generators import MatrixProcess
 
 __all__ = [
     "PrimitivityReport",
-    "pattern_of",
-    "bool_product",
     "replay_word",
     "is_family_primitive",
     "sample_forward_index",
@@ -55,24 +56,13 @@ __all__ = [
 DEFAULT_INDEX_CAP = 100_000
 
 
-def pattern_of(A) -> np.ndarray:
-    """``gamma(A)``: the bool array whose ``(i, j)`` entry is ``A[i, j] > 0``."""
-    return np.asarray(A, dtype=float) > 0
-
-
-def bool_product(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Boolean product of two bool patterns (numpy's ``@`` on bool arrays
-    is the or-of-ands); equals ``gamma(AB)`` for nonnegative ``A, B``."""
-    return P @ Q
-
-
 def replay_word(patterns, word) -> np.ndarray:
     """Left-to-right product ``patterns[word[0]] ... patterns[word[-1]]``."""
     if len(word) == 0:
         raise ValueError("empty word")
     out = patterns[word[0]]
     for idx in word[1:]:
-        out = bool_product(out, patterns[idx])
+        out = out @ patterns[idx]
     return out
 
 
@@ -117,7 +107,7 @@ def _merge_word(pats: np.ndarray, targets: np.ndarray):
         while dist[a, b] > 0:
             word.append(int(first[a, b]))
             g = pats[word[-1]]
-            prod = bool_product(prod, g)
+            prod = prod @ g
             a, b = np.argwhere(np.outer(g[a], g[b]) & (dist == dist[a, b] - 1))[0]
     return word, prod, reached
 
@@ -176,7 +166,7 @@ def sample_forward_index(proc: MatrixProcess, cap: int = DEFAULT_INDEX_CAP) -> i
     while np.count_nonzero(cur) != cur.size:
         if k >= cap:
             raise RuntimeError(f"pattern not positive within cap={cap} steps")
-        cur = bool_product(proc.next_matrix() > 0, cur)
+        cur = (proc.next_matrix() > 0) @ cur
         k += 1
     return k
 
@@ -200,7 +190,7 @@ def sample_backward_index(patterns, word, cap: int = DEFAULT_INDEX_CAP) -> int:
             raise RuntimeError(f"pattern not positive within cap={cap} steps")
         if k >= len(word):
             raise RuntimeError("pattern history exhausted before positivity")
-        cur = bool_product(cur, patterns[word[-1 - k]])
+        cur = cur @ patterns[word[-1 - k]]
         k += 1
     return k
 

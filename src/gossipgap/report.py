@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-__all__ = ["format_value", "write_table", "write_summary", "ReportBundle",
+__all__ = ["format_value", "write_table", "ReportBundle",
            "verify_manifest", "TOOL_VERSION"]
 
 TOOL_VERSION = "gossipgap 0.1.0"
@@ -90,10 +90,6 @@ def write_table(path: Path, header, rows) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def write_summary(path: Path, items: dict) -> str:
-    return write_table(path, ("key", "value"), items.items())
-
-
 def sha256_of(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -119,7 +115,7 @@ class ReportBundle:
 
     def add_summary(self, items: dict) -> Path:
         path = self.outdir / f"{self.prefix}_summary.csv"
-        self.digests[path] = write_summary(path, items)
+        self.digests[path] = write_table(path, ("key", "value"), items.items())
         return path
 
     def write_manifest(self) -> Path:

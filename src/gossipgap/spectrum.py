@@ -60,15 +60,12 @@ class SpectrumEstimate:
     """Replicate-averaged Lyapunov exponents (natural log per step)."""
 
     lambdas: np.ndarray        # (k,) replicate means, non-increasing up to noise
-    stderr: np.ndarray         # (k,) dispersion of the replicate means
+    stderr: np.ndarray         # (k,) of the means; nan with < 2 finite samples
     gap: float                 # lambdas[0] - lambdas[1]; nan when k == 1
     gap_stderr: float
     n_steps: int
     replicates: int
     samples: np.ndarray        # (replicates, k) per-replicate estimates
-
-    def sum(self) -> float:
-        return float(self.lambdas.sum())
 
 
 @dataclass
@@ -76,8 +73,19 @@ class GapEstimate:
     """A spectral-gap estimate with its fit diagnostics."""
 
     value: float               # 0 if no trial is positive; nan if all saturated
-    stderr: float
+    stderr: float              # nan with fewer than two finite trial values
     diagnostics: dict = field(default_factory=dict)
+
+
+def _mean_stderr(samples: np.ndarray):
+    """Standard error of the mean of ``samples`` along axis 0.  It is
+    undefined, and nan, with fewer than two finite samples: one replicate,
+    no trial, or a non-finite sample (whose deviation is nan)."""
+    n = len(samples)
+    if n < 2:
+        return np.full(samples.shape[1:], math.nan)
+    with np.errstate(invalid="ignore"):
+        return samples.std(axis=0, ddof=1) / math.sqrt(n)
 
 
 def _run_frames(procs, k: int, n_count: int, reorth_period: int,
@@ -172,20 +180,14 @@ def estimate_spectrum_qr(proc: MatrixProcess, k: int, n: int,
     acc, _ = _run_frames(procs, k, n, reorth_period, burn_in)
     samples = acc / n
     lambdas = samples.mean(axis=0)
-    if replicates > 1:
-        with np.errstate(invalid="ignore"):
-            stderr = samples.std(axis=0, ddof=1) / math.sqrt(replicates)
-        stderr = np.nan_to_num(stderr, nan=0.0)
-    else:
-        stderr = np.zeros(k)
+    stderr = _mean_stderr(samples)
     if k >= 2:
         with np.errstate(invalid="ignore"):
             gaps = samples[:, 0] - samples[:, 1]
             gap = float(gaps.mean())
-            gap_stderr = (float(gaps.std(ddof=1)) / math.sqrt(replicates)
-                          if replicates > 1 else 0.0)
+        gap_stderr = float(_mean_stderr(gaps))
         if not math.isfinite(gap):
-            gap, gap_stderr = math.inf, 0.0
+            gap = math.inf
     else:
         gap, gap_stderr = math.nan, math.nan
     return SpectrumEstimate(lambdas, stderr, gap, gap_stderr, n, replicates, samples)
@@ -346,17 +348,17 @@ def _birkhoff_draw_len(trials: int, p: int) -> int:
     return max(_BIRKHOFF_SEGMENT, fit - fit % _BIRKHOFF_SEGMENT)
 
 
-def _segment_products(steps: np.ndarray, seg: int, patterns: bool):
+def _segment_products(steps: np.ndarray, patterns: bool):
     """Products ``C`` (later factors on the left) and 0/1 patterns ``P``
     (clipped products of the step patterns, i.e. boolean products) of the
-    consecutive ``seg``-step runs of the step-major ``(n * seg, T, p, p)``
+    consecutive 16-step runs of the step-major ``(n * 16, T, p, p)``
     ``steps``, each ``(n, T, p, p)``: one batched matmul per step position.
     ``P`` is None, and no pattern is formed, unless ``patterns``."""
-    runs = steps.reshape(-1, seg, *steps.shape[1:])
+    runs = steps.reshape(-1, _BIRKHOFF_SEGMENT, *steps.shape[1:])
     C = np.ascontiguousarray(np.broadcast_to(np.eye(steps.shape[-1]),
                                              runs[:, 0].shape))
     P = C.copy() if patterns else None
-    for s in range(seg):
+    for s in range(_BIRKHOFF_SEGMENT):
         A = runs[:, s]
         C = A @ C
         if patterns:
@@ -390,7 +392,8 @@ def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstima
     ``dense_block`` in runs of as many whole 16-step segments as fit a
     step-major ``(steps, trials, p, p)`` buffer of about 2 MiB (at least
     one segment).  The 16-step products and patterns of all segments of a
-    draw are formed together, one batched matmul per step position, and
+    draw are formed together, one batched matmul per step position (a short
+    last segment is padded with identities, which multiply exactly), and
     then folded into the factors segment by segment; ``phi`` is evaluated
     for all positive trials at once.  Once every trial's running pattern
     is all-true and every member is row-allowable, no more patterns are
@@ -416,29 +419,26 @@ def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstima
     track = True                        # pat may still gain a true entry
     draw_len = _birkhoff_draw_len(T, p)
     run = p * p * draw_len              # steps per draw_ahead: indices <= buf bytes
-    buf = np.empty((min(draw_len, m), T, p, p))    # step-major: buf[s] is (T, p, p)
+    # step-major, buf[s] is (T, p, p); whole segments, padded past m
+    buf = np.empty((min(draw_len, m + -m % _BIRKHOFF_SEGMENT), T, p, p))
     for done in range(0, m, draw_len):
         drawn = min(draw_len, m - done)
         if done % run == 0:
             proc.draw_ahead_lanes(procs, min(run, m - done))
         for t, pr in enumerate(procs):
             buf[:drawn, t] = pr.dense_block(drawn)
-        full = drawn - drawn % _BIRKHOFF_SEGMENT
-        # the whole segments of the draw, then the partial one ending it
-        for lo, hi in ((0, full), (full, drawn)):
-            if lo == hi:
-                continue
-            seg = min(hi - lo, _BIRKHOFF_SEGMENT)
-            Cs, Ps = _segment_products(buf[lo:hi], seg, track)
-            for s, C in enumerate(Cs):
-                if track:
-                    pat = np.minimum(Ps[s] @ pat, 1.0)
-                    track = not (row_allowable and pat.all())
-                B = (C @ U) * np.exp(lognorm)[:, None, :]
-                U, sv, wh = np.linalg.svd(B)
-                with np.errstate(divide="ignore"):
-                    lognorm = np.log(sv) - np.log(sv[:, :1])
-                Vh = wh @ Vh
+        end = drawn + -drawn % _BIRKHOFF_SEGMENT
+        buf[drawn:end] = np.eye(p)
+        Cs, Ps = _segment_products(buf[:end], track)
+        for s, C in enumerate(Cs):
+            if track:
+                pat = np.minimum(Ps[s] @ pat, 1.0)
+                track = not (row_allowable and pat.all())
+            B = (C @ U) * np.exp(lognorm)[:, None, :]
+            U, sv, wh = np.linalg.svd(B)
+            with np.errstate(divide="ignore"):
+                lognorm = np.log(sv) - np.log(sv[:, :1])
+            Vh = wh @ Vh
     positive = np.count_nonzero(pat, axis=(1, 2)) == p * p
     phis = _phis_from_factors(U[positive], lognorm[positive], Vh[positive])
     vals = [-log_tau_from_phi(phi) / m for phi in phis.tolist() if phi != 0.0]
@@ -455,11 +455,9 @@ def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstima
     if not vals:
         warnings.warn(f"all {T} trials had tau = 1 at m={m}; increase m")
         diagnostics["flag"] = "increase m"
-        return GapEstimate(0.0, 0.0, diagnostics)
+        return GapEstimate(0.0, math.nan, diagnostics)
     arr = np.array(vals)
-    value = float(arr.mean())
-    stderr = float(arr.std(ddof=1)) / math.sqrt(len(arr)) if len(arr) > 1 else 0.0
-    return GapEstimate(value, stderr, diagnostics)
+    return GapEstimate(float(arr.mean()), float(_mean_stderr(arr)), diagnostics)
 
 
 def check_det_identity(proc: MatrixProcess, n: int, qr_n: int | None = None,
@@ -489,4 +487,4 @@ def check_det_identity(proc: MatrixProcess, n: int, qr_n: int | None = None,
     lhs = -math.inf if singular else total / n
     est = estimate_spectrum_qr(proc, proc.p, qr_n if qr_n is not None else n,
                                reorth_period, replicates, burn_in)
-    return lhs, est.sum()
+    return lhs, float(est.lambdas.sum())

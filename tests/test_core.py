@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipgap.core import (birkhoff_phi, birkhoff_tau, hilbert_distance,
-                            is_allowable, is_row_allowable, log_abs_det,
-                            log_tau_from_phi, tv_distance, wedge_magnitude)
+                            is_allowable, is_row_allowable, log_tau_from_phi,
+                            tv_distance, wedge_magnitude)
 from gossipgap.consensus import ConsensusState, step
 
 
@@ -265,14 +265,3 @@ def test_wedge_symmetry_and_frobenius(v, seed):
     assert m == pytest.approx(wedge_magnitude(y, x), rel=1e-12)
     frob = np.linalg.norm(np.outer(x, y) - np.outer(y, x))
     assert m == pytest.approx(frob / math.sqrt(2), rel=1e-9, abs=1e-12)
-
-
-def test_log_abs_det():
-    assert log_abs_det(np.eye(5)) == 0.0
-    assert log_abs_det(np.diag([2.0, 3.0])) == pytest.approx(math.log(6))
-    assert log_abs_det(np.ones((3, 3))) == -math.inf
-    from gossipgap.generators import push_sum_matrix
-    for loss in (False, True):
-        a = push_sum_matrix(4, (1, 3), 0.5, loss=loss)
-        assert log_abs_det(a) == pytest.approx(math.log(0.5), abs=1e-15)
-

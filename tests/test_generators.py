@@ -13,9 +13,9 @@ from gossipgap.config import load_config
 from gossipgap.core import is_row_allowable
 from gossipgap.generators import (ConstantProcess, Digraph, IIDFamilyProcess,
                                   MarkovFamilyProcess, PushSumConfig,
-                                  PushSumProcess, column_sums,
-                                  complete_digraph, is_column_stochastic,
-                                  push_sum_matrix, ring, ring_with_chords)
+                                  PushSumProcess, complete_digraph,
+                                  is_column_stochastic, push_sum_matrix, ring,
+                                  ring_with_chords)
 from gossipgap.primitivity import _column_edits
 
 
@@ -50,15 +50,6 @@ def test_push_sum_matrix_errors():
         push_sum_matrix(3, (0, 1), 1.0)
     with pytest.raises(ValueError, match="range"):
         push_sum_matrix(3, (0, 3), 0.5)
-
-
-def test_column_sums():
-    assert np.allclose(column_sums(push_sum_matrix(4, (0, 2), 0.5)), 1.0)
-    lossy = push_sum_matrix(4, (0, 2), 0.5, loss=True)
-    np.testing.assert_allclose(column_sums(lossy), [0.5, 1, 1, 1])
-    assert np.allclose(column_sums(np.eye(3)), 1.0)
-    assert is_column_stochastic(push_sum_matrix(4, (1, 2), 0.3))
-    assert not is_column_stochastic(lossy)
 
 
 # -- graphs -------------------------------------------------------------------

@@ -312,6 +312,39 @@ def test_cli_gap_rows_match_birkhoff_estimator(tmp_path):
     with pytest.warns(UserWarning, match=_TAU_ONE_AT_8):
         rows = _gap_rows_match_birkhoff_estimator(tmp_path, PUSH_SUM_CFG, [32, 8, 16], 32)
     assert [r[-1] for r in rows] == [0.0, 0.0, 0.0]
+    # no trial value at m = 8: its stderr is undefined and printed blank
+    assert (tmp_path / "g" / "demo_gap.csv").read_text().splitlines()[1] == "8,0,,1,0"
+
+
+@pytest.mark.parametrize("base,want", [
+    (PUSH_SUM_CFG, ["37,0.065515606926497896,0.0041131850407060489,0.03125,0",
+                    "1000,0.10401187206602601,0.00111720496423162,0,0"]),
+    (_TWO_NODE_CFG, ["37,0.37602785737618982,0.013165853603819812,0,0",
+                     "1000,0.38506721808999167,0.0027046185523756012,0,0"]),
+], ids=["p4", "two_node"])
+def test_cli_gap_rows_off_the_segment_grid_are_pinned(tmp_path, base, want):
+    # m = 37 ends in a 5-step segment and m = 1000 (32 trials, draws of
+    # 512 steps at p = 4) in an 8-step one.  The rows were written when a
+    # short last segment's product was formed by a call of its own; padding
+    # it with identities must not change a digit
+    cfg = json.loads(json.dumps(base))
+    cfg["estimators"]["birkhoff_m"] = [37, 1000]
+    out = tmp_path / "g"
+    assert main(["gap", "--config", str(_write(tmp_path, cfg)), "--out", str(out),
+                 "--seed", "7"]) == 0
+    assert (out / "demo_gap.csv").read_text().splitlines()[1:] == want
+
+
+def test_cli_duplicate_block_lengths_are_config_error(tmp_path, capsys, monkeypatch):
+    cfg = json.loads(json.dumps(PUSH_SUM_CFG))
+    cfg["estimators"]["birkhoff_m"] = [16, 16, 32]
+    monkeypatch.setattr(spectrum, "estimate_spectrum_qr", _no_estimation)
+    out = tmp_path / "o"
+    assert main(["gap", "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("config error: estimators: birkhoff_m entries must be distinct, "
+                   "got [16, 16, 32]\n")
+    assert not out.exists()
 
 
 def test_cli_gap_rows_count_censored_trials(tmp_path):

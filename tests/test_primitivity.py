@@ -14,10 +14,9 @@ from gossipgap.generators import (ConstantProcess, Digraph, IIDFamilyProcess,
                                   PushSumConfig, PushSumProcess,
                                   complete_digraph, push_sum_matrix, ring,
                                   ring_with_chords)
-from gossipgap.primitivity import (DEFAULT_INDEX_CAP, bool_product,
-                                   is_family_primitive,
+from gossipgap.primitivity import (DEFAULT_INDEX_CAP, is_family_primitive,
                                    ks_critical_distance, ks_distance,
-                                   pattern_of, replay_word,
+                                   replay_word,
                                    sample_backward_index,
                                    sample_backward_indices,
                                    sample_forward_index,
@@ -28,22 +27,8 @@ FIB = np.array([[True, True], [True, False]])
 SWAP = np.array([[False, True], [True, False]])
 
 
-def test_pattern_of():
-    pat = pattern_of([[0.5, 0.0], [0.2, 1.0]])
-    assert pat.dtype == bool
-    np.testing.assert_array_equal(pat, [[True, False], [True, True]])
-    assert not pattern_of(np.zeros((2, 2))).any()
-    assert pattern_of(np.ones((3, 3))).all()
-
-
-def test_bool_product_identity():
-    ident = pattern_of(np.eye(2))
-    np.testing.assert_array_equal(bool_product(FIB, ident), FIB)
-    np.testing.assert_array_equal(bool_product(ident, FIB), FIB)
-
-
 def test_fibonacci_square_all_true():
-    assert bool_product(FIB, FIB).all()
+    assert (FIB @ FIB).all()
 
 
 @settings(max_examples=200, deadline=None)
@@ -52,8 +37,7 @@ def test_pattern_homomorphism(p, seed):
     rng = np.random.default_rng(seed)
     a = rng.random((p, p)) * (rng.random((p, p)) < 0.5)
     b = rng.random((p, p)) * (rng.random((p, p)) < 0.5)
-    np.testing.assert_array_equal(pattern_of(a @ b),
-                                  bool_product(pattern_of(a), pattern_of(b)))
+    np.testing.assert_array_equal((a @ b) > 0, (a > 0) @ (b > 0))
 
 
 def test_family_primitive_fibonacci():
@@ -72,7 +56,7 @@ def test_family_swap_not_primitive():
 
 def test_family_push_sum_strongly_connected():
     g = ring_with_chords(5)
-    pats = [pattern_of(push_sum_matrix(5, e, 0.5)) for e in g.edges]
+    pats = [push_sum_matrix(5, e, 0.5) > 0 for e in g.edges]
     rep = is_family_primitive(pats)
     assert rep.family_primitive
     assert replay_word(pats, rep.witness_word).all()
@@ -92,7 +76,7 @@ def test_family_push_sum_ring5_lossy_report():
 
 def test_family_duplicate_generators_do_not_change_report():
     base = is_family_primitive([SWAP, FIB])
-    dup = is_family_primitive([SWAP, SWAP, pattern_of(np.eye(2)), FIB])
+    dup = is_family_primitive([SWAP, SWAP, np.eye(2, dtype=bool), FIB])
     assert dup.family_primitive and base.family_primitive
     # same word, with each generator under its first index in the longer list
     assert tuple((0, 3)[i] for i in base.witness_word) == dup.witness_word
@@ -103,9 +87,9 @@ def test_family_primitivity_magnitude_invariant():
     g = ring(4)
     rng = np.random.default_rng(3)
     base = [push_sum_matrix(4, e, 0.5) for e in g.edges]
-    ref = is_family_primitive([pattern_of(a) for a in base])
+    ref = is_family_primitive([a > 0 for a in base])
     jittered = [a * np.exp(rng.uniform(-2, 2, a.shape)) for a in base]
-    rep = is_family_primitive([pattern_of(a) for a in jittered])
+    rep = is_family_primitive([a > 0 for a in jittered])
     assert rep.family_primitive == ref.family_primitive
     assert rep.witness_word == ref.witness_word
 
@@ -146,7 +130,7 @@ def _semigroup_bfs(pats):
         if cur.all():
             return True
         for g in pats:
-            nb = bool_product(cur, g)
+            nb = cur @ g
             if nb.tobytes() not in seen:
                 seen.add(nb.tobytes())
                 queue.append(nb)
@@ -351,7 +335,7 @@ def _iid_walk(proc, count, cap):
         while np.count_nonzero(cur) != cur.size:
             if k >= cap:
                 return out, f"pattern not positive within cap={cap} steps"
-            cur = bool_product(cur, proc.next_matrix() > 0)
+            cur = cur @ (proc.next_matrix() > 0)
             k += 1
         out.append(k)
     return out, None
@@ -484,7 +468,7 @@ def _history_walk(proc, count, cap, spacing):
                 return out, f"pattern not positive within cap={cap} steps"
             if k >= len(hist) or end - k < 1:
                 return out, "pattern history exhausted before positivity"
-            cur = bool_product(cur, hist[-1 - k])
+            cur = cur @ hist[-1 - k]
             k += 1
         out.append(k)
     return out, None

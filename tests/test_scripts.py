@@ -103,8 +103,40 @@ def test_ab_bench_alternates_and_summarizes(tmp_path, capsys):
     # base rate 100..103: median 101.5, inclusive quartiles 100.75 and 102.25
     assert summary[0].split() == [
         "rate", "1/s", "base", "101.5", "[100.75,", "102.25]", "change", "110.5",
-        "[108.25,", "111.25]", "ratio", f"{110.5 / 101.5:.4f}", "wins", "3/4"]
-    assert summary[1].split()[-4:] == ["ratio", "1.2500", "wins", "1/4"]
+        "[108.25,", "111.25]", "ratio", f"{110.5 / 101.5:.4f}", "wins", "3/4", "same"]
+    assert summary[1].split()[-5:] == ["ratio", "1.2500", "wins", "1/4", "same"]
+
+
+_BASE = [100.0, 101.0, 102.0] * 3 + [101.0]     # quartiles 100.25 and 101.75
+_WIDE = [70.0] * 5 + [130.0] * 5                # quartiles 70 and 130: wider than 25%
+
+
+@pytest.mark.parametrize("better,base,change,verdict", [
+    # nine of ten pairs won, median 10 better against a quartile spread of 1.5
+    ("higher", _BASE, [x + 10 for x in _BASE[:9]] + [100.0], "gain"),
+    ("lower", _BASE, [x - 10 for x in _BASE], "gain"),
+    # eight of ten pairs won is not enough
+    ("higher", _BASE, [x + 10 for x in _BASE[:8]] + [100.0, 100.0], "same"),
+    # nine wins, but the medians differ by less than the spread
+    ("higher", _BASE, [x + 1 for x in _BASE[:9]] + [100.0], "same"),
+    # median more than 25% worse
+    ("higher", _BASE, [x * 0.7 for x in _BASE], "worse"),
+    ("lower", _BASE, [x * 1.3 for x in _BASE], "worse"),
+    ("lower", _BASE, [x * 1.2 for x in _BASE], "same"),
+    # spread wider than the bound: a change inside it is not "same"
+    ("higher", _WIDE, _WIDE[::-1], "unresolved"),
+    ("higher", _WIDE, [x - 20 for x in _WIDE], "unresolved"),
+    # unless every change run beats every base run
+    ("higher", _WIDE, [131.0] * 10, "same"),
+    ("lower", _WIDE, [69.0] * 10, "same"),
+], ids=["gain", "gain-lower", "eight-wins", "within-spread", "worse", "worse-lower",
+        "within-bound", "unresolved", "unresolved-lower-median", "beats-every-run",
+        "beats-every-run-lower"])
+def test_ab_bench_verdict(better, base, change, verdict):
+    spec = {"name": "m", "unit": "-", "better": better, "bound": 0.25}
+    runs = [[{"metrics": {"m": {"value": v}}} for v in side] for side in (base, change)]
+    (line,) = _ab_bench().summarize([spec], *runs)
+    assert line.split()[-1] == verdict
 
 
 @pytest.mark.parametrize("output", [_contract(False, rate=1.0, secs=1.0), "crashed\n", ""])

@@ -90,6 +90,30 @@ def test_degenerate_frame_warns_and_reports_minus_inf():
         assert est.lambdas[1] == -math.inf
 
 
+def test_qr_stderr_is_nan_with_one_replicate():
+    est = estimate_spectrum_qr(lossy5(), 2, 1000, replicates=1)
+    assert np.isfinite(est.lambdas).all() and math.isfinite(est.gap)
+    assert np.isnan(est.stderr).all() and math.isnan(est.gap_stderr)
+
+
+def _collapsed_frame():
+    """qr estimate of ``diag(2, 0)``: lambda_2 is -inf in both replicates."""
+    with pytest.warns(UserWarning, match="rank collapsed"):
+        return estimate_spectrum_qr(ConstantProcess(np.diag([2.0, 0.0]), seed=0),
+                                    2, 1200, replicates=2, burn_in=0)
+
+
+def test_qr_stderr_is_nan_for_an_exponent_without_finite_samples():
+    est = _collapsed_frame()
+    assert est.stderr[0] == 0.0         # two equal finite samples
+    assert math.isnan(est.stderr[1])
+
+
+def test_qr_gap_stderr_is_nan_next_to_an_infinite_gap():
+    est = _collapsed_frame()
+    assert est.gap == math.inf and math.isnan(est.gap_stderr)
+
+
 def _run_frames_per_step(procs, k, n_count, reorth_period, burn_in, record=None):
     """The frame loop as it was written before the block-level bookkeeping:
     log, accumulation, collapse check and schedule evaluated at every step."""
@@ -393,8 +417,16 @@ def test_birkhoff_all_tau_one_flag():
     with pytest.warns(UserWarning, match="increase m"):
         g = estimate_gap_birkhoff(proc, 1, 16)  # single factors all have zeros
     assert g.value == 0.0
+    assert math.isnan(g.stderr)         # no trial value: undefined, not 0
     assert g.diagnostics["flag"] == "increase m"
     assert g.diagnostics["tau_one_fraction"] == 1.0
+
+
+def test_birkhoff_stderr_is_nan_with_one_positive_trial():
+    proc = ConstantProcess(np.array([[2.0, 1.0], [1.0, 2.0]]), seed=0)
+    g = estimate_gap_birkhoff(proc, 1, 1)
+    assert g.value == pytest.approx(math.log(3), abs=1e-12)
+    assert math.isnan(g.stderr)
 
 
 def test_birkhoff_below_qr_gap():
@@ -466,13 +498,9 @@ def _birkhoff_per_segment(proc, m, trials):
             for t in range(T) if pat[t].all()]
     vals = np.array([-log_tau_from_phi(phi) / m for phi in phis if phi != 0.0])
     n_zero = len(phis) - len(vals)
-    if len(vals) == 0:
-        value = math.nan if n_zero else 0.0
-        stderr = value
-    else:
-        value = float(vals.mean())
-        stderr = (float(vals.std(ddof=1)) / math.sqrt(len(vals))
-                  if len(vals) > 1 else 0.0)
+    value = float(vals.mean()) if len(vals) else math.nan if n_zero else 0.0
+    stderr = (float(vals.std(ddof=1)) / math.sqrt(len(vals))
+              if len(vals) > 1 else math.nan)
     return value, stderr, (T - len(phis)) / T, n_zero / T
 
 
@@ -551,8 +579,8 @@ def test_birkhoff_forms_no_pattern_after_every_trial_is_positive(proc, monkeypat
     flags = []
     real = spectrum._segment_products
     monkeypatch.setattr(spectrum, "_segment_products",
-                        lambda steps, seg, patterns:
-                        flags.append(patterns) or real(steps, seg, patterns))
+                        lambda steps, patterns:
+                        flags.append(patterns) or real(steps, patterns))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         estimate_gap_birkhoff(proc, m, T)
