@@ -93,7 +93,15 @@ def hilbert_distance(x, y):
         raise ValueError("dimension mismatch")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("Hilbert metric requires strict positivity")
-    d = np.log(x) - np.log(y)
+    # the log of each ratio, not log x - log y: for entries far from 1 that
+    # difference cancels two large logs and is off by about eps * |log x|.
+    # Where x / y leaves the normal range the ratio itself rounds, so there
+    # the difference of logs is the better value.
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        d = np.log(x / y)
+    bad = ~(np.abs(d) < 708.0)
+    if bad.any():
+        d[bad] = np.log(x[bad]) - np.log(y[bad])
     return _per_row(d.max(axis=-1) - d.min(axis=-1))
 
 

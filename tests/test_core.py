@@ -88,6 +88,22 @@ def test_hilbert_examples():
     assert hilbert_distance([1, 1, 1], [1, 2, 4]) == pytest.approx(math.log(4))
 
 
+def test_hilbert_proportional_tiny_entries_is_zero():
+    # entries near 1e-35 and 1e-300: log x - log y would cancel logs of
+    # size 80 and 690 and leave ~1e-14 and ~1e-13 of rounding
+    x = np.array([2.0, 2.0 * 1.6051293460306820e-35, 2.0 * 1.17e-4])
+    assert hilbert_distance(x, x / 2.0) == 0.0
+    assert hilbert_distance(x * 1e-265, x * 1e-265 / 3) < 1e-15
+
+
+def test_hilbert_ratios_outside_normal_range():
+    # x / y overflows or underflows; the distance is still finite
+    assert hilbert_distance([1e300, 1.0], [1e-300, 1.0]) == pytest.approx(
+        600 * math.log(10))
+    assert hilbert_distance([1e-300, 1.0], [1e300, 1.0]) == pytest.approx(
+        600 * math.log(10))
+
+
 def test_hilbert_requires_positivity():
     with pytest.raises(ValueError, match="strict positivity"):
         hilbert_distance([1, 0], [1, 1])
