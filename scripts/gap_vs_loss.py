@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gossipgap.generators import PushSumConfig, PushSumProcess, ring_with_chords
+from gossipgap.generators import PushSumProcess, ring_with_chords
 from gossipgap.report import write_table
 from gossipgap.spectrum import estimate_gap_birkhoff, estimate_spectrum_qr
 
@@ -32,8 +32,7 @@ def main() -> int:
     graph = ring_with_chords(args.p)
     rows = []
     for loss in np.linspace(0.0, 0.8, 9):
-        proc = PushSumProcess(PushSumConfig.uniform(graph, 0.5, float(loss)),
-                              args.seed)
+        proc = PushSumProcess(graph, args.seed, loss_prob=float(loss))
         est = estimate_spectrum_qr(proc, 2, args.n, replicates=args.replicates)
         # m = 256 keeps m*gap inside the entrywise resolution horizon here
         birkhoff = estimate_gap_birkhoff(proc, 256, 128)

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from gossipgap.consensus import fit_rate, rate_window, run
-from gossipgap.generators import (Digraph, PushSumConfig, PushSumProcess,
-                                  complete_digraph, ring, ring_with_chords)
+from gossipgap.consensus import fit_rate, run
+from gossipgap.generators import (Digraph, PushSumProcess, complete_digraph, ring,
+                                  ring_with_chords)
 from gossipgap.report import write_table
 from gossipgap.spectrum import estimate_spectrum_qr
 
@@ -43,7 +43,7 @@ def main() -> int:
     rng = np.random.default_rng(args.seed)
     rows = []
     for name, graph, loss in topologies():
-        proc = PushSumProcess(PushSumConfig.uniform(graph, 0.5, loss), args.seed)
+        proc = PushSumProcess(graph, args.seed, loss_prob=loss)
         est = estimate_spectrum_qr(proc, 2, args.n, replicates=8)
         horizon = int(40.0 / max(est.gap, 1e-3))
         cps = np.arange(1, horizon + 1, max(1, horizon // 400))
@@ -52,8 +52,7 @@ def main() -> int:
             x0 = rng.uniform(0.05, 1.0, graph.p)
             w0 = rng.uniform(0.05, 1.0, graph.p)
             traj = run(proc.spawn((800, r)), x0, w0, horizon, checkpoints=cps)
-            ns, vals = rate_window(traj.ns, traj.max_ratio_error())
-            rates.append(fit_rate(ns, vals))
+            rates.append(fit_rate(traj.ns, traj.max_ratio_error()))
         med = float(np.median(rates))
         rows.append((name, graph.p, loss, est.gap, est.gap_stderr, -med,
                      abs(-med - est.gap) / est.gap))

@@ -7,7 +7,7 @@ stated runtime budget include the timing in the pass condition.
 
 Aggregation conventions for the statistical criteria: empirical decay
 rates are fitted per replicate trajectory on the informative window (see
-``consensus.rate_window``) and summarized by the median (for relative
+``consensus.fit_rate``) and summarized by the median (for relative
 agreement bands) or by the replicate mean with its standard error (for
 one-sided bounds).  Single-trajectory slopes fluctuate at the 10-30% level,
 so the replicate aggregate is what the bands are checked against.
@@ -24,7 +24,7 @@ import numpy as np
 from . import consensus, primitivity, spectrum
 from .core import birkhoff_tau, hilbert_distance, tv_distance
 from .generators import (ConstantProcess, Digraph, IIDFamilyProcess,
-                         MarkovFamilyProcess, PushSumConfig, PushSumProcess,
+                         MarkovFamilyProcess, PushSumProcess,
                          push_sum_matrix, ring_with_chords)
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
@@ -53,17 +53,17 @@ def ring5_process(loss: bool, seed: int = SEED) -> PushSumProcess:
     g = ring_with_chords(5)
     ne = len(g.edges)
     lp = tuple((0.1 if k % 2 == 0 else 0.3) for k in range(ne)) if loss else 0.0
-    return PushSumProcess(PushSumConfig.uniform(g, 0.5, lp), seed)
+    return PushSumProcess(g, seed, loss_prob=lp)
 
 
 def p4_process(seed: int = 11) -> PushSumProcess:
     g = ring_with_chords(4, chords=((0, 2),))
-    return PushSumProcess(PushSumConfig.uniform(g, 0.5, (0.0, 0.2, 0.4, 0.1, 0.3)), seed)
+    return PushSumProcess(g, seed, loss_prob=(0.0, 0.2, 0.4, 0.1, 0.3))
 
 
 def p2_process(loss: float, seed: int = 77) -> PushSumProcess:
     g = Digraph(2, ((0, 1), (1, 0)))
-    return PushSumProcess(PushSumConfig.uniform(g, 0.5, loss), seed)
+    return PushSumProcess(g, seed, loss_prob=loss)
 
 
 CONSTANT_2x2 = np.array([[0.5, 0.25], [0.5, 0.75]])
@@ -91,8 +91,7 @@ def _fitted_rates(proc, pairs, horizon: int, use_tv: bool = False,
         pr = proc.spawn((stream_base, r))
         traj = consensus.run(pr, x0, w0, horizon, checkpoints=cps)
         series = traj.tv if use_tv else traj.max_ratio_error()
-        ns, vals = consensus.rate_window(traj.ns, series)
-        rates.append(consensus.fit_rate(ns, vals))
+        rates.append(consensus.fit_rate(traj.ns, series))
     return np.array(rates)
 
 
@@ -235,8 +234,8 @@ def _envelope_configs():
         (ring5_process(False, seed=102), rng.uniform(-1, 1, 5), np.ones(5)),
         (p4_process(seed=103), rng.uniform(0.05, 1, 4), rng.uniform(0.1, 1, 4)),
         (p2_process(0.5, seed=104), rng.uniform(-1, 1, 2), rng.uniform(0.1, 1, 2)),
-        (PushSumProcess(PushSumConfig.uniform(ring_with_chords(3, chords=()), 0.3, 0.2),
-                        seed=105), rng.uniform(0.05, 1, 3), np.ones(3)),
+        (PushSumProcess(ring_with_chords(3, chords=()), 105, 0.3, 0.2),
+         rng.uniform(0.05, 1, 3), np.ones(3)),
         (ConstantProcess(CONSTANT_2x2, seed=106), rng.uniform(0.05, 1, 2), np.ones(2)),
         (IIDFamilyProcess(fam3, (0.3, 0.3, 0.2, 0.2), seed=107),
          rng.uniform(0.05, 1, 3), rng.uniform(0.1, 1, 3)),

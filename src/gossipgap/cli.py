@@ -77,8 +77,7 @@ def _write_bundle(args, prefix: str, config_echo: dict, tables: dict,
 
 def _try_rate(ns, values) -> float:
     try:
-        w_ns, w_vals = consensus.rate_window(ns, values)
-        return consensus.fit_rate(w_ns, w_vals)
+        return consensus.fit_rate(ns, values)
     except ValueError:
         return math.nan
 

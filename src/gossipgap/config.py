@@ -10,7 +10,9 @@ Top-level keys: ``process`` (required), ``initial``, ``horizon`` (absent:
 
     * ``push_sum``: ``p``, ``edges`` (list of ``[i, j]`` 0-based pairs),
       optional ``edge_prob`` (defaults to uniform), ``share`` (scalar or
-      per-edge, default 0.5), ``loss_prob`` (scalar or per-edge, default 0).
+      per-edge, default 0.5), ``loss_prob`` (scalar or per-edge, default 0);
+      the graph and the last three are passed as they are to
+      ``generators.PushSumProcess``, which checks them.
     * ``iid_family``: ``matrices`` (list of row-major nested lists),
       ``probs``.
     * ``markov_family``: ``matrices``, ``transition`` (row-stochastic and
@@ -58,8 +60,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .generators import (ConstantProcess, Digraph, IIDFamilyProcess,
-                         MarkovFamilyProcess, MatrixProcess, PushSumConfig,
-                         PushSumProcess)
+                         MarkovFamilyProcess, MatrixProcess, PushSumProcess)
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config"]
 
@@ -236,10 +237,8 @@ class ExperimentConfig:
         seed = int(s.seed if seed_override is None else seed_override)
         try:
             if s.kind == "push_sum":
-                cfg = PushSumConfig.uniform(Digraph(s.p, s.edges), s.share, s.loss_prob)
-                if s.edge_prob is not None:
-                    cfg = PushSumConfig(cfg.graph, s.edge_prob, cfg.share, cfg.loss_prob)
-                return PushSumProcess(cfg, seed)
+                return PushSumProcess(Digraph(s.p, s.edges), seed, s.share, s.loss_prob,
+                                      s.edge_prob)
             if s.kind == "iid_family":
                 return IIDFamilyProcess([np.array(m, dtype=float) for m in s.matrices],
                                         np.array(s.probs, dtype=float), seed)

@@ -56,7 +56,6 @@ __all__ = [
     "run",
     "weighted_ratio",
     "fit_rate",
-    "rate_window",
     "make_checkpoints",
 ]
 
@@ -322,33 +321,23 @@ def weighted_ratio(state: ConsensusState, q) -> float:
 
 
 def fit_rate(ns, values) -> float:
-    """Least-squares slope of ``log value`` vs ``n`` over the series.
+    """Least-squares slope of ``log value`` vs ``n`` over the informative
+    range of a decaying series.
 
-    Nonpositive or non-finite values are dropped; at least 10 usable
-    points must remain.  ``rate_window`` picks the informative range.
+    Only points whose value lies in ``[1e-12, 1e-2]`` relative to the
+    series maximum are fitted, cutting both the initial transient and the
+    floating-point noise floor that a fully converged trajectory sits on;
+    at least 10 of them must remain.
     """
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
     if ns.shape != values.shape:
         raise ValueError("series arrays must have equal length")
-    keep = np.isfinite(values) & (values > 0)
+    ref = np.nanmax(values) if np.isfinite(values).any() else np.nan
+    if not np.isfinite(ref) or ref <= 0:
+        raise ValueError("series has no positive values")
+    keep = (values >= 1e-12 * ref) & (values <= 1e-2 * ref)
     ns, values = ns[keep], values[keep]
     if len(ns) < 10:
         raise ValueError(f"need at least 10 positive points in window, have {len(ns)}")
     return float(np.polyfit(ns, np.log(values), 1)[0])
-
-
-def rate_window(ns, values) -> tuple[np.ndarray, np.ndarray]:
-    """Restrict a decaying series to its informative range.
-
-    Keeps points whose value lies in ``[1e-12, 1e-2]`` relative to the
-    series maximum, cutting both the initial transient and the
-    floating-point noise floor that a fully converged trajectory sits on.
-    """
-    ns = np.asarray(ns, dtype=float)
-    values = np.asarray(values, dtype=float)
-    ref = np.nanmax(values) if np.isfinite(values).any() else np.nan
-    if not np.isfinite(ref) or ref <= 0:
-        raise ValueError("series has no positive values")
-    keep = np.isfinite(values) & (values >= 1e-12 * ref) & (values <= 1e-2 * ref)
-    return ns[keep], values[keep]

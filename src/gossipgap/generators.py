@@ -54,9 +54,9 @@ changed to ``keep = A[i, i] > 0`` and at most one off-diagonal
 ``a = A[j, i]`` (``j`` None when there is none), ``(None, 0.0, None, A)``
 for any other row-allowable member and ``(None, 0.0, None, None)`` for one
 with a zero row; ``stochastic[k]`` flags the column-stochastic members.
-Push-sum fills the table from its configuration and builds its emissions
-from it.  A process keeps no record of served emissions; a caller that
-needs one keeps the indices ``block_events`` returned.
+Push-sum fills the table from its graph and per-edge shares and builds
+its emissions from it.  A process keeps no record of served emissions; a
+caller that needs one keeps the indices ``block_events`` returned.
 ``spawn`` makes a shallow copy with its own stream: the configuration
 arrays are read-only and shared, so replicate processes cost no
 re-validation.
@@ -73,7 +73,6 @@ from .core import PROB_TOL, is_row_allowable
 
 __all__ = [
     "Digraph",
-    "PushSumConfig",
     "MatrixProcess",
     "PushSumProcess",
     "IIDFamilyProcess",
@@ -161,41 +160,6 @@ def push_sum_matrix(p: int, edge: tuple[int, int], alpha: float,
 def is_column_stochastic(A) -> bool:
     sums = np.asarray(A, dtype=float).sum(axis=0)
     return bool(np.all(np.abs(sums - 1.0) <= PROB_TOL))
-
-
-@dataclass(frozen=True)
-class PushSumConfig:
-    """Parameters of the randomized one-edge-per-tick gossip protocol."""
-
-    graph: Digraph
-    edge_prob: tuple[float, ...]
-    share: tuple[float, ...]
-    loss_prob: tuple[float, ...]
-
-    def __post_init__(self):
-        ne = len(self.graph.edges)
-        object.__setattr__(self, "edge_prob", tuple(float(q) for q in self.edge_prob))
-        object.__setattr__(self, "share", tuple(float(s) for s in self.share))
-        object.__setattr__(self, "loss_prob", tuple(float(r) for r in self.loss_prob))
-        if len(self.edge_prob) != ne or len(self.share) != ne or len(self.loss_prob) != ne:
-            raise ValueError("edge_prob, share and loss_prob must have one entry per edge")
-        if any(q < 0 for q in self.edge_prob) or not abs(sum(self.edge_prob) - 1.0) <= PROB_TOL:
-            raise ValueError("edge probabilities must be nonnegative and sum to 1")
-        if any(not 0.0 < s < 1.0 for s in self.share):
-            raise ValueError("shares must lie strictly inside (0, 1)")
-        if any(not 0.0 <= r < 1.0 for r in self.loss_prob):
-            raise ValueError("loss probabilities must lie in [0, 1)")
-
-    @classmethod
-    def uniform(cls, graph: Digraph, share: float = 0.5,
-                loss_prob=0.0) -> "PushSumConfig":
-        """Uniform edge selection; scalar or per-edge share/loss."""
-        ne = len(graph.edges)
-        if ne == 0:
-            raise ValueError("graph has no edges")
-        share_t = tuple(share) if np.ndim(share) else (float(share),) * ne
-        loss_t = tuple(loss_prob) if np.ndim(loss_prob) else (float(loss_prob),) * ne
-        return cls(graph, (1.0 / ne,) * ne, share_t, loss_t)
 
 
 class MatrixProcess:
@@ -385,29 +349,48 @@ class MatrixProcess:
 class PushSumProcess(MatrixProcess):
     """I.i.d. one-edge-per-tick gossip emissions with packet loss.
 
-    Member ``2 e + lost`` is the send along edge ``e``, delivered
-    (``lost = 0``) or lost (``lost = 1``).  Each step consumes exactly two
-    uniforms: the first selects the edge by the categorical law
-    ``edge_prob``, the second decides packet loss.
+    The protocol is the graph and, per edge ``e`` of ``graph.edges``, the
+    probability ``edge_prob[e]`` that the step sends along it (None: every
+    edge equally likely), the share ``share[e]`` the sender passes on and
+    the loss probability ``loss_prob[e]`` of its packet; a scalar share or
+    loss probability holds for every edge.  Member ``2 e + lost`` is the
+    send along edge ``e``, delivered (``lost = 0``) or lost (``lost = 1``).
+    Each step consumes exactly two uniforms: the first selects the edge by
+    the categorical law ``edge_prob``, the second decides packet loss.
     """
 
     kind = "push_sum"
 
-    def __init__(self, config: PushSumConfig, seed: int):
-        self.config = config
-        edges = config.graph.edges
-        self.updates = tuple(u for (i, j), a in zip(edges, config.share)
+    def __init__(self, graph: Digraph, seed: int, share=0.5, loss_prob=0.0,
+                 edge_prob=None):
+        edges = graph.edges
+        ne = len(edges)
+        if ne == 0:
+            raise ValueError("graph has no edges")
+        edge_prob = ((1.0 / ne,) * ne if edge_prob is None
+                     else tuple(float(q) for q in edge_prob))
+        share, loss_prob = (tuple(float(x) for x in v) if np.ndim(v) else (float(v),) * ne
+                            for v in (share, loss_prob))
+        if len(edge_prob) != ne or len(share) != ne or len(loss_prob) != ne:
+            raise ValueError("edge_prob, share and loss_prob must have one entry per edge")
+        if any(q < 0 for q in edge_prob) or not abs(sum(edge_prob) - 1.0) <= PROB_TOL:
+            raise ValueError("edge probabilities must be nonnegative and sum to 1")
+        if any(not 0.0 < a < 1.0 for a in share):
+            raise ValueError("shares must lie strictly inside (0, 1)")
+        if any(not 0.0 <= r < 1.0 for r in loss_prob):
+            raise ValueError("loss probabilities must lie in [0, 1)")
+        self.updates = tuple(u for (i, j), a in zip(edges, share)
                              for u in ((i, 1.0 - a, j, a), (i, 1.0 - a, None, 0.0)))
-        self.stochastic = np.tile([True, False], len(edges))
+        self.stochastic = np.tile([True, False], ne)
         # per member: the edited column, its two entries, and the receiver's
         # row (whose entry is 0.0 for a lost packet)
         col, keep, _, off = zip(*self.updates)
         self._col, self._keep, self._off = np.array(col), np.array(keep), np.array(off)
         self._row = np.repeat([j for _, j in edges], 2)
-        self._loss_p = np.array(config.loss_prob, dtype=float)
-        self._cum_q = np.cumsum(np.array(config.edge_prob, dtype=float))
-        self._eye = np.eye(config.graph.p)
-        super().__init__(config.graph.p, seed)
+        self._loss_p = np.array(loss_prob)
+        self._cum_q = np.cumsum(np.array(edge_prob))
+        self._eye = np.eye(graph.p)
+        super().__init__(graph.p, seed)
 
     def _draw(self, m: int) -> np.ndarray:
         u = self._rng.random((m, 2))

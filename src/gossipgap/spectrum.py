@@ -61,7 +61,8 @@ class SpectrumEstimate:
 
     lambdas: np.ndarray        # (k,) replicate means, non-increasing up to noise
     stderr: np.ndarray         # (k,) of the means; nan with < 2 finite samples
-    gap: float                 # lambdas[0] - lambdas[1]; nan when k == 1
+    gap: float                 # mean of the replicate gaps; nan when undefined
+                               # (-inf - -inf in a replicate) or k == 1
     gap_stderr: float
     n_steps: int
     replicates: int
@@ -186,8 +187,6 @@ def estimate_spectrum_qr(proc: MatrixProcess, k: int, n: int,
             gaps = samples[:, 0] - samples[:, 1]
             gap = float(gaps.mean())
         gap_stderr = float(_mean_stderr(gaps))
-        if not math.isfinite(gap):
-            gap = math.inf
     else:
         gap, gap_stderr = math.nan, math.nan
     return SpectrumEstimate(lambdas, stderr, gap, gap_stderr, n, replicates, samples)
@@ -414,8 +413,8 @@ def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstima
     Vh = U.copy()
     lognorm = np.zeros((T, p))
     pat = U.copy()                      # 0/1 pattern of the running product
-    # a zero-row member is the table's only (None, 0.0, None, None) entry
-    row_allowable = all(a is not None for _, _, _, a in proc.updates)
+    # every member has a positive entry in every row
+    row_allowable = bool(proc.pattern_family().any(axis=2).all())
     track = True                        # pat may still gain a true entry
     draw_len = _birkhoff_draw_len(T, p)
     run = p * p * draw_len              # steps per draw_ahead: indices <= buf bytes

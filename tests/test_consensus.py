@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 from gossipgap import consensus
 from gossipgap.acceptance import _envelope_configs, p4_process
 from gossipgap.consensus import (ENVELOPE_SLACK, EVENT_BLOCK, ConsensusState,
-                                 fit_rate, make_checkpoints, rate_window, run,
-                                 step, weighted_ratio)
+                                 fit_rate, make_checkpoints, run, step,
+                                 weighted_ratio)
 from gossipgap.core import hilbert_distance, tv_distance
 from gossipgap.generators import (ConstantProcess, IIDFamilyProcess,
-                                  MarkovFamilyProcess, MatrixProcess, PushSumConfig,
-                                  PushSumProcess, is_column_stochastic,
+                                  MarkovFamilyProcess, MatrixProcess, PushSumProcess,
+                                  is_column_stochastic,
                                   push_sum_matrix, ring, ring_with_chords)
 from gossipgap.spectrum import estimate_spectrum_qr
 
@@ -28,13 +28,13 @@ A2 = np.array([[0.5, 0.25], [0.5, 0.75]])
 
 
 def noloss5(seed=1):
-    return PushSumProcess(PushSumConfig.uniform(ring_with_chords(5), 0.5, 0.0), seed)
+    return PushSumProcess(ring_with_chords(5), seed)
 
 
 def lossy5(seed=1):
     g = ring_with_chords(5)
     loss = tuple(0.1 if k % 2 == 0 else 0.3 for k in range(len(g.edges)))
-    return PushSumProcess(PushSumConfig.uniform(g, 0.5, loss), seed)
+    return PushSumProcess(g, seed, 0.5, loss)
 
 
 # -- step ---------------------------------------------------------------------
@@ -61,7 +61,7 @@ def test_proportional_initial_vectors_frozen_ratios():
     w0 = np.array([0.5, 1.5, 1.0])
     s = ConsensusState.from_initial(4.0 * w0, w0)
     proc = noloss5(3)
-    proc_small = PushSumProcess(PushSumConfig.uniform(ring(3), 0.5, 0.0), 3)
+    proc_small = PushSumProcess(ring(3), 3)
     for _ in range(50):
         s = step(s, proc_small.next_matrix())
     np.testing.assert_allclose(s.ratios(), 4.0, rtol=1e-12)
@@ -132,8 +132,7 @@ def test_run_constant_left_perron_limit():
 def test_run_constant_rate_matches_eigen_gap():
     traj = run(ConstantProcess(A2, seed=0), [1.0, 0.0], [1.0, 1.0], 2_000,
                checkpoints=np.arange(1, 2001))
-    ns, vals = rate_window(traj.ns, traj.max_ratio_error())
-    rate = fit_rate(ns, vals)
+    rate = fit_rate(traj.ns, traj.max_ratio_error())
     assert rate == pytest.approx(-math.log(4), rel=0.01)
 
 
@@ -517,12 +516,14 @@ def test_fit_rate_needs_points():
 
 
 def test_rate_window_trims_transient_and_floor():
+    # fit_rate fits exactly the points within 1e-12..1e-2 of the maximum
     ns = np.arange(1, 2001, dtype=float)
     vals = np.maximum(np.exp(-0.05 * ns), 1e-16)
-    w_ns, w_vals = rate_window(ns, vals)
-    assert w_vals.max() <= 1e-2 * vals.max()
-    assert w_vals.min() >= 1e-12 * vals.max()
-    assert fit_rate(w_ns, w_vals) == pytest.approx(-0.05, rel=1e-6)
+    window = (vals >= 1e-12 * vals.max()) & (vals <= 1e-2 * vals.max())
+    assert 0 < window.sum() < (vals > 1e-16).sum()
+    rate = fit_rate(ns, vals)
+    assert rate == float(np.polyfit(ns[window], np.log(vals[window]), 1)[0])
+    assert rate == pytest.approx(-0.05, rel=1e-6)
 
 
 def test_rate_window_all_nan_raises_without_warning():
@@ -530,7 +531,7 @@ def test_rate_window_all_nan_raises_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="no positive values"):
-            rate_window(ns, np.full(10, np.nan))
+            fit_rate(ns, np.full(10, np.nan))
 
 
 def test_make_checkpoints():
@@ -586,7 +587,6 @@ def test_run_rate_bounded_by_lambda2_no_loss():
     for r in range(4):
         traj = run(proc.spawn((600, r)), rng.uniform(0, 1, 5), np.ones(5),
                    horizon, checkpoints=np.arange(1, horizon + 1))
-        ns, vals = rate_window(traj.ns, traj.max_ratio_error())
-        rates.append(fit_rate(ns, vals))
+        rates.append(fit_rate(traj.ns, traj.max_ratio_error()))
     se = np.std(rates, ddof=1) / 2.0
     assert np.mean(rates) <= est.lambdas[1] + 3 * math.sqrt(se ** 2 + est.stderr[1] ** 2)

@@ -1,10 +1,11 @@
 """Every public name the package advertises must resolve and be used.
 
 A stale ``__all__`` entry only fails on ``from module import *``, so it is
-checked here.  A public name that no program calls is dead code, so each one,
-and each public method, property and dataclass field of a public class, must
-be referenced by the package itself, a script or the benchmark harness; an
-import that its file never uses is checked the same way.  An option no
+checked here.  A public name that no program calls is dead code, so each one
+must be referenced by the package itself, a script or the benchmark harness,
+and each public method, property and dataclass field of a public class must
+be used there as an attribute or a keyword argument, unless it is kept for a
+stated reason; an import that its file never uses is checked the same way.  An option no
 program sets is dead code too, so every defaulted parameter must be passed
 by some call in the same files, unless it is kept for a stated reason.  The
 package itself re-exports nothing, so a fresh ``import gossipgap`` stays
@@ -83,16 +84,39 @@ def _public_members(cls) -> list[str]:
     return names
 
 
+@functools.cache
+def _member_uses() -> set[str]:
+    """Names the package modules, ``scripts/`` and ``perfbench/`` use as a
+    member: an attribute access or a keyword argument.  A bare name or a
+    string that happens to spell a member does not count."""
+    names = set()
+    for path in _program_files():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg is not None:
+                names.add(node.arg)
+    return names
+
+
+# Public class members that no program uses but that stay, with the reason.
+KEPT_MEMBERS = {
+    "spectrum.SpectrumEstimate.samples":
+        "tests/test_spectrum.py pairs the wedge and qr estimates replicate by replicate",
+}
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_module_all_is_used(name):
     mod = importlib.import_module(f"gossipgap.{name}")
     public = getattr(mod, "__all__", ())
-    unused = sorted(set(public) - _referenced_names())
-    unused += sorted(f"{n}.{m}" for n in public if isinstance(getattr(mod, n), type)
-                     for m in _public_members(getattr(mod, n))
-                     if m not in _referenced_names())
+    members = {f"{name}.{n}.{m}" for n in public if isinstance(getattr(mod, n), type)
+               for m in _public_members(getattr(mod, n)) if m not in _member_uses()}
+    unused = sorted(set(public) - _referenced_names()) + sorted(members - set(KEPT_MEMBERS))
     assert not unused, (f"gossipgap.{name}.__all__ names {unused}, which no "
                         "module, script or benchmark file uses")
+    kept = {k for k in KEPT_MEMBERS if k.startswith(f"{name}.")}
+    assert sorted(kept - members) == [], "a program now uses these kept members"
 
 
 # Defaulted parameters that no program sets but that stay, with the reason.
@@ -281,3 +305,12 @@ def test_push_sum_format_stays_behind_generators(name):
                 for alias in node.names}
     leaked = imported & {"PushSumProcess", "push_sum_matrix"}
     assert not leaked, f"gossipgap.{name} imports {sorted(leaked)}"
+
+
+@pytest.mark.parametrize("name", ["primitivity", "spectrum"])
+def test_member_table_stays_behind_generators_and_consensus(name):
+    # only generators and consensus.run decode the updates tuple layout
+    path = Path(gossipgap.__file__).with_name(f"{name}.py")
+    reads = [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "updates"]
+    assert not reads, f"gossipgap.{name} reads the member table on lines {reads}"

@@ -12,15 +12,14 @@ from gossipgap import acceptance, generators
 from gossipgap.config import load_config
 from gossipgap.core import is_row_allowable
 from gossipgap.generators import (ConstantProcess, Digraph, IIDFamilyProcess,
-                                  MarkovFamilyProcess, PushSumConfig,
-                                  PushSumProcess, complete_digraph,
-                                  is_column_stochastic, push_sum_matrix, ring,
-                                  ring_with_chords)
+                                  MarkovFamilyProcess, PushSumProcess,
+                                  complete_digraph, is_column_stochastic,
+                                  push_sum_matrix, ring, ring_with_chords)
 from gossipgap.primitivity import _column_edits
 
 
-def lossy_cfg(p=5, loss=0.2):
-    return PushSumConfig.uniform(ring_with_chords(p), 0.5, loss)
+def lossy_process(seed, loss=0.2):
+    return PushSumProcess(ring_with_chords(5), seed, 0.5, loss)
 
 
 # -- push_sum_matrix ----------------------------------------------------------
@@ -67,17 +66,21 @@ def test_digraph_validation():
 def test_push_sum_config_validation():
     g = ring(3)
     with pytest.raises(ValueError, match="sum to 1"):
-        PushSumConfig(g, (0.5, 0.5, 0.5), (0.5,) * 3, (0.0,) * 3)
+        PushSumProcess(g, 0, edge_prob=(0.5, 0.5, 0.5))
     with pytest.raises(ValueError, match="strictly inside"):
-        PushSumConfig(g, (1 / 3,) * 3, (1.0, 0.5, 0.5), (0.0,) * 3)
+        PushSumProcess(g, 0, (1.0, 0.5, 0.5))
     with pytest.raises(ValueError, match="loss"):
-        PushSumConfig(g, (1 / 3,) * 3, (0.5,) * 3, (1.0, 0.0, 0.0))
+        PushSumProcess(g, 0, loss_prob=(1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="one entry per edge"):
+        PushSumProcess(g, 0, (0.5, 0.5))
+    with pytest.raises(ValueError, match="no edges"):
+        PushSumProcess(Digraph(3, ()), 0)
 
 
 def test_nan_probabilities_rejected():
     nan, fam = float("nan"), [np.eye(2), np.full((2, 2), 0.5)]
     with pytest.raises(ValueError, match="sum to 1"):
-        PushSumConfig(ring(3), (nan, 0.5, 0.5), (0.5,) * 3, (0.0,) * 3)
+        PushSumProcess(ring(3), 0, edge_prob=(nan, 0.5, 0.5))
     with pytest.raises(ValueError, match="sum to 1"):
         IIDFamilyProcess(fam, [nan, 1.0], seed=0)
     with pytest.raises(ValueError, match="row-stochastic"):
@@ -102,13 +105,13 @@ def test_iid_singleton_emits_member():
 
 
 def test_no_loss_emissions_column_stochastic():
-    proc = PushSumProcess(PushSumConfig.uniform(ring(4), 0.5, 0.0), seed=9)
+    proc = PushSumProcess(ring(4), 9)
     for _ in range(200):
         assert is_column_stochastic(proc.next_matrix())
 
 
 def test_every_emission_row_allowable():
-    proc = PushSumProcess(lossy_cfg(loss=0.5), seed=10)
+    proc = lossy_process(10, loss=0.5)
     for _ in range(200):
         m = proc.next_matrix()
         assert m.dtype == np.float64 and m.shape == (5, 5)
@@ -119,15 +122,15 @@ def test_every_emission_row_allowable():
 
 
 def test_reproducibility_events_one_million_steps():
-    p1 = PushSumProcess(lossy_cfg(), seed=123)
-    p2 = PushSumProcess(lossy_cfg(), seed=123)
+    p1 = lossy_process(123)
+    p2 = lossy_process(123)
     k1, k2 = p1.block_events(1_000_000), p2.block_events(1_000_000)
     assert k1.dtype == np.intp
     assert np.array_equal(k1 // 2, k2 // 2) and np.array_equal(k1 % 2, k2 % 2)
 
 
 def test_reproducibility_full_matrices():
-    for build in (lambda s: PushSumProcess(lossy_cfg(), seed=s),
+    for build in (lossy_process,
                   lambda s: IIDFamilyProcess(
                       [np.eye(2), np.array([[1.0, 1.0], [1.0, 0.0]])],
                       [0.4, 0.6], seed=s),
@@ -142,7 +145,7 @@ def test_reproducibility_full_matrices():
 
 
 def test_dense_block_matches_sequential():
-    for build in (lambda: PushSumProcess(lossy_cfg(), seed=5),
+    for build in (lambda: lossy_process(5),
                   lambda: IIDFamilyProcess(
                       [np.eye(3), np.ones((3, 3))], [0.7, 0.3], seed=5),
                   lambda: MarkovFamilyProcess(
@@ -161,7 +164,7 @@ def test_pattern_family_per_kind():
     g = ring_with_chords(5)
     loss = tuple(0.3 if k % 2 else 0.0 for k in range(len(g.edges)))
     fam = [np.eye(2), np.array([[1.0, 1.0], [1.0, 0.0]])]
-    for proc in (PushSumProcess(PushSumConfig.uniform(g, 0.4, loss), seed=1),
+    for proc in (PushSumProcess(g, 1, 0.4, loss),
                  IIDFamilyProcess(fam, [0.5, 0.5], seed=1),
                  MarkovFamilyProcess(fam, [[0.5, 0.5], [0.2, 0.8]], seed=1),
                  ConstantProcess(fam[1])):
@@ -190,7 +193,7 @@ def test_pattern_family_of_every_table_entry_form():
 
 
 def test_spawn_streams_differ_and_reproduce():
-    base = PushSumProcess(lossy_cfg(), seed=42)
+    base = lossy_process(42)
     a = base.spawn(1).dense_block(100)
     b = base.spawn(2).dense_block(100)
     a2 = base.spawn(1).dense_block(100)
@@ -302,7 +305,7 @@ _MARKOV20 = ([np.eye(2) * (k + 1) for k in range(20)],
              np.random.default_rng(20).dirichlet(np.ones(20), size=20))
 
 _EACH_KIND = pytest.mark.parametrize("build", [
-    lambda stream: PushSumProcess(lossy_cfg(), 9).spawn(stream),
+    lambda stream: lossy_process(9).spawn(stream),
     lambda stream: IIDFamilyProcess(_FAM2, [0.4, 0.6], 9).spawn(stream),
     lambda stream: MarkovFamilyProcess(_FAM2, [[0.3, 0.7], [0.6, 0.4]], 9).spawn(stream),
     lambda stream: ConstantProcess(np.ones((2, 2)), 9).spawn(stream),
@@ -326,9 +329,9 @@ def test_spawn_is_a_fresh_stream_without_history(build):
 
 
 def _event_matrices(proc, ks):
-    c = proc.config
-    return np.array([push_sum_matrix(proc.p, c.graph.edges[k // 2], c.share[k // 2],
-                                     loss=k % 2 == 1)
+    """The emissions of member indices ``ks`` of a ``lossy_process``."""
+    edges = ring_with_chords(proc.p).edges
+    return np.array([push_sum_matrix(proc.p, edges[k // 2], 0.5, loss=k % 2 == 1)
                      for k in ks]).reshape(-1, proc.p, proc.p)
 
 
@@ -554,7 +557,7 @@ def test_negative_step_count_is_refused(build):
 def member_processes(draw):
     """A small push-sum process (share 0.5 or 0.3, with or without loss), or
     an i.i.d. or Markov family of push-sum-shaped, diagonal, dense and
-    zero-row members."""
+    zero-row members, with the list of matrices its members are."""
     p = draw(st.integers(2, 5))
     seed = draw(st.integers(0, 2**32 - 1))
     share = draw(st.sampled_from([0.5, 0.3]))
@@ -562,8 +565,9 @@ def member_processes(draw):
         edges = draw(st.lists(st.sampled_from(complete_digraph(p).edges),
                               min_size=1, max_size=6, unique=True))
         loss = draw(st.sampled_from([0.0, 0.3]))
-        return PushSumProcess(PushSumConfig.uniform(Digraph(p, tuple(edges)), share,
-                                                    loss), seed)
+        members = [push_sum_matrix(p, e, share, loss=lost)
+                   for e in edges for lost in (False, True)]
+        return PushSumProcess(Digraph(p, tuple(edges)), seed, share, loss), members
     edits = st.builds(lambda e, lost: push_sum_matrix(p, e, share, loss=lost),
                       st.sampled_from(complete_digraph(p).edges), st.booleans())
     dense = st.lists(st.sampled_from([0.0, 0.25, 0.3, 1.0, 1.7]),
@@ -572,8 +576,8 @@ def member_processes(draw):
     members = draw(st.lists(st.one_of(edits, dense, diag), min_size=1, max_size=4))
     f = len(members)
     if draw(st.booleans()):
-        return IIDFamilyProcess(members, [1 / f] * f, seed)
-    return MarkovFamilyProcess(members, np.full((f, f), 1 / f), seed)
+        return IIDFamilyProcess(members, [1 / f] * f, seed), members
+    return MarkovFamilyProcess(members, np.full((f, f), 1 / f), seed), members
 
 
 def _power_of_two(a: float) -> bool:
@@ -581,16 +585,19 @@ def _power_of_two(a: float) -> bool:
 
 
 @settings(max_examples=80, deadline=None)
-@given(proc=member_processes(), seed=st.integers(0, 2**32 - 1))
-def test_member_table_agrees_with_every_member(proc, seed):
+@given(drawn=member_processes(), seed=st.integers(0, 2**32 - 1))
+def test_member_table_agrees_with_every_member(drawn, seed):
     # the update table, the column-stochastic flags, primitivity's column
-    # edits and the block builder all describe the matrix member(k) builds
+    # edits and `_block` all describe the matrix member(k) returns,
+    # which is the member the process was built with
+    proc, members = drawn
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, proc.p)
     edits = _column_edits(proc)
     block = proc._block(np.arange(proc.family_size))
     assert len(edits) == len(proc.updates) == len(proc.stochastic) == proc.family_size
     for k in range(proc.family_size):
         A = proc.member(k)
+        np.testing.assert_array_equal(A, members[k])
         np.testing.assert_array_equal(block[k], A)
         assert proc.stochastic[k] == is_column_stochastic(A)
         i, keep, j, a = proc.updates[k]
@@ -616,11 +623,6 @@ def test_member_table_agrees_with_every_member(proc, seed):
             cols[c] |= old[r]
         pattern = [[bool(cols[c] >> r & 1) for c in range(proc.p)] for r in range(proc.p)]
         np.testing.assert_array_equal(pattern, A > 0)
-        if proc.kind == "push_sum":
-            c = proc.config
-            np.testing.assert_array_equal(
-                A, push_sum_matrix(proc.p, c.graph.edges[k // 2], c.share[k // 2],
-                                   loss=k % 2 == 1))
     child = proc.spawn((5,))
     assert child.updates is proc.updates and child.stochastic is proc.stochastic
     assert not proc.stochastic.flags.writeable
@@ -630,16 +632,16 @@ def test_member_table_agrees_with_every_member(proc, seed):
 
 
 def test_edge_and_loss_frequencies():
-    cfg = PushSumConfig(ring(3), (0.5, 0.3, 0.2), (0.5,) * 3, (0.0, 0.25, 0.6))
-    proc = PushSumProcess(cfg, seed=1234)
+    edge_prob, loss_prob = (0.5, 0.3, 0.2), (0.0, 0.25, 0.6)
+    proc = PushSumProcess(ring(3), 1234, loss_prob=loss_prob, edge_prob=edge_prob)
     n = 1_000_000
     k = proc.block_events(n)
     e, lost = k // 2, k % 2 == 1
     counts = np.bincount(e, minlength=3)
-    for k, q in enumerate(cfg.edge_prob):
+    for k, q in enumerate(edge_prob):
         se = np.sqrt(q * (1 - q) * n)
         assert abs(counts[k] - q * n) <= 3 * se
-    for k, r in enumerate(cfg.loss_prob):
+    for k, r in enumerate(loss_prob):
         nk = counts[k]
         lk = int(lost[e == k].sum())
         se = np.sqrt(max(r * (1 - r) * nk, 1.0))
@@ -649,8 +651,8 @@ def test_edge_and_loss_frequencies():
 def test_loss_coupling_entrywise_domination():
     # same seed, loss 0 vs 0.5: the lossless emissions dominate entrywise
     g = Digraph(2, ((0, 1), (1, 0)))
-    p0 = PushSumProcess(PushSumConfig.uniform(g, 0.5, 0.0), seed=7)
-    p5 = PushSumProcess(PushSumConfig.uniform(g, 0.5, 0.5), seed=7)
+    p0 = PushSumProcess(g, 7)
+    p5 = PushSumProcess(g, 7, 0.5, 0.5)
     a0 = p0.dense_block(5000)
     a5 = p5.dense_block(5000)
     assert np.all(a0 >= a5)

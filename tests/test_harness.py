@@ -504,6 +504,39 @@ def test_cli_push_sum_field_not_a_number_is_config_error(tmp_path, capsys, key,
     assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("edges", [], "graph has no edges"),
+    ("edge_prob", [0.5, 0.5], "edge_prob, share and loss_prob must have one entry per edge"),
+    ("share", [0.5] * 4, "edge_prob, share and loss_prob must have one entry per edge"),
+    ("loss_prob", [0.1] * 6, "edge_prob, share and loss_prob must have one entry per edge"),
+    ("edge_prob", [[0.2] * 5],
+     "float() argument must be a string or a real number, not 'list'"),
+    ("share", [[0.5]] * 5, "float() argument must be a string or a real number, not 'list'"),
+    ("loss_prob", [[0.0, 0.2, 0.4, 0.1, 0.3]],
+     "float() argument must be a string or a real number, not 'list'"),
+    ("edge_prob", [-0.2, 0.4, 0.4, 0.2, 0.2],
+     "edge probabilities must be nonnegative and sum to 1"),
+    ("edge_prob", [0.2, 0.2, 0.2, 0.2, 0.3],
+     "edge probabilities must be nonnegative and sum to 1"),
+    ("share", 0.0, "shares must lie strictly inside (0, 1)"),
+    ("share", [0.5, 0.5, 1.0, 0.5, 0.5], "shares must lie strictly inside (0, 1)"),
+    ("loss_prob", 1.0, "loss probabilities must lie in [0, 1)"),
+    ("edges", [[0, 1], [1, 1], [2, 3], [3, 0], [0, 2]], "self-loop (1,1) not allowed"),
+    ("edges", [[0, 1], [1, 2], [2, 3], [0, 1], [0, 2]], "duplicate edge (0,1)"),
+    ("edges", [[0, 1], [1, 2], [2, 4], [3, 0], [0, 2]], "edge (2,4) out of range for p=4"),
+])
+def test_cli_refused_push_sum_process_is_config_error(tmp_path, capsys, key, value,
+                                                      message):
+    # every push-sum input the process constructor refuses is one config
+    # error line, worded as before the constructor took the config fields
+    cfg = json.loads(json.dumps(PUSH_SUM_CFG))
+    cfg["process"][key] = value
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: process: {message}\n"
+    assert not out.exists()
+
+
 def _write(tmp_path, cfg):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg), encoding="utf-8")

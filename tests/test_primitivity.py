@@ -11,7 +11,7 @@ from gossipgap import acceptance, primitivity
 from gossipgap.acceptance import ring5_process
 from gossipgap.generators import (ConstantProcess, Digraph, IIDFamilyProcess,
                                   MarkovFamilyProcess, MatrixProcess,
-                                  PushSumConfig, PushSumProcess,
+                                  PushSumProcess,
                                   complete_digraph, push_sum_matrix, ring,
                                   ring_with_chords)
 from gossipgap.primitivity import (DEFAULT_INDEX_CAP, is_family_primitive,
@@ -188,7 +188,7 @@ def test_family_decision_matches_semigroup_bfs(p, f, seed, shape):
 def test_family_wide_ring_decides_fast():
     # p = 64 ring with 32 chords and loss 0.2: 192 members
     g = ring_with_chords(64, chords=tuple((i, (i + 32) % 64) for i in range(0, 64, 2)))
-    pats = PushSumProcess(PushSumConfig.uniform(g, 0.5, 0.2), seed=1).pattern_family()
+    pats = PushSumProcess(g, 1, 0.5, 0.2).pattern_family()
     assert pats.shape == (192, 64, 64)
     t0 = time.perf_counter()
     rep = is_family_primitive(pats)
@@ -225,7 +225,7 @@ def _report_over_every_member(patterns):
     lambda: ring5_process(True),
     lambda: acceptance.p4_process(),
     lambda: acceptance.p2_process(0.5),
-    lambda: PushSumProcess(PushSumConfig.uniform(complete_digraph(6), 0.5, 0.2), seed=1),
+    lambda: PushSumProcess(complete_digraph(6), 1, 0.5, 0.2),
     lambda: acceptance._envelope_configs()[7][0],
     lambda: ConstantProcess(np.eye(3), seed=0),
     lambda: ConstantProcess(np.ones((1, 1)), seed=0),
@@ -303,7 +303,7 @@ def lossy_proc(seed):
     g = ring_with_chords(5)
     ne = len(g.edges)
     loss = tuple(0.1 if k % 2 == 0 else 0.3 for k in range(ne))
-    return PushSumProcess(PushSumConfig.uniform(g, 0.5, loss), seed)
+    return PushSumProcess(g, seed, 0.5, loss)
 
 
 def test_forward_backward_same_distribution_small():
@@ -344,8 +344,8 @@ def _iid_walk(proc, count, cap):
 _IID_KINDS = {
     "ring5_lossy": lambda: ring5_process(True, seed=5),
     "ring5_lossless": lambda: ring5_process(False, seed=31),
-    "ring3_share": lambda: PushSumProcess(
-        PushSumConfig(ring(3), (0.2, 0.5, 0.3), (0.3, 0.7, 0.45), (0.0, 0.2, 0.0)), 7),
+    "ring3_share": lambda: PushSumProcess(ring(3), 7, (0.3, 0.7, 0.45), (0.0, 0.2, 0.0),
+                                          (0.2, 0.5, 0.3)),
     "swap_fib": lambda: IIDFamilyProcess([SWAP.astype(float), FIB.astype(float)],
                                          [0.5, 0.5], seed=3),
     "constant": lambda: ConstantProcess(FIB.astype(float), seed=0),
@@ -435,9 +435,8 @@ def _random_iid_process(p, seed, family):
     edges |= {(i, j) for i in range(p) for j in range(p)
               if i != j and rng.random() < 0.3}
     edges = sorted(edges)
-    cfg = PushSumConfig.uniform(Digraph(p, tuple(edges)), rng.uniform(0.1, 0.9),
-                                rng.choice([0.0, 0.3], len(edges)).tolist())
-    return PushSumProcess(cfg, seed)
+    return PushSumProcess(Digraph(p, tuple(edges)), seed, rng.uniform(0.1, 0.9),
+                          rng.choice([0.0, 0.3], len(edges)).tolist())
 
 
 @settings(max_examples=150, deadline=None)

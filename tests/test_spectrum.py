@@ -7,8 +7,7 @@ import pytest
 from gossipgap import acceptance, spectrum
 from gossipgap.core import log_tau_from_phi, wedge_magnitude
 from gossipgap.generators import (ConstantProcess, Digraph, IIDFamilyProcess,
-                                  PushSumConfig, PushSumProcess, ring,
-                                  ring_with_chords)
+                                  PushSumProcess, ring, ring_with_chords)
 from gossipgap.spectrum import (check_det_identity, estimate_gap_birkhoff,
                                 estimate_spectrum_qr, estimate_sum_top2_wedge)
 
@@ -19,12 +18,12 @@ def lossy5(seed=2024):
     g = ring_with_chords(5)
     ne = len(g.edges)
     loss = tuple(0.1 if k % 2 == 0 else 0.3 for k in range(ne))
-    return PushSumProcess(PushSumConfig.uniform(g, 0.5, loss), seed)
+    return PushSumProcess(g, seed, 0.5, loss)
 
 
 def two_node(loss, seed=77):
     g = Digraph(2, ((0, 1), (1, 0)))
-    return PushSumProcess(PushSumConfig.uniform(g, 0.5, loss), seed)
+    return PushSumProcess(g, seed, 0.5, loss)
 
 
 # -- qr estimator -------------------------------------------------------------
@@ -45,7 +44,7 @@ def test_identity_all_zero():
 
 
 def test_no_loss_top_exponent_zero():
-    proc = PushSumProcess(PushSumConfig.uniform(ring(4), 0.5, 0.0), seed=3)
+    proc = PushSumProcess(ring(4), 3)
     est = estimate_spectrum_qr(proc, 1, 20_000, replicates=4)
     # column-stochastic products are bounded, so the accumulated log growth
     # is O(1) and the estimate is 0 up to an O(1/n) remainder
@@ -112,6 +111,17 @@ def test_qr_stderr_is_nan_for_an_exponent_without_finite_samples():
 def test_qr_gap_stderr_is_nan_next_to_an_infinite_gap():
     est = _collapsed_frame()
     assert est.gap == math.inf and math.isnan(est.gap_stderr)
+
+
+@pytest.mark.parametrize("matrix,gap", [
+    ([[0.0, 1.0], [0.0, 0.0]], math.nan),     # nilpotent: -inf - (-inf) is undefined
+    ([[1.0, 1.0], [0.0, 0.0]], math.inf),     # A^n = A: lambda_1 = 0, lambda_2 = -inf
+], ids=["nilpotent", "rank_one"])
+def test_qr_gap_is_the_mean_of_replicate_gaps(matrix, gap):
+    with pytest.warns(UserWarning, match="rank collapsed"):
+        est = estimate_spectrum_qr(ConstantProcess(np.array(matrix), seed=0), 2, 100,
+                                   replicates=2, burn_in=0)
+    np.testing.assert_equal(est.gap, gap)     # nan equals nan here
 
 
 def _run_frames_per_step(procs, k, n_count, reorth_period, burn_in, record=None):
@@ -241,8 +251,8 @@ def test_deterministic_per_seed():
 def test_top_exponent_monotone_in_loss():
     # entrywise domination under coupled seeds: more loss, smaller lambda_1
     g = ring_with_chords(5)
-    low = PushSumProcess(PushSumConfig.uniform(g, 0.5, 0.1), seed=2024)
-    high = PushSumProcess(PushSumConfig.uniform(g, 0.5, 0.4), seed=2024)
+    low = PushSumProcess(g, 2024, 0.5, 0.1)
+    high = PushSumProcess(g, 2024, 0.5, 0.4)
     e_low = estimate_spectrum_qr(low, 1, 20_000, replicates=4)
     e_high = estimate_spectrum_qr(high, 1, 20_000, replicates=4)
     se = 3 * math.sqrt(e_low.stderr[0] ** 2 + e_high.stderr[0] ** 2)
@@ -357,7 +367,7 @@ def test_wedge_two_node_push_sum_is_exact(share, loss):
     # every p = 2 push-sum emission, delivered or lost, has det 1 - a, and a
     # 2x2 matrix scales the wedge by its det: the sum is log(1 - a) exactly
     g = Digraph(2, ((0, 1), (1, 0)))
-    proc = PushSumProcess(PushSumConfig.uniform(g, share, loss), seed=11)
+    proc = PushSumProcess(g, 11, share, loss)
     x, w = np.array([1.0, 0.2]), np.array([0.3, 1.0])
     n = 20_000
     s = estimate_sum_top2_wedge(proc, x, w, n)
@@ -455,8 +465,7 @@ def test_birkhoff_factored_matches_entrywise_phi():
 def test_birkhoff_resolves_deep_contraction():
     # 512 * gap ~ 42 nats: far beyond entrywise double precision, easily
     # resolved by the factored representation
-    proc = PushSumProcess(PushSumConfig.uniform(ring_with_chords(5), 0.5, 0.0),
-                          seed=2024)
+    proc = PushSumProcess(ring_with_chords(5), 2024)
     g = estimate_gap_birkhoff(proc, 512, 64)
     assert g.diagnostics["tau_zero_fraction"] == 0.0
     assert 0.05 < g.value < 0.10  # near the ~0.082 gap, biased low by O(1/m)
