@@ -4,11 +4,13 @@
 Each checkout runs its own ``perfbench/run.py --trace 0``.  Pair ``i`` runs
 both sides on seed ``seed + i``, the base first when ``i`` is even and the
 change first when it is odd, so a drift in host speed falls on both sides.
-For every end-to-end metric that the base checkout's ``BENCHMARK.json``
-lists, the script prints each side's median with its quartiles, the ratio
-of the medians (change over base), how many pairs the change won by the
-metric's ``better`` direction (a tie counts for neither side) and a
-verdict:
+Without ``--workload``, every workload of the base checkout's
+``BENCHMARK.json`` runs in turn, with its own pairs and its own table, since
+a change that is worse on any one workload is worse.  For every end-to-end
+metric that ``BENCHMARK.json`` lists, the script prints each side's median
+with its quartiles, the ratio of the medians (change over base), how many
+pairs the change won by the metric's ``better`` direction (a tie counts for
+neither side) and a verdict:
 
 * ``gain``: the change wins at least nine tenths of the pairs, and its
   median is better than the base median by more than the base quartile
@@ -19,9 +21,10 @@ verdict:
   not every change run beats every base run;
 * ``same``: any other case.
 
-It exits 1 if any run failed or was not ``correct``.
+It exits 1, and runs no later workload, if any run failed or was not
+``correct``.
 
-Usage: python scripts/ab_bench.py BASE CHANGE --workload markov-family
+Usage: python scripts/ab_bench.py BASE CHANGE [--workload markov-family]
                                   [--pairs 10] [--seconds 50] [--seed 901]
                                   [--size full]
 
@@ -89,11 +92,11 @@ def summarize(metrics: list[dict], base: list[dict], change: list[dict]) -> list
     return lines
 
 
-def run_perfbench(checkout: Path, args, seed: int) -> str:
-    """Stdout of one untraced benchmark run in ``checkout``; stderr goes
-    to this process's stderr."""
+def run_perfbench(checkout: Path, args, workload: str, seed: int) -> str:
+    """Stdout of one untraced benchmark run of ``workload`` in
+    ``checkout``; stderr goes to this process's stderr."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", args.workload,
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0",
          "--size", args.size],
         cwd=checkout, stdout=subprocess.PIPE, text=True)
@@ -104,7 +107,7 @@ def main(argv=None, run=run_perfbench) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", help="one workload (default: all of them)")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=50.0)
     ap.add_argument("--seed", type=int, default=901)
@@ -113,24 +116,27 @@ def main(argv=None, run=run_perfbench) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
     spec = json.loads((args.base / "BENCHMARK.json").read_text(encoding="utf-8"))
-    runs = {"base": [], "change": []}
-    failed = []
-    for seed, order in pair_schedule(args.pairs, args.seed):
-        for side in order:
-            out = parse_contract(run(getattr(args, side), args, seed))
-            print(f"seed {seed} {side}: "
-                  + (json.dumps({k: v["value"] for k, v in out.get("metrics", {}).items()})
-                     if out else "no result"), flush=True)
-            if out is None or not out.get("correct"):
-                failed.append(f"{side} seed {seed}")
-            runs[side].append(out)
-    if failed:
-        print(f"ab_bench: runs not correct: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    print(f"# {args.workload} ({args.size}), {args.pairs} pairs, "
-          f"--seconds {args.seconds:g}, seeds {args.seed}-{args.seed + args.pairs - 1}")
-    for line in summarize(spec["end_to_end"], runs["base"], runs["change"]):
-        print(line)
+    workloads = [args.workload] if args.workload else [w["name"] for w in spec["workloads"]]
+    for workload in workloads:
+        runs = {"base": [], "change": []}
+        failed = []
+        for seed, order in pair_schedule(args.pairs, args.seed):
+            for side in order:
+                out = parse_contract(run(getattr(args, side), args, workload, seed))
+                print(f"{workload} seed {seed} {side}: "
+                      + (json.dumps({k: v["value"] for k, v in out.get("metrics", {}).items()})
+                         if out else "no result"), flush=True)
+                if out is None or not out.get("correct"):
+                    failed.append(f"{side} seed {seed}")
+                runs[side].append(out)
+        if failed:
+            print(f"ab_bench: {workload} runs not correct: {', '.join(failed)}",
+                  file=sys.stderr)
+            return 1
+        print(f"# {workload} ({args.size}), {args.pairs} pairs, --seconds {args.seconds:g}, "
+              f"seeds {args.seed}-{args.seed + args.pairs - 1}")
+        for line in summarize(spec["end_to_end"], runs["base"], runs["change"]):
+            print(line)
     return 0
 
 

@@ -9,10 +9,12 @@ Top-level keys: ``process`` (required), ``initial``, ``horizon`` (absent:
     Per kind:
 
     * ``push_sum``: ``p``, ``edges`` (list of ``[i, j]`` 0-based pairs),
-      optional ``edge_prob`` (defaults to uniform), ``share`` (scalar or
-      per-edge, default 0.5), ``loss_prob`` (scalar or per-edge, default 0);
-      the graph and the last three are passed as they are to
-      ``generators.PushSumProcess``, which checks them.
+      optional ``edge_prob`` (a flat list; null or absent: uniform),
+      ``share`` (a number or a flat per-edge list, default 0.5),
+      ``loss_prob`` (a number or a flat per-edge list, default 0); the
+      schema checks only these shapes and passes the graph and the last
+      three to ``generators.PushSumProcess``, which checks their lengths
+      and values.
     * ``iid_family``: ``matrices`` (list of row-major nested lists),
       ``probs``.
     * ``markov_family``: ``matrices``, ``transition`` (row-stochastic and
@@ -86,15 +88,30 @@ def _int(minimum: int, bounded: bool = True):
     return lambda where, name, v: _check_int(where, name, v, minimum, bounded)
 
 
+def _is_number(x) -> bool:
+    return type(x) is float or type(x) is int       # bool is neither
+
+
 def _numbers(where: str, name: str, v) -> None:
     """Every leaf of the nested JSON lists ``v`` must be a JSON number, not
     a string or a boolean: the manifest echoes the config as written."""
     if isinstance(v, list):
         for x in v:
-            if type(x) is not float and type(x) is not int:     # bool is neither
+            if not _is_number(x):
                 _numbers(where, name, x)
     elif isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}: {name} entries must be numbers, got {v!r}")
+
+
+def _flat(scalar: bool):
+    """A flat list of JSON numbers, or (if ``scalar``) also one number."""
+    what = "a number or a list of numbers" if scalar else "a list of numbers"
+
+    def check(where: str, name: str, v) -> None:
+        if not (scalar and _is_number(v)
+                or isinstance(v, list) and all(map(_is_number, v))):
+            raise ConfigError(f"{where}: {name} must be {what}, got {v!r}")
+    return check
 
 
 def _vector(where: str, name: str, v) -> None:
@@ -137,8 +154,8 @@ _REQUIRED = object()
 _KIND = {"kind": (_REQUIRED, None), "seed": (_REQUIRED, _int(0, bounded=False))}
 _PROCESS = {
     "push_sum": {**_KIND, "p": (_REQUIRED, _int(1)), "edges": (_REQUIRED, _edges),
-                 "edge_prob": (None, _numbers), "share": (0.5, _numbers),
-                 "loss_prob": (0.0, _numbers)},
+                 "edge_prob": (None, _flat(False)), "share": (0.5, _flat(True)),
+                 "loss_prob": (0.0, _flat(True))},
     "iid_family": {**_KIND, "matrices": (_REQUIRED, _numbers),
                    "probs": (_REQUIRED, _numbers)},
     "markov_family": {**_KIND, "matrices": (_REQUIRED, _numbers),

@@ -9,7 +9,10 @@ on independent derived streams and are propagated by one stacked matmul per
 step and re-orthonormalized by one stacked QR per QR step; the logs and
 running sums of the triangular diagonals are taken once per 512-step
 block, in the same addition order, so no single replicate's arithmetic
-path changes.
+path changes.  A QR step is one raw ``np.linalg.qr`` followed by the
+orgqr gufunc that ``np.linalg.qr`` itself calls to form ``Q``: the same
+LAPACK calls, so the results are those of ``np.linalg.qr`` bit for bit,
+without the wrapper's overhead, and still one ``np.linalg.qr`` per step.
 
 A burn-in window (not counted in the averages) lets the frame align with
 the top Oseledec directions first; without it the alignment transient
@@ -29,6 +32,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import birkhoff_phi, log_tau_from_phi, wedge_magnitude
 from .generators import MatrixProcess
@@ -89,6 +93,31 @@ def _mean_stderr(samples: np.ndarray):
         return samples.std(axis=0, ddof=1) / math.sqrt(n)
 
 
+def _qr_error(err, flag):
+    # the error-state callback np.linalg.qr installs: LAPACK refused an argument
+    raise np.linalg.LinAlgError("Incorrect argument found while performing "
+                                "QR factorization")
+
+
+def _qr_step(Q: np.ndarray):
+    """``(q, diag r)`` of the reduced QR of the ``(R, p, k)`` stack ``Q``,
+    bit for bit as ``np.linalg.qr(Q)`` gives them.
+
+    One raw ``np.linalg.qr`` (LAPACK geqrf) leaves the Householder
+    reflectors, with ``r`` on and above their diagonal, in ``h``; ``q`` is
+    formed from them by the orgqr gufunc that ``np.linalg.qr`` itself calls,
+    under the same floating-point error state.  This skips only the rest
+    of the wrapper's work: the ``triu`` of ``r``, dtype casts and result
+    wrapping.  The returned diagonal is a view into ``h``.
+    """
+    h, tau = np.linalg.qr(Q, mode="raw")
+    a = h.swapaxes(-1, -2)
+    with np.errstate(call=_qr_error, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
+    return q, a.diagonal(0, 1, 2)
+
+
 def _run_frames(procs, k: int, n_count: int, reorth_period: int,
                 burn_in: int, record=None):
     """Propagate stacked orthonormal frames and accumulate log growth.
@@ -101,9 +130,12 @@ def _run_frames(procs, k: int, n_count: int, reorth_period: int,
     every recorded step and at the end, so accumulation windows split
     exactly.
 
-    The step loop does only the matmul and, on a QR step, the QR and a copy
-    of ``r``'s diagonal.  Per 512-step block the schedule is computed up
-    front, and the logs of the counted diagonals are summed by one
+    The step loop does only the matmul and, on a QR step, ``_qr_step`` and
+    a copy of ``r``'s diagonal: one raw ``np.linalg.qr``, then ``Q`` from
+    the orgqr gufunc that ``np.linalg.qr`` calls, bit-identical to
+    ``np.linalg.qr`` without the overhead of its wrapper, and still one
+    ``np.linalg.qr`` call per QR.  Per 512-step block the schedule is
+    computed up front, and the logs of the counted diagonals are summed by one
     sequential ``cumsum`` that starts from ``acc``, so ``acc`` and the
     snapshots read from it equal a step-by-step ``acc += log|diag r|``
     bit for bit.  A zero diagonal (the frame's rank collapsed below ``k``)
@@ -131,8 +163,7 @@ def _run_frames(procs, k: int, n_count: int, reorth_period: int,
         for A, qr_step in zip(stacked, is_qr.tolist()):
             Q = np.matmul(A, Q)
             if qr_step:
-                Q, r = np.linalg.qr(Q)
-                diag[j] = r.diagonal(0, 1, 2)
+                Q, diag[j] = _qr_step(Q)
                 j += 1
         counted = t[is_qr] - burn_in
         counted = counted[counted > 0]          # a suffix of the block's QRs

@@ -510,10 +510,11 @@ def test_cli_push_sum_field_not_a_number_is_config_error(tmp_path, capsys, key,
     ("share", [0.5] * 4, "edge_prob, share and loss_prob must have one entry per edge"),
     ("loss_prob", [0.1] * 6, "edge_prob, share and loss_prob must have one entry per edge"),
     ("edge_prob", [[0.2] * 5],
-     "float() argument must be a string or a real number, not 'list'"),
-    ("share", [[0.5]] * 5, "float() argument must be a string or a real number, not 'list'"),
+     "edge_prob must be a list of numbers, got [[0.2, 0.2, 0.2, 0.2, 0.2]]"),
+    ("share", [[0.5]] * 5,
+     "share must be a number or a list of numbers, got [[0.5], [0.5], [0.5], [0.5], [0.5]]"),
     ("loss_prob", [[0.0, 0.2, 0.4, 0.1, 0.3]],
-     "float() argument must be a string or a real number, not 'list'"),
+     "loss_prob must be a number or a list of numbers, got [[0.0, 0.2, 0.4, 0.1, 0.3]]"),
     ("edge_prob", [-0.2, 0.4, 0.4, 0.2, 0.2],
      "edge probabilities must be nonnegative and sum to 1"),
     ("edge_prob", [0.2, 0.2, 0.2, 0.2, 0.3],
@@ -524,11 +525,14 @@ def test_cli_push_sum_field_not_a_number_is_config_error(tmp_path, capsys, key,
     ("edges", [[0, 1], [1, 1], [2, 3], [3, 0], [0, 2]], "self-loop (1,1) not allowed"),
     ("edges", [[0, 1], [1, 2], [2, 3], [0, 1], [0, 2]], "duplicate edge (0,1)"),
     ("edges", [[0, 1], [1, 2], [2, 4], [3, 0], [0, 2]], "edge (2,4) out of range for p=4"),
+    ("edge_prob", 0.2, "edge_prob must be a list of numbers, got 0.2"),
+    ("share", [[0.5], 0.5, 0.5, 0.5, 0.5],
+     "share must be a number or a list of numbers, got [[0.5], 0.5, 0.5, 0.5, 0.5]"),
 ])
 def test_cli_refused_push_sum_process_is_config_error(tmp_path, capsys, key, value,
                                                       message):
-    # every push-sum input the process constructor refuses is one config
-    # error line, worded as before the constructor took the config fields
+    # every push-sum input the schema or the process constructor refuses is
+    # one config error line; a field of the wrong shape is named
     cfg = json.loads(json.dumps(PUSH_SUM_CFG))
     cfg["process"][key] = value
     out = tmp_path / "o"

@@ -87,10 +87,10 @@ def test_ab_bench_alternates_and_summarizes(tmp_path, capsys):
                   for s in range(4)})
     calls = []
 
-    def fake_run(checkout, args, seed):
+    def fake_run(checkout, args, workload, seed):
         side = checkout.name
         calls.append((side, seed))
-        assert (args.workload, args.seconds, args.size) == ("markov-family", 20.0, "tiny")
+        assert (workload, args.seconds, args.size) == ("markov-family", 20.0, "tiny")
         rate, secs = table[side, seed]
         return _contract(rate=rate, secs=secs)
 
@@ -105,6 +105,33 @@ def test_ab_bench_alternates_and_summarizes(tmp_path, capsys):
         "rate", "1/s", "base", "101.5", "[100.75,", "102.25]", "change", "110.5",
         "[108.25,", "111.25]", "ratio", f"{110.5 / 101.5:.4f}", "wins", "3/4", "same"]
     assert summary[1].split()[-5:] == ["ratio", "1.2500", "wins", "1/4", "same"]
+
+
+def test_ab_bench_without_workload_runs_every_workload(tmp_path, capsys):
+    ab = _ab_bench()
+    base, change = tmp_path / "base", tmp_path / "change"
+    base.mkdir()
+    (base / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "ring"}, {"name": "markov"}],
+        "end_to_end": [{"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.25}]}))
+    calls = []
+
+    def fake_run(checkout, args, workload, seed):
+        calls.append((workload, seed, checkout.name))
+        # the change is slower on markov only
+        return _contract(rate=1.0 if (workload, checkout.name) == ("markov", "change")
+                         else 2.0)
+
+    assert ab.main([str(base), str(change), "--pairs", "2", "--seed", "3"],
+                   run=fake_run) == 0
+    assert calls == [(w, s, side) for w in ("ring", "markov")
+                     for s, order in ((3, ("base", "change")), (4, ("change", "base")))
+                     for side in order]
+    out = capsys.readouterr().out.splitlines()
+    tables = [i for i, line in enumerate(out) if line.startswith("# ")]
+    assert [out[i].split()[1] for i in tables] == ["ring", "markov"]
+    assert [out[i + 1].split()[-3:] for i in tables] == [["wins", "0/2", "same"],
+                                                         ["wins", "0/2", "worse"]]
 
 
 _BASE = [100.0, 101.0, 102.0] * 3 + [101.0]     # quartiles 100.25 and 101.75
@@ -145,7 +172,7 @@ def test_ab_bench_fails_on_a_run_that_is_not_correct(tmp_path, capsys, output):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
         {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.25}]}))
 
-    def fake_run(checkout, args, seed):
+    def fake_run(checkout, args, workload, seed):
         return output if seed == 8 else _contract(rate=1.0, secs=1.0)
 
     rc = ab.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "2",

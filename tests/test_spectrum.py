@@ -124,6 +124,54 @@ def test_qr_gap_is_the_mean_of_replicate_gaps(matrix, gap):
     np.testing.assert_equal(est.gap, gap)     # nan equals nan here
 
 
+# -- qr step kernel: numpy's private orgqr gufunc pinned to np.linalg.qr -----
+
+def _numpy_qr_step(Q):
+    q, r = np.linalg.qr(Q)
+    return q, r.diagonal(0, 1, 2)
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("R", [1, 8])
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_qr_step_equals_numpy_qr_bitwise(p, R):
+    rng = np.random.default_rng(10 * p + R)
+    for k in range(1, p + 1):
+        Q = rng.standard_normal((R, p, k))
+        _assert_same_bits(spectrum._qr_step(Q.copy()), _numpy_qr_step(Q))
+
+
+def test_qr_step_rank_deficient_stack_gives_minus_inf_growth():
+    Q = np.random.default_rng(3).standard_normal((8, 5, 2))
+    Q[:, :, 1] = 0.0
+    got = spectrum._qr_step(Q.copy())
+    _assert_same_bits(got, _numpy_qr_step(Q))
+    assert (got[1][:, 1] == 0.0).all()
+    # the frame of diag(2, 0, 1, 1, 1) loses its second column at step 1
+    proc = ConstantProcess(np.diag([2.0, 0.0, 1.0, 1.0, 1.0]), seed=0)
+    with pytest.warns(UserWarning, match="rank collapsed"):
+        acc, _ = spectrum._run_frames([proc.spawn((9, r)) for r in range(8)], 2, 700,
+                                      1, 0)
+    assert acc[:, 0] == pytest.approx(700 * math.log(2.0))
+    assert np.isneginf(acc[:, 1]).all()
+
+
+def test_qr_step_inf_gives_nan_in_the_same_places_without_warning():
+    Q = np.random.default_rng(4).standard_normal((8, 5, 2))
+    Q[3, 1, 0], Q[6, 4, 1] = np.inf, -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = spectrum._qr_step(Q.copy())
+        want = _numpy_qr_step(Q)
+    _assert_same_bits(got, want)
+    nan = np.isnan(got[0]).any(axis=(1, 2))
+    assert nan[[3, 6]].all() and not nan[[0, 1, 2, 4, 5, 7]].any()
+
+
 def _run_frames_per_step(procs, k, n_count, reorth_period, burn_in, record=None):
     """The frame loop as it was written before the block-level bookkeeping:
     log, accumulation, collapse check and schedule evaluated at every step."""
