@@ -21,6 +21,11 @@ neither side) and a verdict:
   not every change run beats every base run;
 * ``same``: any other case.
 
+Before the first pair, both checkouts' ``src/`` are byte-compiled, so
+that neither side's runs pay for compiling ``gossipgap`` on import (with
+``PYTHONDONTWRITEBYTECODE`` set, a checkout without ``__pycache__`` would
+compile it again in every fresh interpreter).
+
 It exits 1, and runs no later workload, if any run failed or was not
 ``correct``.
 
@@ -33,6 +38,7 @@ Usage: python scripts/ab_bench.py BASE CHANGE [--workload markov-family]
 """
 
 import argparse
+import compileall
 import json
 import statistics
 import subprocess
@@ -117,6 +123,8 @@ def main(argv=None, run=run_perfbench) -> int:
         ap.error("--pairs must be >= 1")
     spec = json.loads((args.base / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [args.workload] if args.workload else [w["name"] for w in spec["workloads"]]
+    for checkout in (args.base, args.change):
+        compileall.compile_dir(checkout / "src", quiet=1)
     for workload in workloads:
         runs = {"base": [], "change": []}
         failed = []

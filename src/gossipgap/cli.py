@@ -214,6 +214,17 @@ def cmd_acceptance(args, cfg) -> int:
     return EXIT_OK if n_fail == 0 else EXIT_ACCEPTANCE
 
 
+def _seed(text: str) -> int:
+    """``--seed``: a nonnegative integer, as the config's ``process.seed``."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return seed
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):       # usage errors exit 1; 2 means numerical
         self.print_usage(sys.stderr)
@@ -236,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn, needs_cfg=needs_cfg)
         if needs_cfg:
             p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config base seed")
+            p.add_argument("--seed", type=_seed, default=None,
+                           help="override the config base seed")
         p.add_argument("--out", default=None, help="output directory")
         if name in ("gap", "spectrum"):
             p.add_argument("--threads", type=int, default=1,
@@ -253,6 +264,8 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    if cfg is not None and args.seed is not None:
+        cfg.process.seed = args.seed        # the manifest echoes the seed run
     try:
         if cfg is not None:
             _check_owner(args, cfg.output.prefix)      # before any estimation

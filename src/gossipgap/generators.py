@@ -54,12 +54,17 @@ changed to ``keep = A[i, i] > 0`` and at most one off-diagonal
 ``a = A[j, i]`` (``j`` None when there is none), ``(None, 0.0, None, A)``
 for any other row-allowable member and ``(None, 0.0, None, None)`` for one
 with a zero row; ``stochastic[k]`` flags the column-stochastic members.
-Push-sum fills the table from its graph and per-edge shares and builds
-its emissions from it.  A process keeps no record of served emissions; a
-caller that needs one keeps the indices ``block_events`` returned.
-``spawn`` makes a shallow copy with its own stream: the configuration
-arrays are read-only and shared, so replicate processes cost no
-re-validation.
+Push-sum fills the table from its graph and per-edge shares, and
+``member(k)`` builds one emission from its entry.  A dense block is one
+gather ``stack[k]`` from a read-only ``(f, p, p)`` stack of all members:
+a family's own matrices, or for push-sum the stack of its ``member(k)``,
+built on the first dense emission and shared by every spawn.
+``next_matrix``, ``member`` and the event paths never build it, so they
+stay cheap at wide ``p``, where the stack takes ``2|E| p**2`` floats.  A
+process keeps no record of served emissions; a caller that needs one
+keeps the indices ``block_events`` returned.  ``spawn`` makes a shallow
+copy with its own stream: the configuration arrays are read-only and
+shared, so replicate processes cost no re-validation.
 """
 
 from __future__ import annotations
@@ -167,10 +172,10 @@ class MatrixProcess:
 
     Each kind emits members of a finite set of ``family_size`` matrices and
     implements one vectorised sampler, ``_draw(m)``, giving the member
-    indices of the next ``m`` steps as one ``intp`` array, and two builders
-    from indices: ``_block`` (an ``(m, p, p)`` block) and ``member`` (one
-    emission).  Its ``updates`` table and ``stochastic`` flags (see the
-    module docstring) are built once at construction.  The stream state is
+    indices of the next ``m`` steps as one ``intp`` array, ``member`` (one
+    emission) and ``_members``, the stack ``_block`` gathers blocks from.
+    Its ``updates`` table and ``stochastic`` flags (see the module
+    docstring) are built once at construction.  The stream state is
     the generator ``_rng`` and the look-ahead ``_ahead``, whose indices from
     ``_at`` on are drawn but not yet served.  ``draw_ahead(m)`` alone calls
     ``_draw``: it tops the look-ahead up to at least ``m`` pending steps in
@@ -234,8 +239,12 @@ class MatrixProcess:
     def _draw(self, m: int) -> np.ndarray:
         raise NotImplementedError
 
-    def _block(self, idx: np.ndarray) -> np.ndarray:
+    def _members(self) -> np.ndarray:
+        """The read-only ``(f, p, p)`` stack whose row ``k`` is ``member(k)``."""
         raise NotImplementedError
+
+    def _block(self, idx: np.ndarray) -> np.ndarray:
+        return self._members()[idx]
 
     def member(self, k) -> np.ndarray:
         """Member ``k`` as a fresh ``(p, p)`` float array."""
@@ -357,6 +366,8 @@ class PushSumProcess(MatrixProcess):
     send along edge ``e``, delivered (``lost = 0``) or lost (``lost = 1``).
     Each step consumes exactly two uniforms: the first selects the edge by
     the categorical law ``edge_prob``, the second decides packet loss.
+    The member stack is built on the first dense emission and shared with
+    every spawn.
     """
 
     kind = "push_sum"
@@ -382,11 +393,7 @@ class PushSumProcess(MatrixProcess):
         self.updates = tuple(u for (i, j), a in zip(edges, share)
                              for u in ((i, 1.0 - a, j, a), (i, 1.0 - a, None, 0.0)))
         self.stochastic = np.tile([True, False], ne)
-        # per member: the edited column, its two entries, and the receiver's
-        # row (whose entry is 0.0 for a lost packet)
-        col, keep, _, off = zip(*self.updates)
-        self._col, self._keep, self._off = np.array(col), np.array(keep), np.array(off)
-        self._row = np.repeat([j for _, j in edges], 2)
+        self._stack = []        # the member stack once built: spawns share the list
         self._loss_p = np.array(loss_prob)
         self._cum_q = np.cumsum(np.array(edge_prob))
         self._eye = np.eye(graph.p)
@@ -398,14 +405,12 @@ class PushSumProcess(MatrixProcess):
                        len(self._cum_q) - 1)
         return 2 * e + (u[:, 1] < self._loss_p[e])
 
-    def _block(self, k: np.ndarray) -> np.ndarray:
-        m = len(k)
-        blk = np.zeros((m, self.p, self.p))
-        blk.reshape(m, self.p * self.p)[:, ::self.p + 1] = 1.0     # identity stack
-        s, i = np.arange(m), self._col[k]
-        blk[s, i, i] = self._keep[k]
-        blk[s, self._row[k], i] = self._off[k]
-        return blk
+    def _members(self) -> np.ndarray:
+        if not self._stack:
+            stack = np.stack([self.member(k) for k in range(self.family_size)])
+            stack.setflags(write=False)
+            self._stack.append(stack)
+        return self._stack[0]
 
     def member(self, k) -> np.ndarray:
         a = self._eye.copy()
@@ -448,8 +453,8 @@ class _FamilyProcess(MatrixProcess):
         self.stochastic = np.array([is_column_stochastic(A) for A in stack])
         super().__init__(stack.shape[1], seed)
 
-    def _block(self, idx: np.ndarray) -> np.ndarray:
-        return self.members[idx]
+    def _members(self) -> np.ndarray:
+        return self.members
 
     def member(self, k) -> np.ndarray:
         return self.members[k].copy()

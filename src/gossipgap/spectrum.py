@@ -315,38 +315,20 @@ def estimate_sum_top2_wedge(proc: MatrixProcess, x, w, n: int) -> float:
     return (math.fsum(logs) + twos * math.log(2.0)) / n
 
 
-def _phi_from_factors(U: np.ndarray, lognorm: np.ndarray, Vh: np.ndarray) -> float:
-    """Projective row spread of ``M = U diag(exp(lognorm)) Vh`` (positive M).
+def _phis_from_factors(U: np.ndarray, lognorm: np.ndarray,
+                       Vh: np.ndarray) -> np.ndarray:
+    """Projective row spread ``phi`` of each positive ``M = U diag(exp(lognorm))
+    Vh`` of a stack of trials' factors.
 
     Writing ``M_ik = s_1 u_i v_k (1 + d_ik)`` with the rank->=2 corrections
     ``d_ik``, the spread over ``k`` of ``log M_ik - log M_jk`` equals the
     spread of ``log1p(d_ik) - log1p(d_jk)`` (the Perron part is independent
     of ``k`` and cancels), so the result keeps full precision even when the
-    corrections sit hundreds of nats below the leading term.  Falls back to
-    the entrywise scan when the Perron factors are not strictly one-signed.
-    """
-    u1 = U[:, 0].copy()
-    v1 = Vh[0, :].copy()
-    if np.all(u1 < 0):
-        u1, v1 = -u1, -v1
-    if np.any(u1 <= 0) or np.any(v1 <= 0):
-        return birkhoff_phi((U * np.exp(lognorm)) @ Vh)
-    eps = np.exp(lognorm[1:])
-    delta = ((U[:, 1:] * eps) @ Vh[1:, :]) / np.outer(u1, v1)
-    if np.any(1.0 + delta <= 0.0):
-        return birkhoff_phi((U * np.exp(lognorm)) @ Vh)
-    t = np.log1p(delta)
-    D = t[:, None, :] - t[None, :, :]
-    dmax = D.max(axis=2)
-    return float((dmax + dmax.T).max())
-
-
-def _phis_from_factors(U: np.ndarray, lognorm: np.ndarray,
-                       Vh: np.ndarray) -> np.ndarray:
-    """``_phi_from_factors`` of each trial of a stack of factors, bit for bit:
-    its ``log1p`` path vectorised over trials (chunked so the ``(trials, p,
-    p, p)`` spread stays under ``_BIRKHOFF_BUFFER_BYTES``), a trial that
-    takes one of its fallbacks through ``_phi_from_factors`` itself."""
+    corrections sit hundreds of nats below the leading term.  This path is
+    vectorised over trials, chunked so that the ``(trials, p, p, p)``
+    spread stays under ``_BIRKHOFF_BUFFER_BYTES``.  A trial whose Perron
+    factors are not strictly one-signed, or with some ``1 + d_ik <= 0``,
+    takes the entrywise scan of ``birkhoff_phi`` on ``M`` instead."""
     T, p = lognorm.shape
     u1, v1 = U[:, :, 0], Vh[:, 0, :]
     flip = np.all(u1 < 0, axis=1, keepdims=True)
@@ -366,7 +348,7 @@ def _phis_from_factors(U: np.ndarray, lognorm: np.ndarray,
         dmax = (t[:, :, None, :] - t[:, None, :, :]).max(axis=3)
         phi[sel[ok]] = (dmax + dmax.transpose(0, 2, 1)).max(axis=(1, 2))
     for i in np.flatnonzero(~fast):
-        phi[i] = _phi_from_factors(U[i], lognorm[i], Vh[i])
+        phi[i] = birkhoff_phi((U[i] * np.exp(lognorm[i])) @ Vh[i])
     return phi
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipgap import acceptance, generators
+from gossipgap import acceptance, consensus, generators, spectrum
 from gossipgap.config import load_config
 from gossipgap.core import is_row_allowable
 from gossipgap.generators import (ConstantProcess, Digraph, IIDFamilyProcess,
@@ -20,6 +20,19 @@ from gossipgap.primitivity import _column_edits
 
 def lossy_process(seed, loss=0.2):
     return PushSumProcess(ring_with_chords(5), seed, 0.5, loss)
+
+
+# seed -> (share, loss_prob, edge_prob) of the ring5-with-chords push-sum
+# processes below: uniform ones, and one with every field per edge
+_PUSH_SUM = {
+    9: (0.5, 0.2, None),
+    11: ((0.5, 0.25, 0.3, 0.6, 0.75, 0.5, 0.4), (0.2, 0.0, 0.5, 0.1, 0.3, 0.0, 0.25),
+         (0.1, 0.2, 0.05, 0.15, 0.2, 0.1, 0.2)),
+}
+
+
+def _push_sum(seed):
+    return PushSumProcess(ring_with_chords(5), seed, *_PUSH_SUM[seed])
 
 
 # -- push_sum_matrix ----------------------------------------------------------
@@ -201,6 +214,45 @@ def test_spawn_streams_differ_and_reproduce():
     assert not np.array_equal(a, b)
 
 
+def test_push_sum_spawns_share_one_member_stack(monkeypatch):
+    # the stack is built once, by the first dense emission of any spawn, and
+    # a Birkhoff sweep over several block lengths builds it no more
+    built = []
+    member = PushSumProcess.member
+    monkeypatch.setattr(PushSumProcess, "member",
+                        lambda self, k: built.append(k) or member(self, k))
+    proc = lossy_process(3)
+    a, b = proc.spawn(1), proc.spawn(2)
+    assert not built
+    a.dense_block(5)
+    assert len(built) == proc.family_size == 14
+    assert b._members() is a._members() is proc._members()
+    assert not proc._members().flags.writeable
+    built.clear()
+    for m in (64, 128):
+        spectrum.estimate_gap_birkhoff(proc, m, 8)
+    assert not built
+
+
+def test_push_sum_event_paths_build_no_member_stack():
+    # at complete_digraph(48) the stack would take 4512 * 48**2 * 8 B = 83 MB:
+    # construction, consensus.run, next_matrix and member stay far below it
+    tracemalloc.start()
+    try:
+        proc = PushSumProcess(complete_digraph(48), 1, loss_prob=0.1)
+        x0 = np.random.default_rng(0).uniform(0.1, 1.0, proc.p)
+        traj = consensus.run(proc, x0, np.ones(proc.p), 3000)
+        for _ in range(100):
+            proc.next_matrix()
+        proc.member(proc.family_size - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.ns[-1] == 3000
+    assert proc._stack == []
+    assert peak < 8e6
+
+
 def _markov_fam3():
     return acceptance._envelope_configs()[7][0]
 
@@ -305,13 +357,14 @@ _MARKOV20 = ([np.eye(2) * (k + 1) for k in range(20)],
              np.random.default_rng(20).dirichlet(np.ones(20), size=20))
 
 _EACH_KIND = pytest.mark.parametrize("build", [
-    lambda stream: lossy_process(9).spawn(stream),
+    lambda stream: _push_sum(9).spawn(stream),
+    lambda stream: _push_sum(11).spawn(stream),
     lambda stream: IIDFamilyProcess(_FAM2, [0.4, 0.6], 9).spawn(stream),
     lambda stream: MarkovFamilyProcess(_FAM2, [[0.3, 0.7], [0.6, 0.4]], 9).spawn(stream),
     lambda stream: ConstantProcess(np.ones((2, 2)), 9).spawn(stream),
     # 20 states with 400 distinct row breakpoints: bins need more than a byte
     lambda stream: MarkovFamilyProcess(*_MARKOV20, 9).spawn(stream),
-], ids=["push_sum", "iid", "markov", "constant", "markov20"])
+], ids=["push_sum", "push_sum_per_edge", "iid", "markov", "constant", "markov20"])
 
 
 @_EACH_KIND
@@ -329,9 +382,12 @@ def test_spawn_is_a_fresh_stream_without_history(build):
 
 
 def _event_matrices(proc, ks):
-    """The emissions of member indices ``ks`` of a ``lossy_process``."""
+    """The emissions of member indices ``ks`` of a ``_push_sum`` process,
+    one ``push_sum_matrix`` each."""
     edges = ring_with_chords(proc.p).edges
-    return np.array([push_sum_matrix(proc.p, edges[k // 2], 0.5, loss=k % 2 == 1)
+    shares = np.broadcast_to(_PUSH_SUM[proc.seed][0], len(edges))
+    return np.array([push_sum_matrix(proc.p, edges[k // 2], shares[k // 2],
+                                     loss=k % 2 == 1)
                      for k in ks]).reshape(-1, proc.p, proc.p)
 
 
@@ -351,9 +407,11 @@ def _served(proc, m):
 def test_block_events_consumes_like_next_matrix(build):
     # m steps of block_events advance the stream like m next_matrix calls,
     # and the indices are those of one block_events call over all steps,
-    # whose members are the emissions next_matrix serves
+    # whose members are the emissions next_matrix and dense_block serve
     proc, ref = build((0,)), build((0,))
     whole = build((0,)).block_events(1 + 493).tolist()
+    np.testing.assert_array_equal(build((0,)).dense_block(1 + 493),
+                                  _step_matrices(proc, whole))
     ref.next_matrix()
     proc.next_matrix()
     at = 1

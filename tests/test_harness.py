@@ -898,6 +898,43 @@ def test_cli_threads_only_on_estimators(cfg_path, cmd, capsys):
     assert err.startswith("usage: ") and "--threads" in err
 
 
+def test_cli_manifest_echoes_the_seed_used(cfg_path, tmp_path):
+    # the echoed config, run again without --seed, reproduces the tables
+    out, again = tmp_path / "out", tmp_path / "again"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                 "--seed", "999"]) == 0
+    echo = json.loads((out / "demo_manifest.json").read_text(encoding="utf-8"))["config"]
+    assert echo["process"]["seed"] == 999
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(echo), encoding="utf-8")
+    assert main(["simulate", "--config", str(path), "--out", str(again)]) == 0
+    for table in ("demo_trajectory.csv", "demo_summary.csv"):
+        assert sha256_of(out / table) == sha256_of(again / table)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(again)]) == 0
+    echo = json.loads((again / "demo_manifest.json").read_text(encoding="utf-8"))["config"]
+    assert echo["process"]["seed"] == PUSH_SUM_CFG["process"]["seed"]
+
+
+@pytest.mark.parametrize("seed", ["-5", "abc", "1.5"])
+def test_cli_bad_seed_names_the_flag(cfg_path, tmp_path, seed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+              f"--seed={seed}"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert f"argument --seed: must be a nonnegative integer, got '{seed}'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_acceptance_takes_no_seed(capsys):
+    # the acceptance suite runs on its own pinned seeds
+    with pytest.raises(SystemExit) as exc:
+        main(["acceptance", "--seed", "3"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 def test_manifest_detects_tampering(cfg_path, tmp_path):
     out = tmp_path / "out"
     main(["simulate", "--config", str(cfg_path), "--out", str(out)])

@@ -134,6 +134,30 @@ def test_ab_bench_without_workload_runs_every_workload(tmp_path, capsys):
                                                          ["wins", "0/2", "worse"]]
 
 
+def test_ab_bench_byte_compiles_both_sources_first(tmp_path, monkeypatch):
+    # both sides import gossipgap from bytecode, whatever state they were in,
+    # even where the interpreter writes none of its own
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    ab = _ab_bench()
+    base, change = tmp_path / "base", tmp_path / "change"
+    for side in (base, change):
+        (side / "src" / "pkg").mkdir(parents=True)
+        (side / "src" / "pkg" / "mod.py").write_text("X = 1\n")
+    (base / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.25}]}))
+    seen = []
+
+    def fake_run(checkout, args, workload, seed):
+        if not seen:
+            seen.extend(sorted(p.relative_to(tmp_path).parts[0] for p in
+                               tmp_path.glob("*/src/pkg/__pycache__/mod.*.pyc")))
+        return _contract(rate=1.0)
+
+    assert ab.main([str(base), str(change), "--workload", "w", "--pairs", "1"],
+                   run=fake_run) == 0
+    assert seen == ["base", "change"]
+
+
 _BASE = [100.0, 101.0, 102.0] * 3 + [101.0]     # quartiles 100.25 and 101.75
 _WIDE = [70.0] * 5 + [130.0] * 5                # quartiles 70 and 130: wider than 25%
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gossipgap import acceptance, spectrum
-from gossipgap.core import log_tau_from_phi, wedge_magnitude
+from gossipgap.core import birkhoff_phi, log_tau_from_phi, wedge_magnitude
 from gossipgap.generators import (ConstantProcess, Digraph, IIDFamilyProcess,
                                   PushSumProcess, ring, ring_with_chords)
 from gossipgap.spectrum import (check_det_identity, estimate_gap_birkhoff,
@@ -497,8 +497,6 @@ def test_birkhoff_below_qr_gap():
 def test_birkhoff_factored_matches_entrywise_phi():
     # the factored evaluation must agree with the direct entrywise scan
     # wherever the latter is well-conditioned
-    from gossipgap.core import birkhoff_phi
-    from gossipgap.spectrum import _phi_from_factors
     rng = np.random.default_rng(0)
     for _ in range(500):
         p = int(rng.integers(2, 7))
@@ -506,8 +504,8 @@ def test_birkhoff_factored_matches_entrywise_phi():
         u, s, vh = np.linalg.svd(m)
         with np.errstate(divide="ignore"):
             ln = np.log(s) - np.log(s[0])
-        assert _phi_from_factors(u, ln, vh) == pytest.approx(
-            birkhoff_phi(m), abs=1e-10)
+        (phi,) = spectrum._phis_from_factors(u[None], ln[None], vh[None])
+        assert phi == pytest.approx(birkhoff_phi(m), abs=1e-10)
 
 
 def test_birkhoff_resolves_deep_contraction():
@@ -551,8 +549,8 @@ def _birkhoff_per_segment(proc, m, trials):
             lognorm = np.log(sv) - np.log(sv[:, :1])
         Vh = wh @ Vh
         done += seg
-    phis = [spectrum._phi_from_factors(U[t], lognorm[t], Vh[t])
-            for t in range(T) if pat[t].all()]
+    positive = pat.all(axis=(1, 2))
+    phis = spectrum._phis_from_factors(U[positive], lognorm[positive], Vh[positive])
     vals = np.array([-log_tau_from_phi(phi) / m for phi in phis if phi != 0.0])
     n_zero = len(phis) - len(vals)
     value = float(vals.mean()) if len(vals) else math.nan if n_zero else 0.0
@@ -667,9 +665,27 @@ def test_birkhoff_draw_length():
                 assert n * t * p * p * 8 <= cap < (n + 16) * t * p * p * 8
 
 
+def _phi_per_trial(U, lognorm, Vh):
+    """Reference ``phi`` of one trial's factors: the ``log1p`` spread of
+    ``_phis_from_factors`` evaluated on its own, falling back to the
+    entrywise scan of ``M`` when the Perron factors are not strictly
+    one-signed or some ``1 + delta <= 0``."""
+    u1, v1 = U[:, 0].copy(), Vh[0, :].copy()
+    if np.all(u1 < 0):
+        u1, v1 = -u1, -v1
+    if np.any(u1 <= 0) or np.any(v1 <= 0):
+        return birkhoff_phi((U * np.exp(lognorm)) @ Vh)
+    delta = ((U[:, 1:] * np.exp(lognorm[1:])) @ Vh[1:, :]) / np.outer(u1, v1)
+    if np.any(1.0 + delta <= 0.0):
+        return birkhoff_phi((U * np.exp(lognorm)) @ Vh)
+    t = np.log1p(delta)
+    dmax = (t[:, None, :] - t[None, :, :]).max(axis=2)
+    return float((dmax + dmax.T).max())
+
+
 def _phi_cases():
     """Factor stacks covering the log1p path and every fallback of
-    ``_phi_from_factors``: a flipped all-negative Perron pair (log1p path),
+    ``_phi_per_trial``: a flipped all-negative Perron pair (log1p path),
     a sign split, a non-positive Perron component and ``1 + delta <= 0``.
     The factors need not be orthonormal; the fallback rows describe
     row-allowable matrices ``U diag(exp(lognorm)) Vh`` built by hand."""
@@ -706,13 +722,12 @@ def test_batched_phi_matches_per_trial(cap, monkeypatch):
     if cap is not None:
         monkeypatch.setattr(spectrum, "_BIRKHOFF_BUFFER_BYTES", cap)
     calls = []
-    per_trial = spectrum._phi_from_factors
-    monkeypatch.setattr(spectrum, "_phi_from_factors",
-                        lambda *a: calls.append(1) or per_trial(*a))
+    monkeypatch.setattr(spectrum, "birkhoff_phi",
+                        lambda M: calls.append(1) or birkhoff_phi(M))
     for u, ln, vh in _phi_cases():
         calls.clear()
         got = spectrum._phis_from_factors(u, ln, vh)
-        want = [per_trial(u[t], ln[t], vh[t]) for t in range(len(ln))]
+        want = [_phi_per_trial(u[t], ln[t], vh[t]) for t in range(len(ln))]
         np.testing.assert_array_equal(got, want)
         assert len(calls) == 3       # sign split, zero component, 1 + delta <= 0
     assert spectrum._phis_from_factors(u[:0], ln[:0], vh[:0]).shape == (0,)
