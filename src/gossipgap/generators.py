@@ -32,22 +32,22 @@ responsibility.
 
 A step is described by its member index ``k`` in the process's finite
 set of emissions: a family's member, or for push-sum ``k = 2 e + lost``,
-the send along edge ``e``, delivered or lost.  Each kind has one
-vectorised sampler that draws the indices of the next ``m`` steps (a
+the send along edge ``e``, delivered or lost.  Each kind has one sampler,
+``_draw(lanes, out)``, that writes the indices of the next ``len(out)``
+steps of each process of ``lanes`` (spawns of one process), drawn from
+that lane's own generator, into its column of the step-major ``out`` (a
 Markov family walks the chain through a next-state table indexed by state
 and by the bin of each step's uniform among all merged row breakpoints;
 the constant kind consumes no draws).  A process holds its generator and
 a cursor into one look-ahead buffer of drawn but not yet served indices.
-``draw_ahead`` is the one call that draws: it tops that buffer up with a
-run of steps in one sampler call without serving any of them.
-``next_matrix``, ``dense_block`` and the indices themselves
-(``block_events`` for a block of steps, ``step_events`` one step at a
-time) serve from the buffer and draw ahead when it runs short, so any
-interleaving of them consumes the stream exactly like single steps.
-``draw_ahead_lanes`` draws ahead for many spawned replicates at once (a
-Markov family walks the chains of ``_WALK_LANES`` or more replicates
-together, one numpy gather per step, instead of one Python walk each).
-``member(k)`` builds member ``k``,
+``draw_ahead_lanes`` is the one call that draws: it tops up the
+look-aheads of many lanes in lockstep in one sampler call without serving
+any step, each lane's look-ahead becoming a column of one step-major
+array; ``draw_ahead`` is its one-lane case.  ``next_matrix``,
+``dense_block`` and the indices themselves (``block_events`` for a block
+of steps, ``step_events`` one step at a time) serve from the buffer and
+draw ahead when it runs short, so any interleaving of them consumes the
+stream exactly like single steps.  ``member(k)`` builds member ``k``,
 and the read-only table ``updates[k]`` says what it does to a vector:
 ``(i, keep, j, a)`` when it is the identity with only column ``i``
 changed to ``keep = A[i, i] > 0`` and at most one off-diagonal
@@ -171,27 +171,26 @@ class MatrixProcess:
     """Seeded generator of a stationary sequence of nonnegative matrices.
 
     Each kind emits members of a finite set of ``family_size`` matrices and
-    implements one vectorised sampler, ``_draw(m)``, giving the member
-    indices of the next ``m`` steps as one ``intp`` array, ``member`` (one
-    emission) and ``_members``, the stack ``_block`` gathers blocks from.
+    implements one sampler, ``_draw(lanes, out)``, ``member`` (one
+    emission) and ``_members``, the stack ``dense_block`` gathers from.
+    ``_draw`` writes the member indices of the next ``len(out) >= 1`` steps
+    of every process of ``lanes`` (this process or spawns of it) into the
+    step-major ``intp`` array ``out``, column ``t`` for ``lanes[t]`` and
+    drawn from that lane's own generator, exactly as a one-lane call would.
     Its ``updates`` table and ``stochastic`` flags (see the module
     docstring) are built once at construction.  The stream state is
     the generator ``_rng`` and the look-ahead ``_ahead``, whose indices from
-    ``_at`` on are drawn but not yet served.  ``draw_ahead(m)`` alone calls
-    ``_draw``: it tops the look-ahead up to at least ``m`` pending steps in
-    one call, so a caller that knows how many steps it will take pays one
-    sampler call for all of them.  Drawing ahead serves nothing: the stream
-    is drawn in the same order either way.  ``block_events``,
-    ``dense_block``, ``next_matrix`` and ``step_events`` serve pending
-    steps first; the first two draw ahead what they lack, the last two
-    draw ``_LOOKAHEAD`` steps ahead when the look-ahead is empty.
-    ``draw_ahead_lanes(lanes, m)`` does ``draw_ahead(m)`` for many spawns
-    of this process in lockstep at once (the replicates of an estimator),
-    each lane drawing from its own stream.  Only a Markov family draws its
-    lanes together, because only its sampler loops in Python per step;
-    the lane count at which that pays (``_WALK_LANES``) was measured.
-    ``spawn`` derives an independent but reproducible stream for replicate
-    work.
+    ``_at`` on are drawn but not yet served.  ``draw_ahead_lanes(lanes, m)``
+    alone calls ``_draw``: it tops every lane's look-ahead up to at least
+    ``m`` pending steps in one call, so a caller that knows how many steps
+    it will take pays one sampler call for all of them and all its lanes
+    (the replicates of an estimator).  ``draw_ahead(m)`` is its one-lane
+    case.  Drawing ahead serves nothing: the stream is drawn in the same
+    order either way.  ``block_events``, ``dense_block``, ``next_matrix``
+    and ``step_events`` serve pending steps first; the first two draw ahead
+    what they lack, the last two draw ``_LOOKAHEAD`` steps ahead when the
+    look-ahead is empty.  ``spawn`` derives an independent but reproducible
+    stream for replicate work.
     """
 
     kind = "abstract"
@@ -236,15 +235,12 @@ class MatrixProcess:
 
     # -- emission ----------------------------------------------------------
 
-    def _draw(self, m: int) -> np.ndarray:
+    def _draw(self, lanes, out: np.ndarray) -> None:
         raise NotImplementedError
 
     def _members(self) -> np.ndarray:
         """The read-only ``(f, p, p)`` stack whose row ``k`` is ``member(k)``."""
         raise NotImplementedError
-
-    def _block(self, idx: np.ndarray) -> np.ndarray:
-        return self._members()[idx]
 
     def member(self, k) -> np.ndarray:
         """Member ``k`` as a fresh ``(p, p)`` float array."""
@@ -253,15 +249,8 @@ class MatrixProcess:
     def draw_ahead(self, m: int) -> None:
         """Make at least ``m`` steps pending in the look-ahead without
         serving them: every later emission stays as it was."""
-        m = int(m)
-        if m < 0:
-            raise ValueError("step count must be nonnegative")
-        ahead, at = self._ahead, self._at
-        pending = len(ahead) - at
-        if m > pending:
-            fresh = self._draw(m - pending)
-            self._ahead = np.concatenate((ahead[at:], fresh)) if pending else fresh
-            self._at = 0
+        if not 0 <= m <= len(self._ahead) - self._at:
+            self.draw_ahead_lanes((self,), m)
 
     def draw_ahead_lanes(self, lanes, m: int) -> None:
         """``draw_ahead(m)`` on every process of ``lanes`` at once.
@@ -270,24 +259,29 @@ class MatrixProcess:
         number of steps pending in each look-ahead, as for replicates that
         have served the same steps.  Each lane then draws from its own
         stream exactly what its own ``draw_ahead(m)`` would draw, and is
-        left as that call would leave it.  Only a Markov family draws its
-        lanes together; every other kind draws lane by lane, its sampler
-        being vectorised already.
+        left as that call would leave it.  Each lane's look-ahead becomes a
+        column of one step-major ``(m, lanes)`` array: the lane's pending
+        steps and the new ones.  The old look-aheads are let go before that
+        array is made, so the indices of all lanes never take more than it.
         """
-        self._lockstep(lanes, m)
-        for pr in lanes:
-            pr.draw_ahead(m)
-
-    @staticmethod
-    def _lockstep(lanes, m: int) -> int:
-        """The number of steps pending in every lane's look-ahead; refuses a
-        negative ``m`` and lanes whose pending counts differ."""
+        m = int(m)
         if m < 0:
             raise ValueError("step count must be nonnegative")
-        pending = {len(pr._ahead) - pr._at for pr in lanes}
-        if len(pending) > 1:
+        counts = {len(pr._ahead) - pr._at for pr in lanes}
+        if len(counts) > 1:
             raise ValueError("lanes must be in lockstep: their pending step counts differ")
-        return pending.pop() if pending else 0
+        pending = counts.pop() if counts else m     # no lanes: nothing to draw
+        if m <= pending:
+            return
+        head = np.empty((pending, len(lanes)), dtype=np.intp)
+        for t, pr in enumerate(lanes):
+            head[:, t] = pr._ahead[pr._at:]
+            pr._ahead, pr._at = head[:0, t], 0      # lets the old look-ahead go
+        out = np.empty((m, len(lanes)), dtype=np.intp)
+        out[:pending] = head
+        self._draw(lanes, out[pending:])
+        for t, pr in enumerate(lanes):
+            pr._ahead = out[:, t]
 
     def block_events(self, m: int) -> np.ndarray:
         """Member indices of the next ``m`` steps as one ``intp`` array.
@@ -308,7 +302,7 @@ class MatrixProcess:
         Equivalent to ``m`` calls of ``next_matrix`` (same stream
         consumption).
         """
-        return self._block(self.block_events(m))
+        return self._members()[self.block_events(m)]
 
     def next_matrix(self) -> np.ndarray:
         """Emit ``A_n`` as a fresh ``(p, p)`` float array and advance the
@@ -399,11 +393,12 @@ class PushSumProcess(MatrixProcess):
         self._eye = np.eye(graph.p)
         super().__init__(graph.p, seed)
 
-    def _draw(self, m: int) -> np.ndarray:
-        u = self._rng.random((m, 2))
-        e = np.minimum(np.searchsorted(self._cum_q, u[:, 0], side="right"),
-                       len(self._cum_q) - 1)
-        return 2 * e + (u[:, 1] < self._loss_p[e])
+    def _draw(self, lanes, out: np.ndarray) -> None:
+        for t, pr in enumerate(lanes):
+            u = pr._rng.random((len(out), 2))
+            e = np.minimum(np.searchsorted(self._cum_q, u[:, 0], side="right"),
+                           len(self._cum_q) - 1)
+            out[:, t] = 2 * e + (u[:, 1] < self._loss_p[e])
 
     def _members(self) -> np.ndarray:
         if not self._stack:
@@ -475,10 +470,11 @@ class IIDFamilyProcess(_FamilyProcess):
         self._cum = np.cumsum(probs)
         super().__init__(matrices, seed)
 
-    def _draw(self, m: int) -> np.ndarray:
-        u = self._rng.random(m)
-        return np.minimum(np.searchsorted(self._cum, u, side="right"),
-                          self.family_size - 1)
+    def _draw(self, lanes, out: np.ndarray) -> None:
+        for t, pr in enumerate(lanes):
+            u = pr._rng.random(len(out))
+            out[:, t] = np.minimum(np.searchsorted(self._cum, u, side="right"),
+                                   self.family_size - 1)
 
 
 class MarkovFamilyProcess(_FamilyProcess):
@@ -491,10 +487,7 @@ class MarkovFamilyProcess(_FamilyProcess):
     cumulative rows fixes how many of each row's breakpoints lie at or below
     ``u``, so one ``searchsorted`` per draw and a ``(state, bin)`` next-state
     table, shared with spawned copies, give the states a per-row
-    ``searchsorted`` gives.  One walker, ``_walk``, serves both a single
-    draw and ``draw_ahead_lanes`` over many spawns: the lane count alone
-    decides whether it walks each chain in a Python loop or all chains
-    together in a numpy loop (``_WALK_LANES``).
+    ``searchsorted`` gives.
     """
 
     kind = "markov_family"
@@ -542,38 +535,8 @@ class MarkovFamilyProcess(_FamilyProcess):
         super().reset()
         self._state: int | None = None     # chain state after the last draw
 
-    def _draw(self, m: int) -> np.ndarray:
-        out = np.empty((m, 1), dtype=np.intp)
-        self._walk((self,), out)
-        return out[:, 0]
-
-    def draw_ahead_lanes(self, lanes, m: int) -> None:
-        """``draw_ahead(m)`` on every process of ``lanes`` (see
-        ``MatrixProcess.draw_ahead_lanes``), walking all chains in one call.
-
-        Each lane's look-ahead becomes a column of one step-major
-        ``(pending + k, lanes)`` array: the lane's pending steps and the
-        ``k`` new ones.  The old look-aheads are let go before that array is
-        made, so the indices of all lanes never take more than it.
-        """
-        pending = self._lockstep(lanes, m)
-        k = int(m) - pending
-        if k <= 0:
-            return
-        head = np.empty((pending, len(lanes)), dtype=np.intp)
-        for t, pr in enumerate(lanes):
-            head[:, t] = pr._ahead[pr._at:]
-            pr._ahead, pr._at = head[:0, t], 0      # lets the old look-ahead go
-        out = np.empty((pending + k, len(lanes)), dtype=np.intp)
-        out[:pending] = head
-        self._walk(lanes, out[pending:])
-        for t, pr in enumerate(lanes):
-            pr._ahead = out[:, t]
-
-    def _walk(self, lanes, out: np.ndarray) -> None:
-        """Write the next ``len(out)`` states of the chain of every process
-        in ``lanes`` (this process or spawns of it) into the columns of the
-        step-major ``out``, one column per lane.
+    def _draw(self, lanes, out: np.ndarray) -> None:
+        """Walk the chain of every lane (see ``MatrixProcess``).
 
         Each lane takes ``len(out)`` uniforms from its own generator.  A
         chain not yet placed is placed by its first uniform through the
@@ -584,8 +547,6 @@ class MarkovFamilyProcess(_FamilyProcess):
         together, one numpy gather per step.
         """
         k = len(out)
-        if not k:
-            return
         together = len(lanes) >= _WALK_LANES
         if together:
             bins = np.empty(out.shape, dtype=self._bin_dtype)
@@ -625,5 +586,5 @@ class ConstantProcess(_FamilyProcess):
     def __init__(self, matrix, seed: int = 0):
         super().__init__([matrix], seed)
 
-    def _draw(self, m: int) -> np.ndarray:
-        return np.zeros(m, dtype=np.intp)
+    def _draw(self, lanes, out: np.ndarray) -> None:
+        out[:] = 0

@@ -563,28 +563,41 @@ def test_draw_ahead_lanes_refuses_lanes_out_of_lockstep(build):
     assert all(pr._ahead is a for pr, a in zip(lanes, aheads))
 
 
+@_EACH_KIND
+def test_draw_ahead_lanes_without_lanes_is_a_no_op(build):
+    parent = build((0,))
+    rng = parent._rng.bit_generator.state
+    parent.draw_ahead_lanes((), 100)
+    parent.draw_ahead_lanes([], 0)
+    assert parent._rng.bit_generator.state == rng
+    np.testing.assert_array_equal(parent.block_events(300), build((0,)).block_events(300))
+
+
 @pytest.mark.parametrize("run", [1, 2])
 def test_draw_ahead_lanes_peak_memory_is_the_index_array(run):
-    # 128 fam3 trials drawing 1024 steps together hold the step-major intp
-    # indices and one byte of bins per step, not a float staging array; on
-    # a second run, after the first run's steps were served, the first
-    # run's indices (traced too) are let go before the new ones are drawn
+    # 128 trials of the fam3, ring5 push-sum and i.i.d. kinds drawing 1024
+    # steps together hold the step-major intp indices (and, for fam3, one
+    # byte of bins per step), not a float staging array of all lanes; on a
+    # second run, after the first run's steps were served, the first run's
+    # indices (traced too) are let go before the new ones are drawn
     cfg = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "full"
-    parent = load_config(cfg / "markov-family" / "estimate.json").build_process(5)
     T, m = 128, 1024
-    lanes = [parent.spawn((3, m, t)) for t in range(T)]
-    tracemalloc.start()
-    try:
-        for _ in range(run - 1):
+    for parent in (load_config(cfg / "markov-family" / "estimate.json").build_process(5),
+                   load_config(cfg / "ring5-lossy" / "estimate.json").build_process(5),
+                   IIDFamilyProcess(_FAM2, [0.4, 0.6], 5)):
+        lanes = [parent.spawn((3, m, t)) for t in range(T)]
+        tracemalloc.start()
+        try:
+            for _ in range(run - 1):
+                parent.draw_ahead_lanes(lanes, m)
+                for pr in lanes:
+                    pr.block_events(m)
+            tracemalloc.reset_peak()
             parent.draw_ahead_lanes(lanes, m)
-            for pr in lanes:
-                pr.block_events(m)
-        tracemalloc.reset_peak()
-        parent.draw_ahead_lanes(lanes, m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * T * m * 8
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * T * m * 8, parent.kind
 
 
 @_EACH_KIND
@@ -646,12 +659,12 @@ def _power_of_two(a: float) -> bool:
 @given(drawn=member_processes(), seed=st.integers(0, 2**32 - 1))
 def test_member_table_agrees_with_every_member(drawn, seed):
     # the update table, the column-stochastic flags, primitivity's column
-    # edits and `_block` all describe the matrix member(k) returns,
+    # edits and the member stack all describe the matrix member(k) returns,
     # which is the member the process was built with
     proc, members = drawn
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, proc.p)
     edits = _column_edits(proc)
-    block = proc._block(np.arange(proc.family_size))
+    block = proc._members()
     assert len(edits) == len(proc.updates) == len(proc.stochastic) == proc.family_size
     for k in range(proc.family_size):
         A = proc.member(k)

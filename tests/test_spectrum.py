@@ -597,14 +597,15 @@ def test_birkhoff_matches_per_segment_reference(proc, draw, monkeypatch):
 
 
 def test_birkhoff_draws_each_index_run_once(monkeypatch):
-    # one sampler call per trial per p^2 * draw_len steps, the last one short
+    # one sampler call covering every trial per p^2 * draw_len steps, the
+    # last one short
     monkeypatch.setattr(spectrum, "_BIRKHOFF_BUFFER_BYTES", 16 * 3 * 2 ** 2 * 8)
     calls = []
     real = PushSumProcess._draw
-    monkeypatch.setattr(PushSumProcess, "_draw",
-                        lambda self, m: calls.append(m) or real(self, m))
+    monkeypatch.setattr(PushSumProcess, "_draw", lambda self, lanes, out: (
+        calls.append((len(lanes), len(out))) or real(self, lanes, out)))
     estimate_gap_birkhoff(two_node(0.25), 150, 3)
-    assert calls == [64] * 3 + [64] * 3 + [22] * 3
+    assert calls == [(3, 64), (3, 64), (3, 22)]
 
 
 def _steps_to_positive(proc, m, trials):
