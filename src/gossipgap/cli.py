@@ -83,7 +83,7 @@ def _try_rate(ns, values) -> float:
 
 
 def cmd_simulate(args, cfg: ExperimentConfig) -> int:
-    proc = cfg.build_process(args.seed)
+    proc = cfg.build_process()
     x0, w0 = cfg.build_initial(proc.p)
     h = cfg.horizon
     traj = consensus.run(proc, x0, w0, h.n, checkpoints=consensus.make_checkpoints(
@@ -113,7 +113,7 @@ def _check_qr_horizon(cfg: ExperimentConfig) -> None:
 
 def cmd_spectrum(args, cfg: ExperimentConfig) -> int:
     from . import spectrum
-    proc = cfg.build_process(args.seed)
+    proc = cfg.build_process()
     e = cfg.estimators
     if e.k > proc.p:
         raise ConfigError(f"estimators.k = {e.k} exceeds the process dimension "
@@ -144,7 +144,7 @@ def cmd_spectrum(args, cfg: ExperimentConfig) -> int:
 
 def cmd_gap(args, cfg: ExperimentConfig) -> int:
     from . import spectrum
-    proc = cfg.build_process(args.seed)
+    proc = cfg.build_process()
     e = cfg.estimators
     if proc.p < 2:
         raise ConfigError(f"gap needs a process dimension p >= 2; got p = {proc.p}")
@@ -171,7 +171,7 @@ def cmd_gap(args, cfg: ExperimentConfig) -> int:
 
 def cmd_primitivity(args, cfg: ExperimentConfig) -> int:
     from . import primitivity
-    proc = cfg.build_process(args.seed)
+    proc = cfg.build_process()
     rep = primitivity.is_family_primitive(proc.pattern_family())
     if not rep.family_primitive:
         # no emitted product is ever positive, so no index sample can end

@@ -28,7 +28,9 @@ Markov-modulated schedules must use an irreducible index chain; the chain
 always starts from its stationary distribution, so the emitted sequence is
 strictly stationary.  Whether a user-supplied chain also satisfies the
 moment/mixing conditions required by the asymptotic theory is the user's
-responsibility.
+responsibility.  Every draw maps a uniform ``u < 1`` through a law's
+``_cumulative`` sums, exactly 1 from its last positive probability on, so
+an outcome of probability 0 is never drawn.
 
 A step is described by its member index ``k`` in the process's finite
 set of emissions: a family's member, or for push-sum ``k = 2 e + lost``,
@@ -37,9 +39,10 @@ the send along edge ``e``, delivered or lost.  Each kind has one sampler,
 steps of each process of ``lanes`` (spawns of one process), drawn from
 that lane's own generator, into its column of the step-major ``out`` (a
 Markov family walks the chain through a next-state table indexed by state
-and by the bin of each step's uniform among all merged row breakpoints;
-the constant kind consumes no draws).  A process holds its generator and
-a cursor into one look-ahead buffer of drawn but not yet served indices.
+and by the bin of each step's uniform among all merged row breakpoints
+below 1, the start being one more row; the constant kind consumes no
+draws).  A process holds its generator and a cursor into one look-ahead
+buffer of drawn but not yet served indices.
 ``draw_ahead_lanes`` is the one call that draws: it tops up the
 look-aheads of many lanes in lockstep in one sampler call without serving
 any step, each lane's look-ahead becoming a column of one step-major
@@ -93,9 +96,9 @@ __all__ = [
 _LOOKAHEAD = 64     # steps next_matrix and step_events draw into an empty look-ahead
 # Markov chains are walked together, one numpy gather per step, from this
 # many lanes on, and one by one in a Python loop below it.  Per lane-step on
-# the fam3 chain (2 vCPU, numpy 2.4.6, min of 9 runs of 2016 steps): the
-# Python loop took 88-96 ns at 16-128 lanes; the numpy loop 155-163 ns at
-# 16 lanes, 95-101 ns at 32, 85-87 ns at 40 and 56-58 ns at 128.
+# the fam3 chain, bins included (2 vCPU, numpy 2.4.6, min of 9 runs of 2016
+# steps, three runs): the Python loop took 69-82 ns at 2-128 lanes; the
+# numpy loop 119-127 ns at 16 lanes, 74-76 at 32, 68-70 at 40 and 44-46 at 128.
 _WALK_LANES = 40
 
 
@@ -165,6 +168,15 @@ def push_sum_matrix(p: int, edge: tuple[int, int], alpha: float,
 def is_column_stochastic(A) -> bool:
     sums = np.asarray(A, dtype=float).sum(axis=0)
     return bool(np.all(np.abs(sums - 1.0) <= PROB_TOL))
+
+
+def _cumulative(probs) -> np.ndarray:
+    """Cumulative sums of the law ``probs``, exactly 1.0 from its last
+    positive probability on: ``searchsorted(cum, u, "right")`` of a uniform
+    ``0 <= u < 1`` is then an outcome of positive probability."""
+    cum = np.cumsum(probs, dtype=float)
+    cum[np.flatnonzero(probs)[-1]:] = 1.0
+    return cum
 
 
 class MatrixProcess:
@@ -389,15 +401,14 @@ class PushSumProcess(MatrixProcess):
         self.stochastic = np.tile([True, False], ne)
         self._stack = []        # the member stack once built: spawns share the list
         self._loss_p = np.array(loss_prob)
-        self._cum_q = np.cumsum(np.array(edge_prob))
+        self._cum_q = _cumulative(edge_prob)
         self._eye = np.eye(graph.p)
         super().__init__(graph.p, seed)
 
     def _draw(self, lanes, out: np.ndarray) -> None:
         for t, pr in enumerate(lanes):
             u = pr._rng.random((len(out), 2))
-            e = np.minimum(np.searchsorted(self._cum_q, u[:, 0], side="right"),
-                           len(self._cum_q) - 1)
+            e = np.searchsorted(self._cum_q, u[:, 0], side="right")
             out[:, t] = 2 * e + (u[:, 1] < self._loss_p[e])
 
     def _members(self) -> np.ndarray:
@@ -467,27 +478,26 @@ class IIDFamilyProcess(_FamilyProcess):
         if np.any(probs < 0) or not abs(float(probs.sum()) - 1.0) <= PROB_TOL:
             raise ValueError("probabilities must be nonnegative and sum to 1")
         self.probs = probs
-        self._cum = np.cumsum(probs)
+        self._cum = _cumulative(probs)
         super().__init__(matrices, seed)
 
     def _draw(self, lanes, out: np.ndarray) -> None:
         for t, pr in enumerate(lanes):
             u = pr._rng.random(len(out))
-            out[:, t] = np.minimum(np.searchsorted(self._cum, u, side="right"),
-                                   self.family_size - 1)
+            out[:, t] = np.searchsorted(self._cum, u, side="right")
 
 
 class MarkovFamilyProcess(_FamilyProcess):
     """Finite family modulated by an irreducible Markov index chain.
 
     The chain starts from its stationary distribution, so the emitted matrix
-    sequence is strictly stationary.  One uniform is consumed per step (the
-    first selects the initial state, later ones drive transitions).  The
-    bin of a transition's uniform ``u`` among the merged breakpoints of all
-    cumulative rows fixes how many of each row's breakpoints lie at or below
-    ``u``, so one ``searchsorted`` per draw and a ``(state, bin)`` next-state
-    table, shared with spawned copies, give the states a per-row
-    ``searchsorted`` gives.
+    sequence is strictly stationary: a fresh chain is in the start state
+    ``f``, whose row is the stationary law, and each step, one uniform,
+    moves it by its row's ``_cumulative`` law.  The bin of a step's uniform
+    ``u`` among the merged breakpoints below 1 of all rows fixes how many
+    of each row's breakpoints lie at or below ``u``, so one ``searchsorted``
+    per draw and a ``(state, bin)`` next-state table, shared with spawned
+    copies, give the states a per-row ``searchsorted`` gives.
     """
 
     kind = "markov_family"
@@ -507,16 +517,16 @@ class MarkovFamilyProcess(_FamilyProcess):
         if not reach.all():
             raise ValueError("index chain must be irreducible")
         self.transition = P
-        self._cum_init = np.cumsum(self._stationary(P))
-        # _next[s][b]: the state after s when the step's uniform u falls in
-        # bin b = searchsorted(_edges, u, "right") of the merged breakpoints
-        # (sorted distinct values without np.unique, which imports numpy.ma);
-        # _next_array is the same table for the walk over many lanes
-        cum_rows = np.cumsum(P, axis=1)
-        self._edges = np.array(sorted(set(cum_rows.flat)))
+        # _next[s][b]: the state after s (f: the start) when the step's
+        # uniform u falls in bin b = searchsorted(_edges, u, "right") of the
+        # merged breakpoints below 1 (sorted distinct values without
+        # np.unique, which imports numpy.ma); _next_array is the same table
+        # for the walk over many lanes
+        cum_rows = [_cumulative(row) for row in (*P, self._stationary(P))]
+        self._edges = np.array(sorted({c for row in cum_rows for c in row.tolist()
+                                       if c < 1.0}))
         self._next = tuple(
-            (0, *np.minimum(np.searchsorted(row, self._edges, side="right"),
-                            f - 1).tolist())
+            (0, *np.searchsorted(row, self._edges, side="right").tolist())
             for row in cum_rows)
         self._next_array = np.array(self._next, dtype=np.intp)
         self._bin_dtype = np.min_scalar_type(len(self._edges))
@@ -533,48 +543,36 @@ class MarkovFamilyProcess(_FamilyProcess):
 
     def reset(self):
         super().reset()
-        self._state: int | None = None     # chain state after the last draw
+        self._state = self.family_size      # chain state after the last draw; f: the start
 
     def _draw(self, lanes, out: np.ndarray) -> None:
         """Walk the chain of every lane (see ``MatrixProcess``).
 
-        Each lane takes ``len(out)`` uniforms from its own generator.  A
-        chain not yet placed is placed by its first uniform through the
-        stationary law; every other uniform moves the chain through ``_next``
-        by its bin among ``_edges``.  Below ``_WALK_LANES`` lanes each chain
+        Each lane takes ``len(out)`` uniforms from its own generator, whose
+        bins among ``_edges`` are stored in ``_bin_dtype``; each bin moves
+        the chain through ``_next``.  Below ``_WALK_LANES`` lanes each chain
         is walked on its own in a Python loop over ``_next``.  From there on
-        the bins are stored in ``_bin_dtype`` and all chains are walked
-        together, one numpy gather per step.
+        all chains are walked together, one numpy gather per step.
         """
-        k = len(out)
-        together = len(lanes) >= _WALK_LANES
-        if together:
-            bins = np.empty(out.shape, dtype=self._bin_dtype)
-        table = self._next
+        bins = np.empty(out.shape, dtype=self._bin_dtype)
         for t, pr in enumerate(lanes):
-            u = pr._rng.random(k)
-            b = np.searchsorted(self._edges, u, side="right")
-            s = pr._state
-            if s is None:       # the first draw places the chain by its stationary law
-                s = int(min(np.searchsorted(self._cum_init, u[0], side="right"),
-                            self.family_size - 1))
-            else:
-                s = table[s][b[0]]
-            if together:
-                out[0, t] = s
-                bins[:, t] = b
-                continue
-            idx = [s]
-            for c in b[1:].tolist():
-                s = table[s][c]
-                idx.append(s)
-            pr._state = s
-            out[:, t] = idx
-        if together:
-            for i in range(1, k):
-                out[i] = self._next_array[out[i - 1], bins[i]]
-            for pr, s in zip(lanes, out[-1].tolist()):
+            bins[:, t] = np.searchsorted(self._edges, pr._rng.random(len(out)),
+                                         side="right")
+        if len(lanes) < _WALK_LANES:
+            table = self._next
+            for t, pr in enumerate(lanes):
+                s, idx = pr._state, []
+                for b in bins[:, t].tolist():
+                    s = table[s][b]
+                    idx.append(s)
+                out[:, t] = idx
                 pr._state = s
+            return
+        s = np.array([pr._state for pr in lanes])
+        for i, b in enumerate(bins):
+            s = out[i] = self._next_array[s, b]
+        for pr, state in zip(lanes, s.tolist()):
+            pr._state = state
 
 
 class ConstantProcess(_FamilyProcess):

@@ -282,16 +282,22 @@ def test_markov_dense_block_splits_match_next_matrix(build, schedule):
     np.testing.assert_array_equal(mixed.block_events(300), ref.block_events(300))
 
 
+def _outcomes(probs, u):
+    """The outcome of each uniform of ``u`` under the law ``probs``: located
+    by a ``searchsorted`` in the plain cumulative sums, and the last outcome
+    of positive probability where the sums end at or below ``u``."""
+    last = np.flatnonzero(probs)[-1]
+    return np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), last)
+
+
 def _per_row_walk(proc, u):
-    """Reference Markov walk over the uniforms ``u``: the first places the
-    chain by the stationary law, each later one is located by a
-    ``searchsorted`` in the current state's cumulative transition row."""
-    f = proc.family_size
-    s = int(min(np.searchsorted(proc._cum_init, u[0], side="right"), f - 1))
+    """Reference Markov walk over the uniforms ``u``, from ``proc.transition``
+    alone: the first places the chain by the stationary law, each later one
+    moves it by the current state's transition row (``_outcomes``)."""
+    P = proc.transition
+    s = int(_outcomes(MarkovFamilyProcess._stationary(P), u[:1])[0])
     idx = [s]
-    cum_rows = np.cumsum(proc.transition, axis=1)
-    nxt = np.minimum(np.stack([np.searchsorted(row, u[1:], side="right")
-                               for row in cum_rows], axis=1), f - 1)
+    nxt = np.stack([_outcomes(row, u[1:]) for row in P], axis=1)
     for row in nxt:
         s = int(row[s])
         idx.append(s)
@@ -327,10 +333,11 @@ def test_markov_table_walk_matches_per_row_walk(f, weights, short_rows, pool, ta
     if short_rows:                      # cumulative rows ending below 1.0
         P[::2] *= 1.0 - 4e-13
     proc = MarkovFamilyProcess([np.eye(2) * (k + 1) for k in range(f)], P, seed=3)
-    # uniforms on every breakpoint and at 0.0, then the drawn ones
+    # uniforms on every breakpoint, at 0.0 and just below 1.0, then the
+    # drawn ones
     edges = proc._edges[proc._edges < 1.0]
     total = sum(64 if t == "next" else t for t in takes) + 64
-    u = np.resize(np.concatenate((edges, [0.0], pool)), total)
+    u = np.resize(np.concatenate((edges, [0.0, 1 - 2**-53], pool)), total)
     proc._rng = _Uniforms(u)
     got = []
     for t in takes:
@@ -349,6 +356,46 @@ def test_markov_table_walk_matches_per_row_walk(f, weights, short_rows, pool, ta
     idx = child.block_events(1000)
     fresh = np.random.Generator(np.random.PCG64(np.random.SeedSequence((3, 7))))
     assert idx.tolist() == _per_row_walk(child, fresh.random(1000))
+
+
+class _Serves:
+    """Stand-in generator whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+_SHORT = [0.5, 0.5 - 4e-13, 0.0]    # sums to 1 within PROB_TOL, and below 1 in floats
+
+
+@pytest.mark.parametrize("u", [1 - 2**-53, 1 - 1e-13])
+def test_no_kind_draws_an_outcome_of_probability_zero(u):
+    # the largest uniforms fall past cumulative sums that round below 1;
+    # the outcome drawn must still be one of positive probability
+    probs = np.array([0.1] * 10 + [0.0])
+    iid = IIDFamilyProcess([np.eye(2)] * 11, probs, 1)
+    iid._rng = _Serves(u)
+    assert np.all(probs[iid.block_events(100)] > 0)
+
+    push = PushSumProcess(ring(3), 1, edge_prob=_SHORT)
+    push._rng = _Serves(u)
+    assert np.all(np.array(_SHORT)[push.block_events(100) // 2] > 0)
+
+    P = np.array([_SHORT, [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    pi = MarkovFamilyProcess._stationary(P)
+    markov = MarkovFamilyProcess([np.eye(2)] * 3, P, 1)
+    for n in (1, generators._WALK_LANES):       # each walk mode
+        lanes = [markov.spawn((t,)) for t in range(n)]
+        for pr in lanes:
+            pr._rng = _Serves(u)
+        markov.draw_ahead_lanes(lanes, 100)
+        for pr in lanes:
+            idx = pr.block_events(100)
+            assert pi[idx[0]] > 0       # the start row
+            assert np.all(P[idx[:-1], idx[1:]] > 0)
 
 
 _FAM2 = [np.eye(2), np.array([[1.0, 1.0], [1.0, 0.0]])]

@@ -203,3 +203,46 @@ def test_ab_bench_fails_on_a_run_that_is_not_correct(tmp_path, capsys, output):
                   "--seed", "7"], run=fake_run)
     assert rc == 1
     assert "base seed 8" in capsys.readouterr().err
+
+
+def _same_tables():
+    spec = importlib.util.spec_from_file_location("same_tables",
+                                                  ROOT / "scripts" / "same_tables.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_same_tables_compares_manifest_digests(tmp_path, capsys):
+    base, change = tmp_path / "base", tmp_path / "change"
+    for workload in ("ring", "markov"):
+        (base / "perfbench" / "configs" / "tiny" / workload).mkdir(parents=True)
+    calls = []
+
+    def fake_run(checkout, argv):
+        cmd, _, config, _, seed, _, out = argv
+        config = Path(config)
+        calls.append((checkout.name, config.parent.name, seed, cmd, config.name))
+        if (checkout.name, config.parent.name, seed, cmd) == ("change", "ring", "5",
+                                                              "primitivity"):
+            return 2
+        digest = "b" if (checkout.name, seed, cmd) == ("change", "17", "gap") else "a"
+        Path(out).mkdir(parents=True)
+        Path(out, "x_manifest.json").write_text(json.dumps({"outputs": [
+            {"path": f"x_{cmd}.csv", "sha256": digest},
+            {"path": "x_summary.csv", "sha256": "s"}]}))
+        return 0
+
+    rc = _same_tables().main([str(base), str(change), "--size", "tiny"], run=fake_run)
+    assert rc == 1
+    assert calls[:8] == [(side, "markov", "5", cmd, f"{stem}.json")
+                         for cmd, stem in (("simulate", "simulate"),
+                                           ("spectrum", "estimate"), ("gap", "estimate"),
+                                           ("primitivity", "primitivity"))
+                         for side in ("base", "change")]
+    assert len(calls) == 2 * 2 * 2 * 4
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["differs: tiny/markov/seed 17/gap/x_gap.csv",
+                   "failed: tiny/ring/seed 5/primitivity on change (exit 2)",
+                   "differs: tiny/ring/seed 17/gap/x_gap.csv",
+                   "30 tables compared, 2 differ, 1 runs failed"]
