@@ -66,7 +66,7 @@ def _per_row(d: np.ndarray):
 
 
 def tv_distance(xi, eta):
-    """Total variation distance ``0.5 * sum_i |xi_i - eta_i]``.
+    """Total variation distance ``0.5 * sum_i |xi_i - eta_i|``.
 
     Both arguments must be probability vectors (sum 1 within ``PROB_TOL``).
     Stacked ``(m, p)`` arguments give the ``m`` row-wise distances.

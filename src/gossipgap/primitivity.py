@@ -310,7 +310,8 @@ def survival_loglinear_fit(samples):
     supported by at least 10 exceedances, which is where a
     geometric tail shows up as a straight line.  Returns
     ``(slope, intercept, corr)`` with ``corr`` the Pearson correlation of
-    the fitted points (close to -1 for geometric tails).
+    the fitted points (close to -1 for geometric tails).  A survival that
+    is flat over the range has no line to fit and raises ``ValueError``.
     """
     s = np.sort(np.asarray(samples, dtype=np.int64))
     n = len(s)
@@ -321,9 +322,9 @@ def survival_loglinear_fit(samples):
     xs = np.arange(lo, hi)
     if len(xs) < 3:
         raise ValueError("tail range too short for a line fit")
-    surv = 1.0 - np.searchsorted(s, xs, side="right") / n
-    keep = surv > 0
-    xs, surv = xs[keep], surv[keep]
+    surv = 1.0 - np.searchsorted(s, xs, side="right") / n   # > 0 below hi
+    if surv[0] == surv[-1]:             # non-increasing: a single value
+        raise ValueError("survival is flat over the tail range")
     y = np.log(surv)
     slope, intercept = np.polyfit(xs, y, 1)
     corr = float(np.corrcoef(xs, y)[0, 1])

@@ -12,7 +12,8 @@ block, in the same addition order, so no single replicate's arithmetic
 path changes.  A QR step is one raw ``np.linalg.qr`` followed by the
 orgqr gufunc that ``np.linalg.qr`` itself calls to form ``Q``: the same
 LAPACK calls, so the results are those of ``np.linalg.qr`` bit for bit,
-without the wrapper's overhead, and still one ``np.linalg.qr`` per step.
+without the wrapper's overhead or its error state (the gufunc clears the
+floating-point status itself), and still one ``np.linalg.qr`` per step.
 
 A burn-in window (not counted in the averages) lets the frame align with
 the top Oseledec directions first; without it the alignment transient
@@ -93,29 +94,23 @@ def _mean_stderr(samples: np.ndarray):
         return samples.std(axis=0, ddof=1) / math.sqrt(n)
 
 
-def _qr_error(err, flag):
-    # the error-state callback np.linalg.qr installs: LAPACK refused an argument
-    raise np.linalg.LinAlgError("Incorrect argument found while performing "
-                                "QR factorization")
-
-
 def _qr_step(Q: np.ndarray):
     """``(q, diag r)`` of the reduced QR of the ``(R, p, k)`` stack ``Q``,
     bit for bit as ``np.linalg.qr(Q)`` gives them.
 
     One raw ``np.linalg.qr`` (LAPACK geqrf) leaves the Householder
     reflectors, with ``r`` on and above their diagonal, in ``h``; ``q`` is
-    formed from them by the orgqr gufunc that ``np.linalg.qr`` itself calls,
-    under the same floating-point error state.  This skips only the rest
-    of the wrapper's work: the ``triu`` of ``r``, dtype casts and result
-    wrapping.  The returned diagonal is a view into ``h``.
+    formed from them by the orgqr gufunc that ``np.linalg.qr`` itself calls.
+    This skips the wrapper's ``triu`` of ``r``, dtype casts, result wrapping
+    and its ``errstate`` around the gufunc, which is not needed: the gufunc
+    clears the floating-point status itself (inf and NaN only propagate),
+    and its one error, an illegal argument, cannot follow geqrf's success
+    on the same stack.  The returned diagonal is a view into ``h``.
     """
     h, tau = np.linalg.qr(Q, mode="raw")
     a = h.swapaxes(-1, -2)
-    with np.errstate(call=_qr_error, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
-    return q, a.diagonal(0, 1, 2)
+    return (_umath_linalg.qr_reduced(a, tau, signature="dd->d"),
+            a.diagonal(0, 1, 2))
 
 
 def _run_frames(procs, k: int, n_count: int, reorth_period: int,
@@ -130,11 +125,10 @@ def _run_frames(procs, k: int, n_count: int, reorth_period: int,
     every recorded step and at the end, so accumulation windows split
     exactly.
 
-    The step loop does only the matmul and, on a QR step, ``_qr_step`` and
-    a copy of ``r``'s diagonal: one raw ``np.linalg.qr``, then ``Q`` from
-    the orgqr gufunc that ``np.linalg.qr`` calls, bit-identical to
-    ``np.linalg.qr`` without the overhead of its wrapper, and still one
-    ``np.linalg.qr`` call per QR.  Per 512-step block the schedule is
+    The step loop does only the matmul and, on a QR step, ``_qr_step``
+    (``np.linalg.qr`` bit for bit, without its wrapper's overhead, and
+    still one ``np.linalg.qr`` call per QR) and a copy of ``r``'s
+    diagonal.  Per 512-step block the schedule is
     computed up front, and the logs of the counted diagonals are summed by one
     sequential ``cumsum`` that starts from ``acc``, so ``acc`` and the
     snapshots read from it equal a step-by-step ``acc += log|diag r|``
@@ -354,7 +348,7 @@ def _phis_from_factors(U: np.ndarray, lognorm: np.ndarray,
 
 def _birkhoff_draw_len(trials: int, p: int) -> int:
     """Steps drawn per trial per ``dense_block`` call: the largest multiple
-    of the segment length whose ``(steps, trials, p, p)`` buffer fits in
+    of the segment length whose ``(trials, steps, p, p)`` buffer fits in
     ``_BIRKHOFF_BUFFER_BYTES``; never below one segment."""
     fit = _BIRKHOFF_BUFFER_BYTES // (trials * p * p * 8)
     return max(_BIRKHOFF_SEGMENT, fit - fit % _BIRKHOFF_SEGMENT)
@@ -363,15 +357,16 @@ def _birkhoff_draw_len(trials: int, p: int) -> int:
 def _segment_products(steps: np.ndarray, patterns: bool):
     """Products ``C`` (later factors on the left) and 0/1 patterns ``P``
     (clipped products of the step patterns, i.e. boolean products) of the
-    consecutive 16-step runs of the step-major ``(n * 16, T, p, p)``
-    ``steps``, each ``(n, T, p, p)``: one batched matmul per step position.
+    consecutive 16-step runs of the trial-major ``(T, n * 16, p, p)``
+    ``steps``, each segment-major ``(n, T, p, p)``: one batched matmul per
+    step position, on a strided view whose matrices are each contiguous.
     ``P`` is None, and no pattern is formed, unless ``patterns``."""
-    runs = steps.reshape(-1, _BIRKHOFF_SEGMENT, *steps.shape[1:])
-    C = np.ascontiguousarray(np.broadcast_to(np.eye(steps.shape[-1]),
-                                             runs[:, 0].shape))
+    T, _, p, _ = steps.shape
+    runs = steps.reshape(T, -1, _BIRKHOFF_SEGMENT, p, p).swapaxes(0, 1)
+    C = np.ascontiguousarray(np.broadcast_to(np.eye(p), runs[:, :, 0].shape))
     P = C.copy() if patterns else None
     for s in range(_BIRKHOFF_SEGMENT):
-        A = runs[:, s]
+        A = runs[:, :, s]
         C = A @ C
         if patterns:
             P = np.minimum((A > 0).astype(float) @ P, 1.0)
@@ -402,11 +397,12 @@ def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstima
     take no more memory than the buffer; a Markov family walks the chains
     of all trials together), then each trial builds its emissions through
     ``dense_block`` in runs of as many whole 16-step segments as fit a
-    step-major ``(steps, trials, p, p)`` buffer of about 2 MiB (at least
-    one segment).  The 16-step products and patterns of all segments of a
-    draw are formed together, one batched matmul per step position (a short
-    last segment is padded with identities, which multiply exactly), and
-    then folded into the factors segment by segment; ``phi`` is evaluated
+    trial-major ``(trials, steps, p, p)`` buffer of about 2 MiB (at least
+    one segment), so each block is one contiguous copy.  The 16-step
+    products and patterns of all segments of a draw are formed together,
+    one batched matmul per step position (a short last segment is padded
+    with identities, which multiply exactly), and then folded into the
+    factors segment by segment; ``phi`` is evaluated
     for all positive trials at once.  Once every trial's running pattern
     is all-true and every member is row-allowable, no more patterns are
     formed: an all-true pattern times a row-allowable one stays all-true.
@@ -431,17 +427,17 @@ def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstima
     track = True                        # pat may still gain a true entry
     draw_len = _birkhoff_draw_len(T, p)
     run = p * p * draw_len              # steps per draw_ahead: indices <= buf bytes
-    # step-major, buf[s] is (T, p, p); whole segments, padded past m
-    buf = np.empty((min(draw_len, m + -m % _BIRKHOFF_SEGMENT), T, p, p))
+    # trial-major, buf[t] is one trial's steps; whole segments, padded past m
+    buf = np.empty((T, min(draw_len, m + -m % _BIRKHOFF_SEGMENT), p, p))
     for done in range(0, m, draw_len):
         drawn = min(draw_len, m - done)
         if done % run == 0:
             proc.draw_ahead_lanes(procs, min(run, m - done))
         for t, pr in enumerate(procs):
-            buf[:drawn, t] = pr.dense_block(drawn)
+            buf[t, :drawn] = pr.dense_block(drawn)
         end = drawn + -drawn % _BIRKHOFF_SEGMENT
-        buf[drawn:end] = np.eye(p)
-        Cs, Ps = _segment_products(buf[:end], track)
+        buf[:, drawn:end] = np.eye(p)
+        Cs, Ps = _segment_products(buf[:, :end], track)
         for s, C in enumerate(Cs):
             if track:
                 pat = np.minimum(Ps[s] @ pat, 1.0)

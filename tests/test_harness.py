@@ -384,6 +384,22 @@ def test_cli_primitivity(tmp_path):
     assert (out / "demo_indices.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_primitivity_flat_survival_tail_leaves_the_fit_blank(tmp_path,
+                                                                  monkeypatch):
+    cfg = json.loads(json.dumps(PUSH_SUM_CFG))
+    cfg["horizon"]["n"] = 100
+    p = tmp_path / "prim.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    monkeypatch.setattr(primitivity, "sample_forward_indices",
+                        lambda proc, count: np.array([5] * 60 + [30] * 40))
+    out = tmp_path / "prim"
+    assert main(["primitivity", "--config", str(p), "--out", str(out)]) == 0
+    rows = (out / "demo_summary.csv").read_text().splitlines()
+    summary = dict(line.split(",", 1) for line in rows[1:])
+    assert summary["survival_slope"] == summary["survival_corr"] == ""
+
+
 _SWAP_CFG = {"process": {"kind": "constant", "seed": 1, "matrix": [[0, 1], [1, 0]]},
              "horizon": {"n": 100, "checkpoints": "geometric"}}
 

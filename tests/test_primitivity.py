@@ -577,3 +577,13 @@ def test_survival_fit_geometric():
 def test_survival_fit_needs_samples():
     with pytest.raises(ValueError):
         survival_loglinear_fit([1, 2, 3])
+
+
+@pytest.mark.filterwarnings("error")
+def test_survival_fit_flat_tail_raises_without_warning():
+    # survival is 0.4 at every x in the fit range 5..29: no line to fit
+    with pytest.raises(ValueError, match="flat"):
+        survival_loglinear_fit([5] * 60 + [30] * 40)
+    # two distinct values in the range still fit a line
+    slope, _, corr = survival_loglinear_fit([5] * 50 + [6] * 10 + [30] * 40)
+    assert slope < 0 and -1 <= corr < 0

@@ -172,6 +172,36 @@ def test_qr_step_inf_gives_nan_in_the_same_places_without_warning():
     assert nan[[3, 6]].all() and not nan[[0, 1, 2, 4, 5, 7]].any()
 
 
+def _odd_stack(case):
+    rng = np.random.default_rng(5)
+    Q = rng.standard_normal((8, 5, 3))
+    if case == "nan":
+        Q[2, 3, 1] = np.nan
+    elif case == "zero":
+        Q[:] = 0.0
+    elif case == "collinear":
+        Q[:, :, 2] = 2.0 * Q[:, :, 0]
+    elif case == "huge":
+        Q *= 1e307
+    elif case == "subnormal":
+        Q *= 1e-310
+    elif case == "p1":
+        Q = Q[:, :1, :1].copy()
+    return Q
+
+
+@pytest.mark.parametrize("case", ["nan", "zero", "collinear", "huge",
+                                  "subnormal", "p1"])
+def test_qr_step_odd_stacks_equal_numpy_qr_without_warning(case):
+    # _qr_step enters no errstate: the orgqr gufunc clears the
+    # floating-point status itself, so no stack warns or raises
+    Q = _odd_stack(case)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = spectrum._qr_step(Q.copy())
+    _assert_same_bits(got, _numpy_qr_step(Q))
+
+
 def _run_frames_per_step(procs, k, n_count, reorth_period, burn_in, record=None):
     """The frame loop as it was written before the block-level bookkeeping:
     log, accumulation, collapse check and schedule evaluated at every step."""
@@ -582,7 +612,7 @@ _FAM3_ZERO_ROW = IIDFamilyProcess(
     two_node(0.25),
 ], ids=["push_sum", "iid", "markov", "constant", "zero_row", "index_runs"])
 def test_birkhoff_matches_per_segment_reference(proc, draw, monkeypatch):
-    # multi-segment draws into the step-major buffer change no bit of the
+    # multi-segment draws into the trial-major buffer change no bit of the
     # result, whatever draw length the buffer cap allows
     monkeypatch.setattr(spectrum, "_BIRKHOFF_BUFFER_BYTES",
                         (draw + 15) * 6 * proc.p ** 2 * 8)
@@ -649,6 +679,30 @@ def test_birkhoff_forms_no_pattern_after_every_trial_is_positive(proc, monkeypat
     tracked = (last - 1) // 16 + 1
     assert flags == [True] * tracked + [False] * (segments - tracked)
     assert tracked < segments
+
+
+@pytest.mark.parametrize("proc", [lossy5(), _FAM3_ZERO_ROW],
+                         ids=["push_sum", "zero_row"])
+def test_segment_products_of_trial_major_steps(proc):
+    # three segments of 5 trials, the last one 8 steps padded with identities;
+    # products and clipped patterns come back segment-major
+    T, p, m = 5, proc.p, 40
+    steps = np.empty((T, 48, p, p))
+    for t in range(T):
+        steps[t, :m] = proc.spawn((7, t)).dense_block(m)
+    steps[:, m:] = np.eye(p)
+    C, P = spectrum._segment_products(steps, True)
+    assert C.shape == P.shape == (3, T, p, p)
+    for t in range(T):
+        for n in range(3):
+            c, b = np.eye(p), np.eye(p, dtype=bool)
+            for a in steps[t, 16 * n:16 * (n + 1)]:
+                c = a @ c
+                b = (a > 0).astype(int) @ b > 0
+            assert C[n, t].tobytes() == c.tobytes()
+            np.testing.assert_array_equal(P[n, t], b.astype(float))
+    C2, P2 = spectrum._segment_products(steps, False)
+    assert P2 is None and C2.tobytes() == C.tobytes()
 
 
 def test_birkhoff_draw_length():
