@@ -65,14 +65,13 @@ built on the first dense emission and shared by every spawn.
 ``next_matrix``, ``member`` and the event paths never build it, so they
 stay cheap at wide ``p``, where the stack takes ``2|E| p**2`` floats.  A
 process keeps no record of served emissions; a caller that needs one
-keeps the indices ``block_events`` returned.  ``spawn`` makes a shallow
-copy with its own stream: the configuration arrays are read-only and
-shared, so replicate processes cost no re-validation.
+keeps the indices ``block_events`` returned.  ``spawn`` makes a child on
+its own stream that shares every other attribute, the read-only
+configuration arrays too, so replicates cost no re-validation or copy.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +93,7 @@ __all__ = [
 ]
 
 _LOOKAHEAD = 64     # steps next_matrix and step_events draw into an empty look-ahead
+_NO_AHEAD = np.zeros(0, dtype=np.intp)     # every fresh stream's empty look-ahead
 # Markov chains are walked together, one numpy gather per step, from this
 # many lanes on, and one by one in a Python loop below it.  Per lane-step on
 # the fam3 chain, bins included (2 vCPU, numpy 2.4.6, min of 9 runs of 2016
@@ -189,10 +189,11 @@ class MatrixProcess:
     of every process of ``lanes`` (this process or spawns of it) into the
     step-major ``intp`` array ``out``, column ``t`` for ``lanes[t]`` and
     drawn from that lane's own generator, exactly as a one-lane call would.
-    Its ``updates`` table and ``stochastic`` flags (see the module
-    docstring) are built once at construction.  The stream state is
-    the generator ``_rng`` and the look-ahead ``_ahead``, whose indices from
-    ``_at`` on are drawn but not yet served.  ``draw_ahead_lanes(lanes, m)``
+    Its ``updates`` table, ``stochastic`` flags (see the module docstring)
+    and ``entry_range``, the least positive and the largest member entry,
+    are built once at construction.  The stream state is the generator
+    ``_rng`` and the look-ahead ``_ahead``, whose indices from ``_at`` on
+    are drawn but not yet served.  ``draw_ahead_lanes(lanes, m)``
     alone calls ``_draw``: it tops every lane's look-ahead up to at least
     ``m`` pending steps in one call, so a caller that knows how many steps
     it will take pays one sampler call for all of them and all its lanes
@@ -227,19 +228,18 @@ class MatrixProcess:
         """Restart the emission sequence from step 1."""
         key = (self.seed,) + self.stream
         self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
-        # look-ahead member indices, served from index _at on (none drawn
-        # yet); rebound, never edited in place: a spawned copy starts out
-        # sharing them
-        self._ahead, self._at = np.zeros(0, dtype=np.intp), 0
+        # look-ahead member indices, served from index _at on; rebound, never
+        # edited in place, so every fresh stream shares one empty array
+        self._ahead, self._at = _NO_AHEAD, 0
 
     def spawn(self, stream) -> "MatrixProcess":
         """Same configuration, independent stream ``(seed, *stream)``.
 
-        The child is a shallow copy: it shares the (read-only)
-        configuration arrays and member table and gets its own generator
-        and cursor.
-        """
-        child = copy.copy(self)
+        The child takes this process's attributes as ``copy.copy`` would,
+        without its reduce protocol: it shares the read-only configuration
+        arrays and member table and gets its own generator and cursor."""
+        child = object.__new__(type(self))
+        child.__dict__.update(self.__dict__)
         child.stream = ((int(stream),) if np.ndim(stream) == 0
                         else tuple(int(s) for s in stream))
         child.reset()
@@ -399,6 +399,7 @@ class PushSumProcess(MatrixProcess):
         self.updates = tuple(u for (i, j), a in zip(edges, share)
                              for u in ((i, 1.0 - a, j, a), (i, 1.0 - a, None, 0.0)))
         self.stochastic = np.tile([True, False], ne)
+        self.entry_range = (min(min(a, 1.0 - a) for a in share), 1.0)
         self._stack = []        # the member stack once built: spawns share the list
         self._loss_p = np.array(loss_prob)
         self._cum_q = _cumulative(edge_prob)
@@ -457,6 +458,7 @@ class _FamilyProcess(MatrixProcess):
             _column_edit(A) or (None, 0.0, None, A if is_row_allowable(A) else None)
             for A in stack)
         self.stochastic = np.array([is_column_stochastic(A) for A in stack])
+        self.entry_range = (float(stack[stack > 0].min(initial=np.inf)), float(stack.max()))
         super().__init__(stack.shape[1], seed)
 
     def _members(self) -> np.ndarray:

@@ -128,12 +128,13 @@ def _run_frames(procs, k: int, n_count: int, reorth_period: int,
     The step loop does only the matmul and, on a QR step, ``_qr_step``
     (``np.linalg.qr`` bit for bit, without its wrapper's overhead, and
     still one ``np.linalg.qr`` call per QR) and a copy of ``r``'s
-    diagonal.  Per 512-step block the schedule is
-    computed up front, and the logs of the counted diagonals are summed by one
-    sequential ``cumsum`` that starts from ``acc``, so ``acc`` and the
-    snapshots read from it equal a step-by-step ``acc += log|diag r|``
-    bit for bit.  A zero diagonal (the frame's rank collapsed below ``k``)
-    leaves ``-inf`` in ``acc``; it is reported by one warning at the end.
+    diagonal.  All replicates' indices of ``p**2`` blocks are drawn in one
+    ``draw_ahead_lanes`` call (no more bytes than one stacked block).  Per
+    block the schedule is computed up front, and the logs of the counted
+    diagonals are summed by one sequential ``cumsum`` that starts from
+    ``acc``, so ``acc`` and the snapshots read from it equal a step-by-step
+    ``acc += log|diag r|`` bit for bit.  A zero diagonal (rank collapsed
+    below ``k``) leaves ``-inf`` in ``acc``, reported by one warning at the end.
     """
     R = len(procs)
     p = procs[0].p
@@ -149,6 +150,8 @@ def _run_frames(procs, k: int, n_count: int, reorth_period: int,
     done = 0
     while done < total:
         m = min(_BLOCK, total - done)
+        if done % (p * p * _BLOCK) == 0:    # indices of p**2 blocks <= one block's bytes
+            procs[0].draw_ahead_lanes(procs, min(p * p * _BLOCK, total - done))
         stacked = np.stack([pr.dense_block(m) for pr in procs], axis=1)
         t = np.arange(done + 1, done + m + 1)
         nxt = np.searchsorted(marks, t)
@@ -355,22 +358,18 @@ def _birkhoff_draw_len(trials: int, p: int) -> int:
 
 
 def _segment_products(steps: np.ndarray, patterns: bool):
-    """Products ``C`` (later factors on the left) and 0/1 patterns ``P``
-    (clipped products of the step patterns, i.e. boolean products) of the
-    consecutive 16-step runs of the trial-major ``(T, n * 16, p, p)``
-    ``steps``, each segment-major ``(n, T, p, p)``: one batched matmul per
-    step position, on a strided view whose matrices are each contiguous.
-    ``P`` is None, and no pattern is formed, unless ``patterns``."""
+    """Products ``C`` (later factors on the left) of the consecutive 16-step
+    runs of the trial-major ``(T, n * 16, p, p)`` ``steps``, segment-major
+    ``(n, T, p, p)``, one batched matmul per step position on a strided view,
+    and their 0/1 patterns ``P = C > 0`` (None unless ``patterns``): with no
+    term under- or overflowing (``estimate_gap_birkhoff``'s range check), a
+    sum of nonnegative terms is positive iff some term is."""
     T, _, p, _ = steps.shape
     runs = steps.reshape(T, -1, _BIRKHOFF_SEGMENT, p, p).swapaxes(0, 1)
     C = np.ascontiguousarray(np.broadcast_to(np.eye(p), runs[:, :, 0].shape))
-    P = C.copy() if patterns else None
     for s in range(_BIRKHOFF_SEGMENT):
-        A = runs[:, :, s]
-        C = A @ C
-        if patterns:
-            P = np.minimum((A > 0).astype(float) @ P, 1.0)
-    return C, P
+        C = runs[:, :, s] @ C
+    return C, ((C > 0).astype(float) if patterns else None)
 
 
 def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstimate:
@@ -390,22 +389,22 @@ def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstima
     A trial whose second singular direction underflows entirely
     (``m * gap`` beyond ~700 nats) is censored and counted in
     ``tau_zero_fraction``; the estimate is nan if every positive trial is
-    censored.
+    censored.  Unless the least positive member entry ``lo`` and the largest
+    ``hi`` keep 16-step products normal, ``lo**16 > 2**-1000`` and
+    ``(p*hi)**16 < 2**1000``, ``ValueError`` is raised before any draw.
 
-    All trials draw the member indices of up to ``p**2`` buffer lengths of
-    steps in one ``proc.draw_ahead_lanes`` call (so the indices of all trials
-    take no more memory than the buffer; a Markov family walks the chains
-    of all trials together), then each trial builds its emissions through
-    ``dense_block`` in runs of as many whole 16-step segments as fit a
+    All trials draw the indices of up to ``p**2`` buffer lengths of steps in
+    one ``proc.draw_ahead_lanes`` call (no more bytes than the buffer; a
+    Markov family walks all chains together), then each trial builds its
+    emissions by ``dense_block`` in as many whole 16-step segments as fit a
     trial-major ``(trials, steps, p, p)`` buffer of about 2 MiB (at least
-    one segment), so each block is one contiguous copy.  The 16-step
-    products and patterns of all segments of a draw are formed together,
-    one batched matmul per step position (a short last segment is padded
-    with identities, which multiply exactly), and then folded into the
-    factors segment by segment; ``phi`` is evaluated
-    for all positive trials at once.  Once every trial's running pattern
-    is all-true and every member is row-allowable, no more patterns are
-    formed: an all-true pattern times a row-allowable one stays all-true.
+    one), each block one contiguous copy.  The 16-step products of a draw
+    are formed together, one batched matmul per step position (a short last
+    segment is padded with identities, which multiply exactly), their
+    patterns read off them, and folded into the factors segment by segment;
+    ``phi`` is evaluated for all positive trials at once.  Once every
+    trial's running pattern is all-true and every member is row-allowable,
+    no more patterns are formed: all-true times row-allowable is all-true.
     None of this changes a result: every trial's stream and every
     segment's arithmetic are those of one draw per segment and a
     step-by-step product.
@@ -417,6 +416,10 @@ def estimate_gap_birkhoff(proc: MatrixProcess, m: int, trials: int) -> GapEstima
     if trials < 1:
         raise ValueError("trials must be >= 1")
     T, p = int(trials), proc.p
+    lo, hi = proc.entry_range
+    if not (lo > 2.0 ** -62.5 and p * hi < 2.0 ** 62.5):      # 2**(1000/16)
+        raise ValueError(f"member entries lo = {lo:.3g}, hi = {hi:.3g}: 16-step products need "
+                         "lo**16 > 2**-1000 and (p*hi)**16 < 2**1000 to stay normal")
     procs = [proc.spawn((_BIRKHOFF_STREAM, m, t)) for t in range(T)]
     U = np.ascontiguousarray(np.broadcast_to(np.eye(p), (T, p, p)))
     Vh = U.copy()

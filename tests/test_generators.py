@@ -428,6 +428,38 @@ def test_spawn_is_a_fresh_stream_without_history(build):
                                   build((0,)).dense_block(303)[3:])
 
 
+@_EACH_KIND
+def test_spawn_takes_numpy_integer_streams_and_shares_the_configuration(build):
+    parent = build((0,))
+    np.testing.assert_array_equal(parent.spawn(np.int64(3)).block_events(200),
+                                  parent.spawn(3).block_events(200))
+    np.testing.assert_array_equal(parent.spawn((np.int64(1), 2)).block_events(200),
+                                  parent.spawn((1, 2)).block_events(200))
+    parent.next_matrix()        # draws ahead: the parent holds pending steps
+    child, sibling = parent.spawn(4), parent.spawn(5)
+    assert child.stream == (4,) and type(child) is type(parent)
+    # every configuration attribute is the parent's own object: the read-only
+    # arrays, the member table and push-sum's member stack list
+    own = {"stream", "_rng", "_ahead", "_at", "_state"}
+    for name, value in vars(parent).items():
+        if name not in own:
+            assert getattr(child, name) is value, name
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, name
+    assert child._rng is not parent._rng and child._at == 0
+    assert len(child._ahead) == 0 and len(parent._ahead) - parent._at > 0
+    if isinstance(parent, PushSumProcess):
+        assert child._stack is parent._stack
+    # writing into a fresh child's empty block is allowed and reaches no
+    # other spawn
+    child.block_events(0)[:] = 7
+    sibling.block_events(0)[:] = 7
+    np.testing.assert_array_equal(child.block_events(100), build((4,)).block_events(100))
+    np.testing.assert_array_equal(sibling.block_events(100), build((5,)).block_events(100))
+    np.testing.assert_array_equal(parent.block_events(100),
+                                  build((0,)).block_events(101)[1:])
+
+
 def _event_matrices(proc, ks):
     """The emissions of member indices ``ks`` of a ``_push_sum`` process,
     one ``push_sum_matrix`` each."""
@@ -741,9 +773,24 @@ def test_member_table_agrees_with_every_member(drawn, seed):
             cols[c] |= old[r]
         pattern = [[bool(cols[c] >> r & 1) for c in range(proc.p)] for r in range(proc.p)]
         np.testing.assert_array_equal(pattern, A > 0)
+    assert proc.entry_range == (block[block > 0].min(initial=math.inf), block.max())
     child = proc.spawn((5,))
     assert child.updates is proc.updates and child.stochastic is proc.stochastic
+    assert child.entry_range is proc.entry_range
     assert not proc.stochastic.flags.writeable
+
+
+@pytest.mark.parametrize("proc,want", [
+    (PushSumProcess(ring(3), 1, share=(0.6, 0.9, 0.7)), (1.0 - 0.9, 1.0)),
+    (PushSumProcess(ring(3), 1, share=0.2, loss_prob=0.5), (0.2, 1.0)),
+    (IIDFamilyProcess([np.eye(2) * 1e-30, np.array([[0.0, 3.0], [1e300, 0.0]])],
+                      [0.5, 0.5], 1), (1e-30, 1e300)),
+    (ConstantProcess(np.zeros((2, 2))), (math.inf, 0.0)),
+], ids=["push_sum_keep", "push_sum_share", "family", "all_zero"])
+def test_entry_range_is_the_least_positive_and_the_largest_member_entry(proc, want):
+    block = np.stack([proc.member(k) for k in range(proc.family_size)])
+    assert proc.entry_range == want
+    assert want == (block[block > 0].min(initial=math.inf), block.max())
 
 
 # -- statistics of the sampler ---------------------------------------------------

@@ -1,10 +1,14 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gossipgap import acceptance, spectrum
+from gossipgap.cli import main
+from gossipgap.config import load_config
 from gossipgap.core import birkhoff_phi, log_tau_from_phi, wedge_magnitude
 from gossipgap.generators import (ConstantProcess, Digraph, IIDFamilyProcess,
                                   PushSumProcess, ring, ring_with_chords)
@@ -272,6 +276,34 @@ def test_run_frames_bitwise_equal_to_per_step_loop(proc, period, replicates):
         assert sorted(got[1]) == sorted(want[1]) == record
         for step in record:
             np.testing.assert_array_equal(got[1][step], want[1][step])
+
+
+@pytest.mark.parametrize("proc,calls", [
+    # p = 2: index runs of 4 * 512 steps; p = 3: of 9 * 512, the last short
+    (two_node(0.25), [(3, 2048), (3, 2048), (3, 1004)]),
+    (acceptance._envelope_configs()[7][0], [(3, 4608), (3, 492)]),
+], ids=["push_sum", "markov"])
+def test_run_frames_draws_each_index_run_once(proc, calls, monkeypatch):
+    # one sampler call covering every replicate per p^2 * 512 steps; the
+    # frames, accumulators and snapshots are those of per-block draws
+    burn_in, n = 100, 5000
+    record = [1, 1947, 1948, 1949, 4507, 4508, 4509, n]
+    got_calls = []
+    real = type(proc)._draw
+    monkeypatch.setattr(type(proc), "_draw", lambda self, lanes, out: (
+        got_calls.append((len(lanes), len(out))) or real(self, lanes, out)))
+    got = spectrum._run_frames([proc.spawn((9, r)) for r in range(3)], 2, n, 1,
+                               burn_in, record)
+    assert got_calls == calls
+    got_calls.clear()
+    want = _run_frames_per_step([proc.spawn((9, r)) for r in range(3)], 2, n, 1,
+                                burn_in, record)
+    # the reference draws each replicate's blocks one by one
+    assert {lanes for lanes, _ in got_calls} == {1} and max(got_calls)[1] == 512
+    np.testing.assert_array_equal(got[0], want[0])
+    assert sorted(got[1]) == sorted(want[1]) == record
+    for step in record:
+        np.testing.assert_array_equal(got[1][step], want[1][step])
 
 
 def _expected_qr_steps(burn_in, n, period, record):
@@ -636,6 +668,77 @@ def test_birkhoff_draws_each_index_run_once(monkeypatch):
         calls.append((len(lanes), len(out))) or real(self, lanes, out)))
     estimate_gap_birkhoff(two_node(0.25), 150, 3)
     assert calls == [(3, 64), (3, 64), (3, 22)]
+
+
+_TINY_MARKOV = (Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "tiny"
+                / "markov-family")
+_RANGE_NEED = "16-step products need lo**16 > 2**-1000 and (p*hi)**16 < 2**1000 to stay normal"
+
+
+def _tiny_markov_with(tmp_path, entry, name, **estimators):
+    """The tiny Markov-family config ``name`` with member 0's ``(0, 0)``
+    entry set to ``entry``, written to ``tmp_path``."""
+    cfg = json.loads((_TINY_MARKOV / f"{name}.json").read_text(encoding="utf-8"))
+    cfg["process"]["matrices"][0][0][0] = entry
+    cfg.get("estimators", {}).update(estimators)
+    path = tmp_path / f"{name}_{entry!r}.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return path
+
+
+def _other_subcommands_run(tmp_path, entry):
+    for cmd, name in (("spectrum", "estimate"), ("simulate", "simulate"),
+                      ("primitivity", "primitivity")):
+        path = _tiny_markov_with(tmp_path, entry, name)
+        assert main([cmd, "--config", str(path), "--out", str(tmp_path / cmd)]) == 0, cmd
+
+
+@pytest.mark.parametrize("entry,lo,hi", [(1e-30, "1e-30", "1"), (1e300, "0.5", "1e+300")],
+                         ids=["underflow", "overflow"])
+def test_cli_gap_refuses_members_outside_the_normal_range(tmp_path, capsys, entry, lo, hi):
+    # without the range check these exited 2 for another reason: 16-step
+    # products that underflow gave "projective diameter requires a
+    # row-allowable matrix", ones that overflow "SVD did not converge"
+    path = _tiny_markov_with(tmp_path, entry, "estimate")
+    assert main(["gap", "--config", str(path), "--out", str(tmp_path / "g")]) == 2
+    assert capsys.readouterr().err == (
+        f"numerical failure: member entries lo = {lo}, hi = {hi}: {_RANGE_NEED}\n")
+    _other_subcommands_run(tmp_path, entry)
+
+
+def test_birkhoff_range_check_comes_before_any_spawn(monkeypatch):
+    proc = load_config(_TINY_MARKOV / "estimate.json").build_process()
+    proc = type(proc)([m * 1e20 for m in proc.members], proc.transition, 5)
+    monkeypatch.setattr(type(proc), "spawn", _no_spawn)
+    with pytest.raises(ValueError, match=r"lo = 5e\+19, hi = 1e\+20: 16-step"):
+        estimate_gap_birkhoff(proc, 64, 4)
+
+
+def _no_spawn(self, stream):
+    raise AssertionError("spawned before the range check")
+
+
+def test_cli_gap_runs_just_inside_the_normal_range(tmp_path):
+    # lo = 2**-62: lo**16 = 2**-992, so every product entry stays normal and
+    # the patterns read off the products are those of the per-step reference
+    entry, trials = 2.0 ** -62, 32
+    # at m = 64 some positive trial's product has a row below rounding of
+    # its largest entry: the entrywise phi of _phis_from_factors then sees a
+    # zero row, in the estimator and the reference alike
+    proc = load_config(_tiny_markov_with(tmp_path, entry, "estimate")).build_process()
+    for run in (estimate_gap_birkhoff, _birkhoff_per_segment):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="row-allowable"):
+            warnings.simplefilter("ignore")
+            run(proc, 64, trials)
+    path = _tiny_markov_with(tmp_path, entry, "estimate", birkhoff_m=[256, 1024])
+    out = tmp_path / "g"
+    assert main(["gap", "--config", str(path), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "est_gap.csv").read_text().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == [256, 1024]
+    for r in rows:
+        want = _birkhoff_per_segment(proc, int(r[0]), trials)
+        np.testing.assert_array_equal([float(v) for v in r[1:]], want)
+    _other_subcommands_run(tmp_path, entry)
 
 
 def _steps_to_positive(proc, m, trials):
