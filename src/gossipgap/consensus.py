@@ -181,6 +181,8 @@ def make_checkpoints(n: int, kind: str = "geometric", count: int = 200) -> np.nd
         ks.append(n)
         return _sorted_distinct(ks)
     if kind == "linear":
+        if min(count, n) == 1:      # linspace(1, n, 1) would stop at 1
+            return np.array([n], dtype=np.int64)
         return _sorted_distinct(np.linspace(1, n, min(count, n)).astype(np.int64))
     raise ValueError(f"unknown checkpoint schedule {kind!r}")
 

@@ -159,11 +159,15 @@ def wedge_magnitude(x, y) -> float:
 
     It equals ``sqrt(|x|^2 |y|^2 - <x,y>^2)``, but each entry
     ``x_i y_j - y_i x_j`` cancels on its own, so a nearly collinear pair
-    keeps its digits where the Gram form would cancel to zero.
+    keeps its digits where the Gram form would cancel to zero.  The
+    entries are scaled by the power of two of the largest one before they
+    are squared, which is exact, so the sum neither over- nor underflows.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError("dimension mismatch")
     v = (np.outer(x, y) - np.outer(y, x)).ravel()
-    return math.sqrt(float(v @ v) / 2.0)
+    e = int(np.frexp(np.max(np.abs(v), initial=0.0))[1])
+    v = np.ldexp(v, -e)
+    return math.ldexp(math.sqrt(float(v @ v) / 2.0), e)

@@ -46,12 +46,12 @@ buffer of drawn but not yet served indices.
 ``draw_ahead_lanes`` is the one call that draws: it tops up the
 look-aheads of many lanes in lockstep in one sampler call without serving
 any step, each lane's look-ahead becoming a column of one step-major
-array; ``draw_ahead`` is its one-lane case.  ``next_matrix``,
-``dense_block`` and the indices themselves (``block_events`` for a block
-of steps, ``step_events`` one step at a time) serve from the buffer and
-draw ahead when it runs short, so any interleaving of them consumes the
-stream exactly like single steps.  ``member(k)`` builds member ``k``,
-and the read-only table ``updates[k]`` says what it does to a vector:
+array; ``draw_ahead`` is its one-lane case.  ``next_matrix`` (one
+step), ``dense_block`` and ``block_events`` (the indices of a block of
+steps) serve from the buffer and draw ahead when it runs short, so any
+interleaving of them consumes the stream exactly like single steps.
+``member(k)`` builds member ``k``, and the read-only table
+``updates[k]`` says what it does to a vector:
 ``(i, keep, j, a)`` when it is the identity with only column ``i``
 changed to ``keep = A[i, i] > 0`` and at most one off-diagonal
 ``a = A[j, i]`` (``j`` None when there is none), ``(None, 0.0, None, A)``
@@ -92,7 +92,7 @@ __all__ = [
     "complete_digraph",
 ]
 
-_LOOKAHEAD = 64     # steps next_matrix and step_events draw into an empty look-ahead
+_LOOKAHEAD = 64     # steps next_matrix draws into an empty look-ahead
 _NO_AHEAD = np.zeros(0, dtype=np.intp)     # every fresh stream's empty look-ahead
 # Markov chains are walked together, one numpy gather per step, from this
 # many lanes on, and one by one in a Python loop below it.  Per lane-step on
@@ -199,11 +199,11 @@ class MatrixProcess:
     it will take pays one sampler call for all of them and all its lanes
     (the replicates of an estimator).  ``draw_ahead(m)`` is its one-lane
     case.  Drawing ahead serves nothing: the stream is drawn in the same
-    order either way.  ``block_events``, ``dense_block``, ``next_matrix``
-    and ``step_events`` serve pending steps first; the first two draw ahead
-    what they lack, the last two draw ``_LOOKAHEAD`` steps ahead when the
-    look-ahead is empty.  ``spawn`` derives an independent but reproducible
-    stream for replicate work.
+    order either way.  ``block_events``, ``dense_block`` and ``next_matrix``
+    serve pending steps first; the first two draw ahead what they lack,
+    the last draws ``_LOOKAHEAD`` steps ahead when the look-ahead is
+    empty.  ``spawn`` derives an independent but reproducible stream for
+    replicate work.
     """
 
     kind = "abstract"
@@ -324,28 +324,6 @@ class MatrixProcess:
         at = self._at
         self._at = at + 1
         return self.member(self._ahead[at])
-
-    def step_events(self):
-        """Serve the coming steps one at a time: an iterator over each
-        step's member index as a Python int.
-
-        Each step is taken from the look-ahead buffer, refilled with
-        ``_LOOKAHEAD`` steps when it is empty exactly as ``next_matrix``
-        refills it, and counted as served before it is yielded.  So the
-        stream moves on by exactly the steps taken from the iterator, and
-        an emission call between two of them sees the stream a
-        ``next_matrix`` caller would.
-        """
-        while True:
-            if self._at == len(self._ahead):
-                self.draw_ahead(_LOOKAHEAD)
-            ahead, at = self._ahead, self._at
-            for k in ahead[at:].tolist():
-                at += 1
-                self._at = at
-                yield k
-                if self._at != at or self._ahead is not ahead:
-                    break       # another emission call moved the cursor
 
     def pattern_family(self) -> np.ndarray:
         """Zero/nonzero patterns of the members as an ``(f, p, p)`` boolean

@@ -24,10 +24,10 @@ pattern is held as one integer bitmask per column, and each index applies
 its row of ``pattern_family`` as a few column ORs, built once per member
 (one for a delivered push-sum packet, none for a lost one or an identity
 member), so no emission is built as a matrix.  I.i.d. kinds walk fresh
-indices from ``step_events``, since the reversed sequence has the same
-law; a Markov-modulated family walks back over the indices it drew with
-``block_events``, newest first.  Both walks give the indices of a walk
-over emitted patterns.
+indices, read from whole ``block_events`` draws, since the reversed
+sequence has the same law; a Markov-modulated family walks back over the
+indices it drew with ``block_events``, newest first.  Both walks give the
+indices of a walk over emitted patterns.
 """
 
 from __future__ import annotations
@@ -257,9 +257,12 @@ def sample_backward_indices(proc: MatrixProcess, count: int,
     Every sample is one ``_column_walk`` over member indices, so no
     emission is built.  For i.i.d. kinds the time-reversed sequence is
     again i.i.d. with the same marginal, so each sample is taken exactly
-    (and independently) by walking fresh member indices from
-    ``step_events``; it uses up exactly the steps it walks, the ``cap``
-    steps of a sample that ends in the cap error included.
+    (and independently) by walking fresh member indices, each sample
+    starting where the previous one ended.  The indices are read from
+    ``block_events`` draws of 512 steps, at most one sampler call each,
+    so the stream moves on by whole draws: ``ceil(W / 512) * 512`` steps
+    for a walk of ``W`` steps, the ``cap`` steps of a sample that ends in
+    the cap error included.
 
     For Markov-modulated processes the true walk-back is used at end points
     spaced ``spacing`` steps apart (samples are then only approximately
@@ -271,10 +274,14 @@ def sample_backward_indices(proc: MatrixProcess, count: int,
     ahead serves nothing, so the samples and the steps served, after a cap
     error too, are those of one draw per end point.
     """
+    def fresh():
+        while True:
+            yield from proc.block_events(512).tolist()
+
     out = np.empty(int(count), dtype=np.int64)
     edits, word = _column_edits(proc), deque(maxlen=int(cap))
     iid = proc.kind in ("push_sum", "iid_family", "constant")
-    steps = proc.step_events() if iid else None
+    steps = fresh() if iid else None
     for s in range(len(out)):
         if not iid:
             if s % 256 == 0:

@@ -243,8 +243,10 @@ def estimate_sum_top2_wedge(proc: MatrixProcess, x, w, n: int) -> float:
     renormalized after every update, and the log growth factors are summed
     exactly (``math.fsum``), so the estimate neither under- nor overflows
     and loses no digits over long runs, even when the two trajectories
-    become numerically collinear.  Accuracy is ``O(1/n)``; use ``n`` of at
-    least a thousand steps.
+    become numerically collinear.  The estimate is
+    ``(1/n) log |M_n x ^ M_n w|``, so it includes ``(1/n) log |x ^ w|`` of
+    the initial pair; accuracy is ``O(1/n)``; use ``n`` of at least a
+    thousand steps.
 
     Each 512-step ``dense_block`` draw is reduced to products ``M`` of ``P``
     consecutive steps (``_step_products``), and the wedge takes one

@@ -542,6 +542,19 @@ def test_make_checkpoints():
     assert len(lin) == 50 and lin[-1] == 1000
 
 
+def test_linear_checkpoints_end_at_the_horizon():
+    # one linear checkpoint is the horizon itself, not step 1; from two on
+    # the schedule is the evenly spaced one, first and last step included
+    assert make_checkpoints(600, "linear", count=1).tolist() == [600]
+    assert make_checkpoints(1, "linear", count=1).tolist() == [1]
+    for n, count in ((600, 2), (600, 3), (600, 200), (7, 200), (1000, 50)):
+        want = sorted(set(np.linspace(1, n, min(count, n)).astype(np.int64).tolist()))
+        assert make_checkpoints(n, "linear", count=count).tolist() == want
+    traj = run(ConstantProcess(np.eye(2)), [1.0, 2.0], [1.0, 1.0], 60,
+               checkpoints=make_checkpoints(60, "linear", count=1))
+    assert traj.ns.tolist() == [60]
+
+
 _SCHEDULES = """
 import json, sys
 import numpy as np

@@ -263,6 +263,15 @@ def test_wedge_example():
     assert wedge_magnitude([1, 0], [1, 1]) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("shift", [-1000, -600, 0, 600, 960])
+def test_wedge_scales_exactly_by_powers_of_two(shift):
+    # entries of x y^T - y x^T near 2**1000 or 2**-1000 square out of the
+    # float range; the magnitude still scales by exactly 2**shift
+    x, y = np.array([1.0, 0.2, -0.7]), np.array([0.3, 1.0, 0.5])
+    m = wedge_magnitude(x, y)
+    assert wedge_magnitude(x * 2.0 ** shift, y) == math.ldexp(m, shift)
+
+
 @pytest.mark.parametrize("sep", [1e-4, 1e-8, 1e-12])
 def test_wedge_nearly_collinear_keeps_its_digits(sep):
     # x = w + d e_1, so |x ^ w| = |d| |e_1 ^ w| = |d| sqrt(|w|^2 - w_1^2);

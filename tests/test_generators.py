@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -471,7 +470,7 @@ def _event_matrices(proc, ks):
 
 
 def _step_matrices(proc, steps):
-    """The emissions of a list of ``step_events`` member indices."""
+    """The emissions of a list of member indices."""
     if proc.kind == "push_sum":
         return _event_matrices(proc, steps)
     return proc.members[steps]
@@ -506,14 +505,12 @@ def test_block_events_consumes_like_next_matrix(build):
 @_EACH_KIND
 @pytest.mark.parametrize("seed", range(4))
 def test_emission_paths_interleave_like_single_steps(build, seed):
-    # random schedules of next_matrix runs, dense_block, block_events and
-    # steps from one step_events iterator kept alive across the other
-    # calls, with sizes straddling the look-ahead length, reproduce one
+    # random schedules of next_matrix runs, dense_block and block_events,
+    # with sizes straddling the look-ahead length, reproduce one
     # next_matrix stream and one dense_block of the total length
     rng = np.random.default_rng(seed)
     mixed, ref = build((0,)), build((0,))
-    live = mixed.step_events()
-    paths = ["next", "block", "steps"] + (["events"] if mixed.kind == "push_sum" else [])
+    paths = ["next", "block"] + (["events"] if mixed.kind == "push_sum" else [])
     got, total = [], 0
     for op in range(10):
         path, m = rng.choice(paths), int(rng.choice([0, 1, 63, 64, 65, 511]))
@@ -522,10 +519,6 @@ def test_emission_paths_interleave_like_single_steps(build, seed):
             out = out.reshape(-1, ref.p, ref.p)
         elif path == "block":
             out = mixed.dense_block(m)
-        elif path == "steps":
-            steps = list(islice(live, m))
-            assert all(type(k) is int for k in steps)
-            out = _step_matrices(mixed, steps)
         else:
             out = _event_matrices(mixed, mixed.block_events(m).tolist())
         want = [ref.next_matrix() for _ in range(m)]
@@ -560,26 +553,6 @@ def test_draw_ahead_serves_nothing(build, served):
     total = sum(len(b) for b in blocks)
     np.testing.assert_array_equal(np.concatenate(blocks), fresh.dense_block(total))
     np.testing.assert_array_equal(proc.block_events(300), fresh.block_events(300))
-
-
-@_EACH_KIND
-def test_draw_ahead_under_a_live_step_events_iterator(build):
-    # a step_events iterator kept alive across draw_ahead calls, mixed with
-    # the other emission paths, serves the stream next_matrix serves
-    proc, ref = build((0,)), build((0,))
-    live = proc.step_events()
-    for m, path, take in ((0, "steps", 3), (200, "steps", 100), (5, "steps", 1),
-                          (1000, "block", 64), (1000, "steps", 900),
-                          (1, "next", 2), (64, "steps", 70)):
-        proc.draw_ahead(m)
-        if path == "steps":
-            got = _step_matrices(proc, list(islice(live, take)))
-        elif path == "block":
-            got = _step_matrices(proc, proc.block_events(take).tolist())
-        else:
-            got = _served(proc, take)
-        np.testing.assert_array_equal(got, _served(ref, take))
-    np.testing.assert_array_equal(proc.block_events(300), ref.block_events(300))
 
 
 @_EACH_KIND

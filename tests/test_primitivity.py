@@ -360,8 +360,8 @@ def _same_stream(proc, twin):
 @pytest.mark.parametrize("cap", [DEFAULT_INDEX_CAP, 6, 12])
 @pytest.mark.parametrize("kind", sorted(_IID_KINDS))
 def test_backward_column_walk_matches_pattern_walk(kind, cap):
-    # same samples as the next_matrix walk, the same cap error at the same
-    # sample, and the same steps used up either way
+    # same samples as the next_matrix walk, and the same cap error at the
+    # same sample
     build = _IID_KINDS[kind]
     twin = build()
     want, err = _iid_walk(twin, 300, cap)
@@ -375,7 +375,6 @@ def test_backward_column_walk_matches_pattern_walk(kind, cap):
             sample_backward_indices(build(), len(want), cap=cap), want)
         with pytest.raises(RuntimeError, match=re.escape(err)):
             sample_backward_indices(proc, len(want) + 1, cap=cap)
-    _same_stream(proc, twin)
 
 
 def test_backward_column_walk_grid_reaches_the_cap_error():
@@ -393,16 +392,32 @@ def test_backward_column_walk_grid_reaches_the_cap_error():
 @pytest.mark.parametrize("lead", [0, 1, 63, 64, 65])
 @pytest.mark.parametrize("kind", sorted(_IID_KINDS))
 def test_backward_column_walk_leaves_stream_like_single_steps(kind, lead):
-    # with the look-ahead buffer part used before the call, the sampler
-    # uses up exactly the steps a next_matrix walk uses
-    proc, twin = _IID_KINDS[kind](), _IID_KINDS[kind]()
-    for _ in range(lead):
-        proc.next_matrix()
-        twin.next_matrix()
-    want, err = _iid_walk(twin, 40, DEFAULT_INDEX_CAP)
-    assert err is None
-    np.testing.assert_array_equal(sample_backward_indices(proc, 40), want)
-    _same_stream(proc, twin)
+    # with the look-ahead buffer part used before the call, the samples are
+    # those of a next_matrix walk over W steps; the sampler reads them in
+    # ceil(W / 512) draws of 512 steps, one sampler call each, and leaves
+    # the stream like ceil(W / 512) * 512 single steps (the constant kind
+    # at 256 samples walks exactly 512 steps, so no draw is read past it)
+    for count in (40, 256):
+        proc, twin = _IID_KINDS[kind](), _IID_KINDS[kind]()
+        for _ in range(lead):
+            proc.next_matrix()
+            twin.next_matrix()
+        want, err = _iid_walk(twin, count, DEFAULT_INDEX_CAP)
+        assert err is None
+        walked = sum(want)
+        draws = -(-walked // 512)
+        calls, draw = [], proc._draw
+
+        def counted(lanes, out):
+            calls.append(len(out))
+            draw(lanes, out)
+        proc._draw = counted
+        np.testing.assert_array_equal(sample_backward_indices(proc, count), want)
+        assert len(calls) == draws
+        if kind == "constant":
+            assert walked == 2 * count
+        twin.block_events(draws * 512 - walked)
+        _same_stream(proc, twin)
 
 
 def test_backward_column_walk_never_builds_an_emission(monkeypatch):
@@ -448,7 +463,8 @@ def test_backward_column_walk_matches_bool_walk(p, seed, family):
                                   want)
     if err is not None:
         with pytest.raises(RuntimeError, match=re.escape(err)):
-            sample_backward_indices(proc, 1, cap=60)
+            sample_backward_indices(_random_iid_process(p, seed, family),
+                                    len(want) + 1, cap=60)
 
 
 def _history_walk(proc, count, cap, spacing):

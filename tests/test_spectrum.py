@@ -398,6 +398,19 @@ def test_wedge_long_products_stay_finite():
         assert s == pytest.approx(exact, abs=1e-12)
 
 
+@pytest.mark.parametrize("shift", [520, -560])
+def test_wedge_initial_pair_far_out_of_range(shift):
+    # the estimate includes (1/n) log|x0 ^ w0|, so scaling x0 by 2**shift
+    # adds shift log 2 / n; at these scales the squared entries of the
+    # initial wedge overflow (or underflow) unless they are scaled first
+    proc = lossy5()
+    x, w = np.array([1.0, 0.2, 0.7, 0.4, 0.9]), np.ones(5)
+    n = 2000
+    base = estimate_sum_top2_wedge(proc, x, w, n)
+    got = estimate_sum_top2_wedge(proc, x * 2.0 ** shift, w, n)
+    assert got == pytest.approx(base + shift * math.log(2.0) / n, abs=1e-12)
+
+
 def test_wedge_collinear_rejected():
     proc = ConstantProcess(np.eye(2), seed=0)
     with pytest.raises(ValueError, match="collinear"):
